@@ -111,6 +111,10 @@ def _check_triple(t: Triple) -> None:
         raise MalformedTripleError("triple predicate must be an IRI: %r" % (t,))
 
 
+def _copy_index(index: dict) -> dict:
+    return {k: {k2: v.copy() for k2, v in inner.items()} for k, inner in index.items()}
+
+
 class Graph:
     """Set of triples with SPO/POS/OSP indexes.
 
@@ -164,9 +168,12 @@ class Graph:
         return n
 
     def copy(self) -> "Graph":
+        """Independent copy, built from the indexes without re-inserting."""
         g = Graph()
-        for t in self._triples:
-            g.insert(t)
+        g._triples = self._triples.copy()
+        g._spo = _copy_index(self._spo)
+        g._pos = _copy_index(self._pos)
+        g._osp = _copy_index(self._osp)
         return g
 
     def triples(self) -> set[Triple]:

@@ -2,9 +2,10 @@
 
 Rules are Horn-style: a conjunctive body of triple patterns and a head
 of patterns over body variables only.  ``materialize`` computes the
-least fixpoint with semi-naive iteration (each round only re-joins
-against the previous round's delta).  Heads never invent terms, so the
-fixpoint always terminates.
+least fixpoint with semi-naive iteration: round 1 joins each rule once
+over the whole graph, starting from its smallest body atom; later
+rounds join once per body atom, that atom against the previous round's
+delta.  Heads never invent terms, so the fixpoint always terminates.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def match_pattern(g: Graph, p: Pattern, binding: dict) -> Iterator[dict]:
 
 
 def _order_body(body: Sequence[Pattern], first: int) -> list[Pattern]:
-    """Delta atom first, then greedily the most-bound remaining atom."""
+    """Atom ``first`` first, then greedily the most-bound remaining atom."""
     ordered = [body[first]]
     bound = pattern_vars(body[first])
     remaining = [p for i, p in enumerate(body) if i != first]
@@ -179,6 +180,13 @@ def _order_body(body: Sequence[Pattern], first: int) -> list[Pattern]:
         ordered.append(best)
         bound |= pattern_vars(best)
     return ordered
+
+
+def _smallest_atom(g: Graph, body: Sequence[Pattern]) -> int:
+    """Index of the body atom whose constant positions match fewest triples."""
+    def size(i):
+        return g.count(*(None if isinstance(t, Var) else t for t in body[i]))
+    return min(range(len(body)), key=size)
 
 
 def _join(full: Graph, delta: Graph, body: list[Pattern]) -> Iterator[dict]:
@@ -195,33 +203,45 @@ def _join(full: Graph, delta: Graph, body: list[Pattern]) -> Iterator[dict]:
     yield from step(0, {})
 
 
+def _derive(full: Graph, delta: Graph, rule: Rule, body: list[Pattern],
+            out: set[Triple]) -> None:
+    """Add to ``out`` every head instantiation of the join not in ``full``."""
+    for binding in _join(full, delta, body):
+        for hp in rule.head:
+            s, p, o = _subst(hp, binding)
+            if isinstance(s, Literal) or not isinstance(p, IRI):
+                continue  # unrepresentable instantiation
+            t = Triple(s, p, o)
+            if t not in full:
+                out.add(t)
+
+
 def _fire(full: Graph, delta: Graph, rule: Rule, out: set[Triple]) -> None:
+    """Every derivation that uses at least one triple of ``delta``."""
     for i in range(len(rule.body)):
-        body = _order_body(rule.body, i)
-        for binding in _join(full, delta, body):
-            for hp in rule.head:
-                s, p, o = _subst(hp, binding)
-                if isinstance(s, Literal) or not isinstance(p, IRI):
-                    continue  # unrepresentable instantiation
-                t = Triple(s, p, o)
-                if t not in full:
-                    out.add(t)
+        _derive(full, delta, rule, _order_body(rule.body, i), out)
 
 
 def materialize(g: Graph, rs: RuleSet) -> Graph:
-    """Least fixpoint of ``g`` under ``rs``; returns a new graph."""
+    """Least fixpoint of ``g`` under ``rs``; returns a new graph.
+
+    Round 1 joins each rule once over the whole graph, starting from its
+    smallest body atom.  Each later round joins once per body atom, that
+    atom against the previous round's new triples.
+    """
     for r in rs:
         r.validate()
     full = g.copy()
-    delta = full  # first round joins against everything
-    while len(delta):
-        new: set[Triple] = set()
+    new: set[Triple] = set()
+    for rule in rs:
+        body = _order_body(rule.body, _smallest_atom(full, rule.body))
+        _derive(full, full, rule, body, new)
+    while new:
+        full.update(new)
+        delta = Graph(new)
+        new = set()
         for rule in rs:
             _fire(full, delta, rule, new)
-        delta = Graph()
-        for t in new:
-            if full.insert(t):
-                delta.insert(t)
     return full
 
 
@@ -233,15 +253,9 @@ def materialize_naive(g: Graph, rs: RuleSet) -> Graph:
         changed = False
         for rule in rs:
             additions: set[Triple] = set()
-            for binding in _join(full, full, list(rule.body)):
-                for hp in rule.head:
-                    s, p, o = _subst(hp, binding)
-                    if isinstance(s, Literal) or not isinstance(p, IRI):
-                        continue
-                    additions.add(Triple(s, p, o))
-            for t in additions:
-                if full.insert(t):
-                    changed = True
+            _derive(full, full, rule, list(rule.body), additions)
+            if full.update(additions):
+                changed = True
     return full
 
 

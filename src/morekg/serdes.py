@@ -81,6 +81,21 @@ _NT_TERM_RE = re.compile(
 )
 
 
+def _nt_term(m: re.Match) -> Term:
+    if m.group("iri"):
+        return IRI(m.group("iri")[1:-1])
+    if m.group("blank"):
+        return BlankNode(m.group("blank")[2:])
+    lex = unescape_string(m.group("lit")[1:-1])
+    dt = m.group("dt")
+    lang = m.group("lang")
+    if lang:
+        return Literal(lex, lang=lang)
+    if dt:
+        return Literal(lex, dt[1:-1])
+    return Literal(lex)
+
+
 def _nt_parse_line(line: str, lineno: int, graph: Graph, cache: dict) -> None:
     pos = 0
     terms = []
@@ -101,20 +116,12 @@ def _nt_parse_line(line: str, lineno: int, graph: Graph, cache: dict) -> None:
         key = m.group(0)
         term = cache.get(key)
         if term is None:
-            if m.group("iri"):
-                term = IRI(m.group("iri")[1:-1])
-            elif m.group("blank"):
-                term = BlankNode(m.group("blank")[2:])
-            else:
-                lex = unescape_string(m.group("lit")[1:-1])
-                dt = m.group("dt")
-                lang = m.group("lang")
-                if lang:
-                    term = Literal(lex, lang=lang)
-                elif dt:
-                    term = Literal(lex, dt[1:-1])
-                else:
-                    term = Literal(lex)
+            try:
+                term = _nt_term(m)
+            except RdfError as e:
+                # ``key`` may start with blanks; point at the term itself
+                column = m.start() + len(key) - len(key.lstrip()) + 1
+                raise ParseError(str(e), lineno, column) from None
             cache[key] = term
         terms.append(term)
     if not terms and not saw_dot:
@@ -277,10 +284,22 @@ class _TurtleParser:
         except RdfError as e:
             self._err(str(e), offset)
 
+    def _iri(self, value: str, offset: int) -> IRI:
+        try:
+            return IRI(value[1:-1])
+        except RdfError as e:
+            self._err(str(e), offset)
+
+    def _string(self, value: str, offset: int) -> str:
+        try:
+            return unescape_string(value[1:-1])
+        except RdfError as e:
+            self._err(str(e), offset)
+
     def _subject(self) -> Term:
         kind, value, offset = self._next()
         if kind == "iriref":
-            return IRI(value[1:-1])
+            return self._iri(value, offset)
         if kind == "pname":
             return self._resolve_pname(value, offset)
         if kind == "blank":
@@ -292,7 +311,7 @@ class _TurtleParser:
         if kind == "kw_a":
             return vocab.RDF_TYPE
         if kind == "iriref":
-            return IRI(value[1:-1])
+            return self._iri(value, offset)
         if kind == "pname":
             return self._resolve_pname(value, offset)
         self._err("expected predicate, got %r" % (value or "end of input"), offset)
@@ -300,7 +319,7 @@ class _TurtleParser:
     def _object(self) -> Term:
         kind, value, offset = self._next()
         if kind == "iriref":
-            return IRI(value[1:-1])
+            return self._iri(value, offset)
         if kind == "pname":
             return self._resolve_pname(value, offset)
         if kind == "blank":
@@ -310,7 +329,7 @@ class _TurtleParser:
         if kind == "decimal":
             return Literal(value, vocab.XSD_DECIMAL.value)
         if kind == "string":
-            lex = unescape_string(value[1:-1])
+            lex = self._string(value, offset)
             nxt = self._peek()
             if nxt[0] == "dtsep":
                 self._next()

@@ -13,6 +13,12 @@ EX_O = IRI("http://example.org/o")
 DECIMAL_ONE_FIVE = Literal("1.5", vocab.XSD_DECIMAL.value)
 
 
+def _shapes(s, p, o):
+    """The seven patterns ``match`` answers for one triple's terms."""
+    return [(s, None, None), (None, p, None), (None, None, o),
+            (s, p, None), (s, None, o), (None, p, o), (s, p, o)]
+
+
 class TestTerms:
     def test_plain_literal_defaults_to_xsd_string(self):
         assert Literal("hi").datatype == vocab.XSD_STRING.value
@@ -72,19 +78,34 @@ class TestGraph:
         assert len(studies) == 1  # one study row in the bundle CSV
         assert fixture_bundle.metadata.id in studies[0].subject.value
 
-    @given(graphs())
-    def test_index_coherence(self, g):
-        # every pattern answered via an index equals a full-scan filter
+    @given(graphs(), triples)
+    def test_index_coherence(self, g, extra):
+        # every pattern answered via an index equals a full-scan filter, on
+        # the graph and on its copy; inserting into the copy leaves the
+        # source as it was
         all_triples = set(g.match())
-        for s, p, o in list(all_triples)[:5]:
-            for pattern in [(s, None, None), (None, p, None), (None, None, o),
-                            (s, p, None), (s, None, o), (None, p, o), (s, p, o)]:
-                via_index = set(g.match(*pattern))
+        extras = [extra]
+        if all_triples:
+            # new triples that share index keys with an existing one
+            s, p, o = next(iter(all_triples))
+            extras += [Triple(s, p, extra.object), Triple(extra.subject, p, o),
+                       Triple(s, extra.predicate, o)]
+        patterns = [shape for t in list(all_triples)[:5] + extras
+                    for shape in _shapes(*t)]
+
+        def check(h):
+            for pattern in patterns:
                 scan = {t for t in all_triples
-                        if (pattern[0] is None or t.subject == pattern[0])
-                        and (pattern[1] is None or t.predicate == pattern[1])
-                        and (pattern[2] is None or t.object == pattern[2])}
-                assert via_index == scan
+                        if all(q is None or q == v for q, v in zip(pattern, t))}
+                assert set(h.match(*pattern)) == scan
+                assert h.count(*pattern) == len(scan)
+
+        copy = g.copy()
+        check(g)
+        check(copy)
+        copy.update(extras)
+        assert len(g) == len(all_triples)
+        check(g)
 
     @given(st.lists(triples))
     def test_cardinality_is_distinct_count(self, ts):

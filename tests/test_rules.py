@@ -10,7 +10,7 @@ from morekg.rules import (Rule, RuleError, RuleSet, Var, builtin_ruleset,
                           parse_rules)
 
 from oracles import naive_shortcut_inferences
-from strategies import graphs
+from strategies import graphs, rule_graphs
 
 EX = "http://example.org/"
 
@@ -144,15 +144,13 @@ class TestMaterialize:
         assert fixture_materialized == materialize_naive(fixture_graph,
                                                          builtin_ruleset())
 
-    @settings(max_examples=40, deadline=None)
-    @given(graphs(max_size=15))
-    def test_semi_naive_equals_naive_property(self, g):
-        rs = builtin_ruleset()
-        try:
-            semi = materialize(g, rs)
-        except RecursionError:  # pragma: no cover
-            return
-        assert semi == materialize_naive(g, rs)
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_size=15), rule_graphs())
+    def test_semi_naive_equals_naive_property(self, g, rule_g):
+        # graphs()' random predicates match no rule body; rule_graphs()' do
+        rs = parse_rules(RULE_TEXT)
+        for h in (g, rule_g):
+            assert materialize(h, rs) == materialize_naive(h, rs)
 
 
 RULE_TEXT = """

@@ -150,6 +150,22 @@ class TestTurtle:
         parse_ntriples(write_ntriples(g))
 
 
+# Inputs whose terms are well-formed tokens but invalid terms: an empty
+# IRI and an unknown string escape.  Each must fail at the term's position.
+BAD_TERMS = [
+    ('<> <http://e/p> <http://e/o> .', 1),
+    ('<http://e/s> <http://e/p> "a\\qb" .', 27),
+]
+
+
+@pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle])
+@pytest.mark.parametrize("text,column", BAD_TERMS)
+def test_invalid_term_reports_position(parse, text, column):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.line, e.value.column) == (1, column)
+
+
 def test_many_seeded_random_graphs_round_trip():
     rng = random.Random(1234)
     terms = ([IRI(EX + "n%d" % i) for i in range(12)]
