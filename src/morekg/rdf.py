@@ -1,12 +1,16 @@
 """Core RDF term model and an indexed in-memory triple store.
 
-Terms are immutable and hashable; the graph keeps three nested-dict
-indexes (SPO, POS, OSP) so that any single-triple pattern can be
-answered with dictionary lookups only.
+Terms are interned: constructing an ``IRI``, ``BlankNode`` or ``Literal``
+from the same arguments returns the same immutable object, so terms
+compare and hash by identity.  The intern tables live for the process.
+The graph keeps three nested-dict indexes (SPO, POS, OSP) so that any
+single-triple pattern can be answered with dictionary lookups only; SPO
+also answers membership.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, NamedTuple, Optional
 
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
@@ -25,69 +29,96 @@ class UnresolvedPrefixError(RdfError):
     pass
 
 
-class IRI:
-    __slots__ = ("value", "_hash")
+# Intern tables: constructor arguments -> the one term they build.  Only
+# valid terms are stored, so each distinct term is checked once; storing
+# with ``setdefault`` keeps one instance when two threads miss at once.
+_IRIS: dict = {}
+_BLANKS: dict = {}
+_LITERALS: dict = {}
+_SPACE_RE = re.compile(r"\s")  # the same set as str.isspace
 
-    def __init__(self, value: str):
-        if not value or any(c.isspace() for c in value):
-            raise RdfError("IRI must be non-empty and contain no whitespace: %r" % value)
-        self.value = value
-        self._hash = hash(("iri", value))
 
-    def __eq__(self, other):
-        return isinstance(other, IRI) and self.value == other.value
+def _new_term(cls, **fields):
+    term = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(term, name, value)
+    return term
 
-    def __hash__(self):
-        return self._hash
+
+class _Term:
+    """Interned, immutable; equality and hashing are by identity."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class IRI(_Term):
+    __slots__ = ("value",)
+
+    def __new__(cls, value: str):
+        term = _IRIS.get(value)
+        if term is None:
+            if not value or _SPACE_RE.search(value):
+                raise RdfError("IRI must be non-empty and contain no whitespace: %r" % value)
+            term = _IRIS.setdefault(value, _new_term(cls, value=value))
+        return term
+
+    def __reduce__(self):
+        return IRI, (self.value,)
 
     def __repr__(self):
         return "IRI(%r)" % self.value
 
 
-class BlankNode:
-    __slots__ = ("label", "_hash")
+class BlankNode(_Term):
+    __slots__ = ("label",)
 
-    def __init__(self, label: str):
-        if not label:
-            raise RdfError("blank node label must be non-empty")
-        self.label = label
-        self._hash = hash(("blank", label))
+    def __new__(cls, label: str):
+        term = _BLANKS.get(label)
+        if term is None:
+            if not label:
+                raise RdfError("blank node label must be non-empty")
+            term = _BLANKS.setdefault(label, _new_term(cls, label=label))
+        return term
 
-    def __eq__(self, other):
-        return isinstance(other, BlankNode) and self.label == other.label
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return BlankNode, (self.label,)
 
     def __repr__(self):
         return "BlankNode(%r)" % self.label
 
 
-class Literal:
-    __slots__ = ("lexical", "datatype", "lang", "_hash")
+class Literal(_Term):
+    __slots__ = ("lexical", "datatype", "lang")
 
-    def __init__(self, lexical: str, datatype: Optional[str] = None, lang: Optional[str] = None):
-        if lang is not None:
-            if datatype is not None and datatype != RDF_LANG_STRING:
-                raise RdfError("language-tagged literal must use the langString datatype")
-            datatype = RDF_LANG_STRING
-        elif datatype is None:
-            datatype = XSD_STRING
-        self.lexical = lexical
-        self.datatype = datatype
-        self.lang = lang
-        self._hash = hash(("lit", lexical, datatype, lang))
+    def __new__(cls, lexical: str, datatype: Optional[str] = None,
+                lang: Optional[str] = None):
+        key = (lexical, datatype, lang)
+        term = _LITERALS.get(key)
+        if term is None:
+            if lang is not None:
+                if datatype is not None and datatype != RDF_LANG_STRING:
+                    raise RdfError("language-tagged literal must use the langString datatype")
+                datatype = RDF_LANG_STRING
+            elif datatype is None:
+                datatype = XSD_STRING
+            # the normalized key makes Literal("x") and
+            # Literal("x", XSD_STRING) one object
+            norm = (lexical, datatype, lang)
+            term = _LITERALS.get(norm)
+            if term is None:
+                term = _LITERALS.setdefault(norm, _new_term(
+                    cls, lexical=lexical, datatype=datatype, lang=lang))
+            _LITERALS[key] = term
+        return term
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Literal)
-            and self.lexical == other.lexical
-            and self.datatype == other.datatype
-            and self.lang == other.lang
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return Literal, (self.lexical, self.datatype, self.lang)
 
     def __repr__(self):
         if self.lang:
@@ -104,11 +135,11 @@ class Triple(NamedTuple):
     object: Term
 
 
-def _check_triple(t: Triple) -> None:
-    if isinstance(t.subject, Literal):
+def _reject_triple(s: Term, p: Term, o: Term) -> None:
+    t = Triple(s, p, o)
+    if isinstance(s, Literal):
         raise MalformedTripleError("triple subject may not be a literal: %r" % (t,))
-    if not isinstance(t.predicate, IRI):
-        raise MalformedTripleError("triple predicate must be an IRI: %r" % (t,))
+    raise MalformedTripleError("triple predicate must be an IRI: %r" % (t,))
 
 
 def _copy_index(index: dict) -> dict:
@@ -121,71 +152,100 @@ class Graph:
     Single-writer, multi-reader: mutate only with exclusive access.
     """
 
-    __slots__ = ("_triples", "_spo", "_pos", "_osp")
+    __slots__ = ("_len", "_spo", "_pos", "_osp")
 
     def __init__(self, triples=None):
-        self._triples: set[Triple] = set()
+        self._len = 0
         self._spo: dict = {}
         self._pos: dict = {}
         self._osp: dict = {}
         if triples:
-            for t in triples:
-                self.insert(t)
+            self.update(triples)
 
     def __len__(self):
-        return len(self._triples)
+        return self._len
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        for s, po in self._spo.items():
+            for p, objs in po.items():
+                for o in objs:
+                    yield Triple(s, p, o)
 
     def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
+        s, p, o = t
+        return o in self._spo.get(s, {}).get(p, ())
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self._triples == other._triples
-
-    def insert(self, t: Triple) -> bool:
-        """Add a triple; returns True iff it was not already present."""
-        _check_triple(t)
-        if t in self._triples:
-            return False
-        self._triples.add(t)
-        s, p, o = t
-        self._spo.setdefault(s, {}).setdefault(p, set()).add(o)
-        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
-        return True
+        return (isinstance(other, Graph) and self._len == other._len
+                and self._spo == other._spo)
 
     def add(self, s: Term, p: Term, o: Term) -> bool:
-        return self.insert(Triple(s, p, o))
+        """Add a triple; returns True iff it was not already present."""
+        if isinstance(s, Literal) or not isinstance(p, IRI):
+            _reject_triple(s, p, o)
+        po = self._spo.get(s)
+        if po is None:
+            self._spo[s] = {p: {o}}
+        else:
+            objs = po.get(p)
+            if objs is None:
+                po[p] = {o}
+            elif o in objs:
+                return False
+            else:
+                objs.add(o)
+        os_ = self._pos.get(p)
+        if os_ is None:
+            self._pos[p] = {o: {s}}
+        else:
+            subjs = os_.get(o)
+            if subjs is None:
+                os_[o] = {s}
+            else:
+                subjs.add(s)
+        sp = self._osp.get(o)
+        if sp is None:
+            self._osp[o] = {s: {p}}
+        else:
+            preds = sp.get(s)
+            if preds is None:
+                sp[s] = {p}
+            else:
+                preds.add(p)
+        self._len += 1
+        return True
+
+    def insert(self, t: Triple) -> bool:
+        s, p, o = t
+        return self.add(s, p, o)
 
     def update(self, triples) -> int:
         """Insert many triples; returns the number actually added."""
+        add = self.add
         n = 0
-        for t in triples:
-            if self.insert(t):
+        for s, p, o in triples:
+            if add(s, p, o):
                 n += 1
         return n
 
     def copy(self) -> "Graph":
         """Independent copy, built from the indexes without re-inserting."""
         g = Graph()
-        g._triples = self._triples.copy()
+        g._len = self._len
         g._spo = _copy_index(self._spo)
         g._pos = _copy_index(self._pos)
         g._osp = _copy_index(self._osp)
         return g
 
     def triples(self) -> set[Triple]:
-        return set(self._triples)
+        return set(self)
 
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> Iterator[Triple]:
         """Yield triples agreeing with every bound position."""
         if s is not None and p is not None and o is not None:
-            t = Triple(s, p, o)
-            if t in self._triples:
-                yield t
+            if o in self._spo.get(s, {}).get(p, ()):
+                yield Triple(s, p, o)
         elif s is not None and p is not None:
             for obj in self._spo.get(s, {}).get(p, ()):
                 yield Triple(s, p, obj)
@@ -208,13 +268,13 @@ class Graph:
                 for pred in preds:
                     yield Triple(subj, pred, o)
         else:
-            yield from self._triples
+            yield from self
 
     def count(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> int:
         """Number of triples matching the pattern (cheap for common shapes)."""
         if s is None and p is None and o is None:
-            return len(self._triples)
+            return self._len
         if s is not None and p is not None and o is None:
             return len(self._spo.get(s, {}).get(p, ()))
         if s is None and p is not None and o is not None:

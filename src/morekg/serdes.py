@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .rdf import IRI, BlankNode, Graph, Literal, PrefixMap, Term, Triple, RdfError
+from .rdf import IRI, BlankNode, Graph, Literal, PrefixMap, Term, RdfError
 from . import vocab
 
 
@@ -45,8 +45,13 @@ def escape_string(s: str) -> str:
 def unescape_string(s: str) -> str:
     def repl(m):
         e = m.group(1)
-        if e.startswith("u") or e.startswith("U"):
-            return chr(int(e[1:], 16))
+        if e == "u" or e == "U":
+            raise RdfError("\\%s escape needs %d hex digits" % (e, 4 if e == "u" else 8))
+        if len(e) > 1:
+            code = int(e[1:], 16)
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise RdfError("\\%s is not a Unicode scalar value" % e)
+            return chr(code)
         try:
             return {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}[e]
         except KeyError:
@@ -130,7 +135,7 @@ def _nt_parse_line(line: str, lineno: int, graph: Graph, cache: dict) -> None:
         raise ParseError("expected exactly 3 terms and a terminating dot", lineno, pos)
     s, p, o = terms
     try:
-        graph.insert(Triple(s, p, o))
+        graph.add(s, p, o)
     except RdfError as e:
         raise ParseError(str(e), lineno, 1) from None
 
@@ -259,7 +264,7 @@ class _TurtleParser:
             while True:
                 obj = self._object()
                 try:
-                    graph.insert(Triple(subject, predicate, obj))
+                    graph.add(subject, predicate, obj)
                 except RdfError as e:
                     self._err(str(e), self._peek()[2])
                 tok = self._peek()

@@ -1,8 +1,12 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
-from morekg.rdf import (Graph, IRI, Literal, MalformedTripleError, PrefixMap,
-                        RdfError, Triple, UnresolvedPrefixError)
+from morekg.rdf import (XSD_STRING, BlankNode, Graph, IRI, Literal,
+                        MalformedTripleError, PrefixMap, RdfError, Triple,
+                        UnresolvedPrefixError)
 from morekg import vocab
 
 from strategies import graphs, triples
@@ -39,6 +43,66 @@ class TestTerms:
 
     def test_term_equality_is_type_aware(self):
         assert IRI("http://example.org/x") != Literal("http://example.org/x")
+
+    def test_same_arguments_give_the_same_object(self):
+        assert IRI("http://example.org/x") is IRI("http://example.org/x")
+        assert BlankNode("b1") is BlankNode("b1")
+        assert Literal("1.5", vocab.XSD_DECIMAL.value) is DECIMAL_ONE_FIVE
+        assert Literal("hallo", lang="de") is Literal("hallo", lang="de")
+
+    def test_plain_and_xsd_string_literal_are_one_object(self):
+        assert Literal("x") is Literal("x", XSD_STRING)
+        assert Literal("y", XSD_STRING) is Literal("y")
+
+    @pytest.mark.parametrize("term", [
+        EX_S, BlankNode("b1"), Literal("x"), DECIMAL_ONE_FIVE,
+        Literal("hallo", lang="de"),
+    ])
+    def test_copy_and_pickle_return_the_interned_term(self, term):
+        assert copy.copy(term) is term
+        assert copy.deepcopy(term) is term
+        assert pickle.loads(pickle.dumps(term)) is term
+
+    def test_terms_are_immutable(self):
+        with pytest.raises(AttributeError):
+            EX_S.value = "http://example.org/other"
+        with pytest.raises(AttributeError):
+            DECIMAL_ONE_FIVE.lexical = "2"
+        assert EX_S.value == "http://example.org/s"
+
+    @pytest.mark.parametrize("value", [
+        "http://example.org/a\u00a0b", "http://example.org/a\u2028b", "",
+    ])
+    def test_invalid_iri_is_not_cached(self, value):
+        # an invalid term raises on every call, so none was interned
+        for _ in range(2):
+            with pytest.raises(RdfError):
+                IRI(value)
+
+    def test_invalid_literal_is_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(RdfError):
+                Literal("hallo", vocab.XSD_INTEGER.value, lang="de")
+
+    @given(triples)
+    def test_rebuilt_terms_are_identical(self, t):
+        # a term rebuilt from its fields, copied or unpickled is the same
+        # object, so equality and hashing by identity agree with value
+        # equality
+        def rebuild(term):
+            if isinstance(term, IRI):
+                return IRI(term.value)
+            if isinstance(term, BlankNode):
+                return BlankNode(term.label)
+            if term.lang is not None:
+                return Literal(term.lexical, lang=term.lang)
+            return Literal(term.lexical, term.datatype)
+
+        for term in t:
+            assert rebuild(term) is term
+            assert pickle.loads(pickle.dumps(term)) is term
+        assert pickle.loads(pickle.dumps(t)) == t
+        assert Triple(*map(rebuild, t)) in Graph([t])
 
 
 class TestGraph:

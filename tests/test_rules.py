@@ -148,15 +148,37 @@ class TestMaterialize:
     @given(graphs(max_size=15), rule_graphs())
     def test_semi_naive_equals_naive_property(self, g, rule_g):
         # graphs()' random predicates match no rule body; rule_graphs()' do
-        rs = parse_rules(RULE_TEXT)
+        rs = parse_rules(RECURSIVE_RULE_TEXT)
         for h in (g, rule_g):
             assert materialize(h, rs) == materialize_naive(h, rs)
+
+    def test_round_joins_two_triples_of_its_own_delta(self):
+        # round 1 derives both body atoms of ``joined``; round 2 must join
+        # them with each other, so the delta is part of the graph it
+        # joins against
+        rs = parse_rules("""
+            left: ?a more:partOfStudy ?b => ?a more:left ?b .
+            right: ?a more:partOfStudy ?b => ?a more:right ?b .
+            joined: ?a more:left ?b & ?b more:right ?c => ?a more:joined ?c .
+        """, include_builtins=False)
+        g = Graph([Triple(iri("a"), vocab.MORE_PART_OF_STUDY, iri("b")),
+                   Triple(iri("b"), vocab.MORE_PART_OF_STUDY, iri("c"))])
+        out = materialize(g, rs)
+        assert Triple(iri("a"), IRI(vocab.MORE + "joined"), iri("c")) in out
+        assert out == materialize_naive(g, rs)
 
 
 RULE_TEXT = """
 # transitive part-of
 partof-trans: ?a more:partOfStudy ?b & ?b more:partOfStudy ?c
   => ?a more:partOfStudy ?c .
+"""
+
+# partof-swap is recursive but no closure: a derivation that one round
+# misses is not re-derived by another path, so the fixpoint changes
+RECURSIVE_RULE_TEXT = RULE_TEXT + """
+partof-swap: ?a more:partOfStudy ?b & ?b obi:realizes ?c
+  => ?c obi:realizes ?a .
 """
 
 

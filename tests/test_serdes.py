@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from morekg import vocab
-from morekg.rdf import Graph, IRI, Literal, Triple
+from morekg.rdf import BlankNode, Graph, IRI, Literal, PrefixMap, Triple
 from morekg.serdes import (ParseError, SerializationConfig, parse_ntriples,
                            parse_turtle, write_ntriples, write_turtle)
 
@@ -151,10 +151,17 @@ class TestTurtle:
 
 
 # Inputs whose terms are well-formed tokens but invalid terms: an empty
-# IRI and an unknown string escape.  Each must fail at the term's position.
+# IRI, an unknown string escape, short \u and \U escapes, code points
+# above U+10FFFF and a lone surrogate.  Each must fail at the term's
+# position.
 BAD_TERMS = [
     ('<> <http://e/p> <http://e/o> .', 1),
     ('<http://e/s> <http://e/p> "a\\qb" .', 27),
+    ('<http://e/s> <http://e/p> "a\\u00" .', 27),
+    ('<http://e/s> <http://e/p> "a\\U0001F6" .', 27),
+    ('<http://e/s> <http://e/p> "a\\U00110000" .', 27),
+    ('<http://e/s> <http://e/p> "a\\UFFFFFFFF" .', 27),
+    ('<http://e/s> <http://e/p> "a\\uD800" .', 27),
 ]
 
 
@@ -164,6 +171,46 @@ def test_invalid_term_reports_position(parse, text, column):
     with pytest.raises(ParseError) as e:
         parse(text)
     assert (e.value.line, e.value.column) == (1, column)
+
+
+def _fuzz_graph():
+    s, b = IRI(EX + "s"), BlankNode("b1")
+    return tg(Triple(s, IRI(EX + "label"), Literal("grip strength, right hand")),
+              Triple(s, IRI(EX + "value"), Literal("31.5", vocab.XSD_DECIMAL.value)),
+              Triple(s, IRI(EX + "label"), Literal("Handkraft rechts", lang="de")),
+              Triple(s, IRI(EX + "next"), b),
+              Triple(b, IRI(EX + "next"), s))
+
+
+# characters that delimit or escape terms, plus two truncated escapes
+FUZZ_PIECES = list('<>"\\_:.;,@^ #') + ["\\u00", "\\U0001F6"]
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` after 1-3 edits, each inserting, deleting or replacing at one
+    position."""
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(doc)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        piece = "" if op == "delete" else draw(st.sampled_from(FUZZ_PIECES))
+        doc = doc[:i] + piece + doc[i + (op != "insert"):]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@pytest.mark.parametrize("parse,doc", [
+    (parse_ntriples, write_ntriples(_fuzz_graph())),
+    (parse_turtle, write_turtle(_fuzz_graph(), SerializationConfig(
+        format="turtle", prefixes=PrefixMap({"ex": EX})))),
+], ids=["ntriples", "turtle"])
+@given(data=st.data())
+def test_mutated_input_parses_or_fails_with_position(parse, doc, data):
+    text = data.draw(mutated(doc))
+    try:
+        parse(text)
+    except ParseError as e:
+        assert e.line >= 1 and e.column >= 1
 
 
 def test_many_seeded_random_graphs_round_trip():
