@@ -3,7 +3,9 @@ questions: basic graph patterns, FILTER, GROUP BY with aggregates,
 ORDER BY, LIMIT/OFFSET, DISTINCT.
 
 Evaluation uses bag semantics with exact rational arithmetic for
-numeric comparisons and aggregates.  When no ORDER BY is given, result
+numeric comparisons and aggregates.  The basic graph pattern is ordered
+by ``_plan_order`` and joined by ``rules.join``, the executor that
+``materialize`` uses too.  When no ORDER BY is given, result
 rows are sorted canonically so output is deterministic.
 """
 
@@ -18,7 +20,7 @@ from typing import Optional, Union
 
 from . import vocab
 from .rdf import Graph, IRI, Literal, PrefixMap, RdfError, Term
-from .rules import Var, match_pattern, pattern_vars
+from .rules import Var, join, pattern_vars
 
 
 class QueryError(Exception):
@@ -542,38 +544,29 @@ def _eval_filter(expr: FilterExpr, binding: dict) -> bool:
 
 def _plan_order(g: Graph, patterns: list[tuple]) -> list[tuple]:
     """Greedy join order by ascending estimated pattern cardinality."""
-    def estimate(p, bound):
-        s, pr, o = (None if isinstance(t, Var) else t for t in p)
-        base = g.count(s, pr, o)
-        # patterns connected through an already-bound variable are cheaper
-        if bound and pattern_vars(p) & bound:
-            return (0, base)
-        return (1, base)
-
-    remaining = list(patterns)
+    # each pattern is counted once; only the connectedness term changes
+    # from round to round
+    remaining = [(p, pattern_vars(p),
+                  g.count(*(None if isinstance(t, Var) else t for t in p)))
+                 for p in patterns]
     ordered: list[tuple] = []
     bound: set[str] = set()
+
+    def estimate(entry):
+        _, names, base = entry
+        # patterns connected through an already-bound variable are cheaper
+        return (0 if names & bound else 1, base)
+
     while remaining:
-        best = min(remaining, key=lambda p: estimate(p, bound))
+        best = min(remaining, key=estimate)
         remaining.remove(best)
-        ordered.append(best)
-        bound |= pattern_vars(best)
+        ordered.append(best[0])
+        bound |= best[1]
     return ordered
 
 
 def _join_bgp(g: Graph, patterns: list[tuple]) -> list[dict]:
-    if not patterns:
-        return [{}]
-    ordered = _plan_order(g, patterns)
-    solutions = [{}]
-    for p in ordered:
-        next_solutions = []
-        for binding in solutions:
-            next_solutions.extend(match_pattern(g, p, binding))
-        solutions = next_solutions
-        if not solutions:
-            break
-    return solutions
+    return join([g] * len(patterns), _plan_order(g, patterns))
 
 
 def format_decimal(value: Fraction, places: int = 6) -> str:

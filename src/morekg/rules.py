@@ -6,12 +6,18 @@ least fixpoint with semi-naive iteration: round 1 joins each rule once
 over the whole graph, starting from its smallest body atom; later
 rounds join once per body atom, that atom against the previous round's
 delta.  Heads never invent terms, so the fixpoint always terminates.
+
+``join`` is the one basic-graph-pattern executor, shared with
+``query.evaluate``: it compiles an ordered body once, then extends the
+bindings atom by atom with index walks specialized to which positions
+are already known.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterator, Optional, Sequence
 
 from . import vocab
@@ -147,24 +153,125 @@ def _subst(p: Pattern, binding: dict) -> tuple:
     return tuple(binding.get(t.name, None) if isinstance(t, Var) else t for t in p)
 
 
+_NO_ENTRIES = MappingProxyType({})  # read-only stand-in for a missing index key
+
+
+def _compile(body: Sequence[Pattern], bound=()) -> list[tuple]:
+    """Classify each position of each atom of ``body``, in join order.
+
+    A position becomes ``(key, const, new)``: a constant is
+    ``(None, term, None)``, a variable bound by an earlier atom or in
+    ``bound`` is ``(name, None, None)``, and a variable bound by this atom
+    is ``(None, None, name)``.  A known position reads as
+    ``b.get(key, const)`` either way, because no binding has the key None.
+    """
+    bound = set(bound)
+    steps = []
+    for atom in body:
+        steps.append(tuple(
+            (None, t, None) if not isinstance(t, Var)
+            else (t.name, None, None) if t.name in bound
+            else (None, None, t.name)
+            for t in atom))
+        bound |= pattern_vars(atom)
+    return steps
+
+
+def _extend(g: Graph, step: tuple, solutions: list[dict]) -> list[dict]:
+    """Each binding of ``solutions`` extended over every triple of ``g``
+    that matches the compiled atom ``step``.
+
+    Each of the eight shapes of known positions walks one index directly
+    and writes only the atom's new variables into a copy of the binding.
+    """
+    (sk, sc, sn), (pk, pc, pn), (ok, oc, on) = step
+    spo, pos, osp = g._spo, g._pos, g._osp
+    out: list[dict] = []
+    add = out.append
+    new = [n for n in (sn, pn, on) if n is not None]
+    if len(set(new)) < len(new):
+        # a variable repeated within the atom: its positions must agree
+        for b in solutions:
+            known = (b.get(k, c) if n is None else None for k, c, n in step)
+            for t in g.match(*known):
+                nb = b.copy()
+                if all(nb.setdefault(n, x) is x
+                       for (_, _, n), x in zip(step, t) if n is not None):
+                    add(nb)
+    elif sn is None and pn is None and on is None:  # (s, p, o)
+        for b in solutions:
+            s, p = b.get(sk, sc), b.get(pk, pc)
+            if b.get(ok, oc) in spo.get(s, _NO_ENTRIES).get(p, ()):
+                add(b)
+    elif sn is None and pn is None:  # (s, p, ?)
+        for b in solutions:
+            for o in spo.get(b.get(sk, sc), _NO_ENTRIES).get(b.get(pk, pc), ()):
+                nb = b.copy()
+                nb[on] = o
+                add(nb)
+    elif sn is None and on is None:  # (s, ?, o)
+        for b in solutions:
+            for p in osp.get(b.get(ok, oc), _NO_ENTRIES).get(b.get(sk, sc), ()):
+                nb = b.copy()
+                nb[pn] = p
+                add(nb)
+    elif pn is None and on is None:  # (?, p, o)
+        for b in solutions:
+            for s in pos.get(b.get(pk, pc), _NO_ENTRIES).get(b.get(ok, oc), ()):
+                nb = b.copy()
+                nb[sn] = s
+                add(nb)
+    elif sn is None:  # (s, ?, ?)
+        for b in solutions:
+            for p, objs in spo.get(b.get(sk, sc), _NO_ENTRIES).items():
+                for o in objs:
+                    nb = b.copy()
+                    nb[pn] = p
+                    nb[on] = o
+                    add(nb)
+    elif pn is None:  # (?, p, ?)
+        for b in solutions:
+            for o, subjs in pos.get(b.get(pk, pc), _NO_ENTRIES).items():
+                for s in subjs:
+                    nb = b.copy()
+                    nb[sn] = s
+                    nb[on] = o
+                    add(nb)
+    elif on is None:  # (?, ?, o)
+        for b in solutions:
+            for s, preds in osp.get(b.get(ok, oc), _NO_ENTRIES).items():
+                for p in preds:
+                    nb = b.copy()
+                    nb[sn] = s
+                    nb[pn] = p
+                    add(nb)
+    else:  # (?, ?, ?)
+        for b in solutions:
+            for s, po in spo.items():
+                for p, objs in po.items():
+                    for o in objs:
+                        nb = b.copy()
+                        nb[sn] = s
+                        nb[pn] = p
+                        nb[on] = o
+                        add(nb)
+    return out
+
+
+def join(graphs: Sequence[Graph], body: Sequence[Pattern]) -> list[dict]:
+    """Every binding under which each atom ``body[i]`` matches a triple of
+    ``graphs[i]``, joining the atoms in the order given."""
+    solutions = [{}]
+    for g, step in zip(graphs, _compile(body)):
+        if not solutions:
+            break
+        solutions = _extend(g, step, solutions)
+    return solutions
+
+
 def match_pattern(g: Graph, p: Pattern, binding: dict) -> Iterator[dict]:
     """Extend ``binding`` over every triple matching pattern ``p``."""
-    s, pr, o = _subst(p, binding)
-    for t in g.match(s, pr, o):
-        new = binding
-        ok = True
-        extended = False
-        for term, bound in zip(p, t):
-            if isinstance(term, Var) and term.name not in new:
-                if not extended:
-                    new = dict(new)
-                    extended = True
-                new[term.name] = bound
-            elif isinstance(term, Var) and new[term.name] != bound:
-                ok = False
-                break
-        if ok:
-            yield new
+    return iter(_extend(g, _compile([p], binding)[0], [binding]))
 
 
 def _order_body(body: Sequence[Pattern], first: int) -> list[Pattern]:
@@ -189,24 +296,11 @@ def _smallest_atom(g: Graph, body: Sequence[Pattern]) -> int:
     return min(range(len(body)), key=size)
 
 
-def _join(full: Graph, delta: Graph, body: list[Pattern]) -> Iterator[dict]:
-    """Join body atoms; atom 0 against the delta, the rest against the
-    full graph."""
-    def step(i: int, binding: dict) -> Iterator[dict]:
-        if i == len(body):
-            yield binding
-            return
-        g = delta if i == 0 else full
-        for nb in match_pattern(g, body[i], binding):
-            yield from step(i + 1, nb)
-
-    yield from step(0, {})
-
-
-def _derive(full: Graph, delta: Graph, rule: Rule, body: list[Pattern],
+def _derive(full: Graph, graphs: list[Graph], rule: Rule, body: list[Pattern],
             out: set[Triple]) -> None:
-    """Add to ``out`` every head instantiation of the join not in ``full``."""
-    for binding in _join(full, delta, body):
+    """Add to ``out`` every head instantiation of ``join(graphs, body)``
+    not in ``full``."""
+    for binding in join(graphs, body):
         for hp in rule.head:
             s, p, o = _subst(hp, binding)
             if isinstance(s, Literal) or not isinstance(p, IRI):
@@ -218,8 +312,9 @@ def _derive(full: Graph, delta: Graph, rule: Rule, body: list[Pattern],
 
 def _fire(full: Graph, delta: Graph, rule: Rule, out: set[Triple]) -> None:
     """Every derivation that uses at least one triple of ``delta``."""
+    graphs = [delta] + [full] * (len(rule.body) - 1)
     for i in range(len(rule.body)):
-        _derive(full, delta, rule, _order_body(rule.body, i), out)
+        _derive(full, graphs, rule, _order_body(rule.body, i), out)
 
 
 def materialize(g: Graph, rs: RuleSet) -> Graph:
@@ -235,27 +330,13 @@ def materialize(g: Graph, rs: RuleSet) -> Graph:
     new: set[Triple] = set()
     for rule in rs:
         body = _order_body(rule.body, _smallest_atom(full, rule.body))
-        _derive(full, full, rule, body, new)
+        _derive(full, [full] * len(body), rule, body, new)
     while new:
         full.update(new)
         delta = Graph(new)
         new = set()
         for rule in rs:
             _fire(full, delta, rule, new)
-    return full
-
-
-def materialize_naive(g: Graph, rs: RuleSet) -> Graph:
-    """Repeat-all-rules-until-no-change reference evaluator."""
-    full = g.copy()
-    changed = True
-    while changed:
-        changed = False
-        for rule in rs:
-            additions: set[Triple] = set()
-            _derive(full, full, rule, list(rule.body), additions)
-            if full.update(additions):
-                changed = True
     return full
 
 

@@ -36,10 +36,19 @@ class SerializationConfig:
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _ESCAPE_RE = re.compile(r'[\\"\n\r\t]')
 _UNESCAPE_RE = re.compile(r"\\(u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8}|.)")
+_IRI_ESCAPE_RE = re.compile(r"\\(u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8})?")
 
 
 def escape_string(s: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _ESCAPES[m.group(0)], s)
+
+
+def _uchar(e: str) -> str:
+    """The character of a ``uXXXX``/``UXXXXXXXX`` escape body."""
+    code = int(e[1:], 16)
+    if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+        raise RdfError("\\%s is not a Unicode scalar value" % e)
+    return chr(code)
 
 
 def unescape_string(s: str) -> str:
@@ -48,15 +57,30 @@ def unescape_string(s: str) -> str:
         if e == "u" or e == "U":
             raise RdfError("\\%s escape needs %d hex digits" % (e, 4 if e == "u" else 8))
         if len(e) > 1:
-            code = int(e[1:], 16)
-            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-                raise RdfError("\\%s is not a Unicode scalar value" % e)
-            return chr(code)
+            return _uchar(e)
         try:
             return {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}[e]
         except KeyError:
             raise RdfError("unknown escape sequence \\%s" % e) from None
     return _UNESCAPE_RE.sub(repl, s)
+
+
+def unescape_iri(s: str) -> str:
+    """Decode the ``\\u``/``\\U`` escapes of an IRI reference's text.
+
+    Those are the only escapes an IRI reference allows, and they may not
+    encode a character it excludes: space, controls or ``<>"{}|^`\\``.
+    """
+    def repl(m):
+        e = m.group(1)
+        if e is None:
+            raise RdfError("IRI escape must be \\uXXXX or \\UXXXXXXXX")
+        c = _uchar(e)
+        if c <= " " or c in '<>"{}|^`\\':
+            raise RdfError("\\%s in an IRI encodes %r, which IRIs may not contain"
+                           % (e, c))
+        return c
+    return _IRI_ESCAPE_RE.sub(repl, s) if "\\" in s else s
 
 
 def term_to_nt(term: Term) -> str:
@@ -88,7 +112,7 @@ _NT_TERM_RE = re.compile(
 
 def _nt_term(m: re.Match) -> Term:
     if m.group("iri"):
-        return IRI(m.group("iri")[1:-1])
+        return IRI(unescape_iri(m.group("iri")[1:-1]))
     if m.group("blank"):
         return BlankNode(m.group("blank")[2:])
     lex = unescape_string(m.group("lit")[1:-1])
@@ -97,7 +121,7 @@ def _nt_term(m: re.Match) -> Term:
     if lang:
         return Literal(lex, lang=lang)
     if dt:
-        return Literal(lex, dt[1:-1])
+        return Literal(lex, unescape_iri(dt[1:-1]))
     return Literal(lex)
 
 
@@ -254,7 +278,7 @@ class _TurtleParser:
         if kind != "pname" or not value.endswith(":"):
             self._err("expected prefix label ending in ':'", offset)
         iri_tok = self._expect("iriref", "namespace IRI")
-        self.prefixes.register(value[:-1], iri_tok[1][1:-1])
+        self.prefixes.register(value[:-1], self._iri_text(*iri_tok[1:]))
         self._expect_punct(".")
 
     def _triples(self, graph: Graph):
@@ -289,9 +313,16 @@ class _TurtleParser:
         except RdfError as e:
             self._err(str(e), offset)
 
-    def _iri(self, value: str, offset: int) -> IRI:
+    def _iri_text(self, value: str, offset: int) -> str:
         try:
-            return IRI(value[1:-1])
+            return unescape_iri(value[1:-1])
+        except RdfError as e:
+            self._err(str(e), offset)
+
+    def _iri(self, value: str, offset: int) -> IRI:
+        text = self._iri_text(value, offset)
+        try:
+            return IRI(text)
         except RdfError as e:
             self._err(str(e), offset)
 
@@ -340,7 +371,7 @@ class _TurtleParser:
                 self._next()
                 dkind, dvalue, doffset = self._next()
                 if dkind == "iriref":
-                    return Literal(lex, dvalue[1:-1])
+                    return Literal(lex, self._iri_text(dvalue, doffset))
                 if dkind == "pname":
                     return Literal(lex, self._resolve_pname(dvalue, doffset).value)
                 self._err("expected datatype IRI", doffset)

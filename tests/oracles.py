@@ -10,7 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from morekg import vocab
-from morekg.rdf import Graph, Triple
+from morekg.rdf import Graph, IRI, Literal, Triple
+from morekg.rules import Var
 
 
 def cq1_average_by_age(bundle_dir) -> dict[int, Fraction]:
@@ -110,31 +111,66 @@ def count_expected_emission(bundle) -> int:
     return n
 
 
+def _unify(pattern, triple, binding):
+    """``binding`` extended so that ``pattern`` equals ``triple``, or None."""
+    out = dict(binding)
+    for pt, tt in zip(pattern, triple):
+        if isinstance(pt, Var):
+            if pt.name in out:
+                if out[pt.name] != tt:
+                    return None
+            else:
+                out[pt.name] = tt
+        elif pt != tt:
+            return None
+    return out
+
+
 def reference_bgp_eval(graph: Graph, patterns) -> list[dict]:
     """Brute-force nested-loop BGP evaluation in syntactic pattern order."""
-    from morekg.rules import Var
-
-    def unify(pattern, triple, binding):
-        out = dict(binding)
-        for pt, tt in zip(pattern, triple):
-            if isinstance(pt, Var):
-                if pt.name in out:
-                    if out[pt.name] != tt:
-                        return None
-                else:
-                    out[pt.name] = tt
-            elif pt != tt:
-                return None
-        return out
-
     solutions = [{}]
     all_triples = list(graph)
     for p in patterns:
         next_solutions = []
         for b in solutions:
             for t in all_triples:
-                nb = unify(p, t, b)
+                nb = _unify(p, t, b)
                 if nb is not None:
                     next_solutions.append(nb)
         solutions = next_solutions
     return solutions
+
+
+def materialize_naive(g: Graph, rs) -> Graph:
+    """Repeat-all-rules-until-no-change reference evaluator.
+
+    Each rule body is joined by nested loops over ``Graph.match`` in the
+    body's own order: no planner and none of ``morekg.rules``' join code.
+    """
+    def bindings(body, binding):
+        if not body:
+            yield binding
+            return
+        pattern = body[0]
+        bound = (binding.get(t.name) if isinstance(t, Var) else t
+                 for t in pattern)
+        for t in graph.match(*bound):
+            nb = _unify(pattern, t, binding)
+            if nb is not None:
+                yield from bindings(body[1:], nb)
+
+    graph = g.copy()
+    changed = True
+    while changed:
+        changed = False
+        for rule in rs:
+            additions: set[Triple] = set()
+            for b in bindings(rule.body, {}):
+                for head in rule.head:
+                    s, p, o = (b[t.name] if isinstance(t, Var) else t
+                               for t in head)
+                    if not isinstance(s, Literal) and isinstance(p, IRI):
+                        additions.add(Triple(s, p, o))
+            if graph.update(additions):
+                changed = True
+    return graph

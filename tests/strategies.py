@@ -3,6 +3,7 @@
 from hypothesis import strategies as st
 
 from morekg.rdf import BlankNode, Graph, IRI, Literal, Triple
+from morekg.rules import Var
 from morekg import vocab
 
 _LOCAL = st.text(
@@ -61,3 +62,15 @@ rule_triples = st.builds(
 @st.composite
 def rule_graphs(draw, max_size=25):
     return Graph(draw(st.lists(rule_triples, min_size=8, max_size=max_size)))
+
+
+# Rule bodies of 1 to 4 atoms over the terms of ``rule_graphs``, three
+# variables (so that one repeats within an atom or joins two atoms) and a
+# constant that no rule graph contains.
+_rule_vars = [Var("a"), Var("b"), Var("c")]
+ABSENT = IRI("http://example.org/absent")
+rule_bodies = st.lists(st.tuples(
+    st.sampled_from(_rule_vars + _rule_nodes + [ABSENT]),
+    st.sampled_from(_rule_vars + _rule_predicates + [ABSENT]),
+    st.sampled_from(_rule_vars + _rule_nodes + [Literal("v"), ABSENT]),
+), min_size=1, max_size=4)

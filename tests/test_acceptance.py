@@ -18,12 +18,12 @@ from morekg.ontology import build_schema, rdfs_closure
 from morekg.privacy import apply_policy, audit_view, default_policy, policy_from_dict
 from morekg.query import evaluate, parse_query, to_csv
 from morekg.rdf import Graph, IRI, Literal
-from morekg.rules import builtin_ruleset, materialize, materialize_naive
+from morekg.rules import builtin_ruleset, materialize
 from morekg.serdes import (parse_ntriples, parse_turtle, write_ntriples,
                            write_turtle)
 
 from oracles import (cq1_average_by_age, cq2_items_in_range,
-                     naive_shortcut_inferences)
+                     materialize_naive, naive_shortcut_inferences)
 
 TOLERANCE = Fraction(1, 10**9)
 

@@ -1,16 +1,18 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from morekg import vocab
 from morekg.rdf import Graph, IRI, Literal
 from morekg.rdf import Triple
 from morekg.rules import (Rule, RuleError, RuleSet, Var, builtin_ruleset,
                           builtin_rules, builtin_shortcut_rule, export_rules,
-                          match_pattern, materialize, materialize_naive,
-                          parse_rules)
+                          join, match_pattern, materialize, parse_rules)
 
-from oracles import naive_shortcut_inferences
-from strategies import graphs, rule_graphs
+from oracles import (materialize_naive, naive_shortcut_inferences,
+                     reference_bgp_eval)
+from strategies import ABSENT, graphs, rule_bodies, rule_graphs
 
 EX = "http://example.org/"
 
@@ -71,6 +73,50 @@ class TestMatchPattern:
         g.add(iri("a"), iri("p"), iri("b"))
         out = list(match_pattern(g, (Var("x"), iri("p"), Var("x")), {}))
         assert out == [{"x": iri("a")}]
+
+
+A, B, C = Var("a"), Var("b"), Var("c")
+P, Q = vocab.PATO_EXECUTES, vocab.OBI_REALIZES
+N0, N1 = IRI(EX + "n0"), IRI(EX + "n1")
+SMALL = Graph([Triple(N0, P, N1), Triple(N1, P, N0), Triple(N0, P, N0),
+               Triple(N0, Q, N1), Triple(N1, Q, Literal("v"))])
+
+
+def _bag(bindings):
+    return Counter(frozenset(b.items()) for b in bindings)
+
+
+class TestJoin:
+    # the examples pin each shape of known positions; the first atom's
+    # known positions are constants, later atoms' also earlier variables
+    @settings(max_examples=300, deadline=None)
+    @given(rule_graphs(), rule_bodies)
+    @example(SMALL, [(N0, P, N1)])                  # (s, p, o)
+    @example(SMALL, [(N0, P, A)])                   # (s, p, ?)
+    @example(SMALL, [(N0, A, N1)])                  # (s, ?, o)
+    @example(SMALL, [(A, P, N1)])                   # (?, p, o)
+    @example(SMALL, [(N0, A, B)])                   # (s, ?, ?)
+    @example(SMALL, [(A, P, B)])                    # (?, p, ?)
+    @example(SMALL, [(A, B, N1)])                   # (?, ?, o)
+    @example(SMALL, [(A, B, C)])                    # (?, ?, ?)
+    @example(SMALL, [(A, P, A)])                    # repeated in one atom
+    @example(SMALL, [(A, B, A), (A, B, C)])         # repeated, then bound
+    @example(SMALL, [(A, P, B), (B, C, A)])         # (s, ?, o) from bindings
+    @example(SMALL, [(A, P, B), (B, P, A), (A, Q, B)])  # (s, p, o) likewise
+    @example(SMALL, [(A, ABSENT, B)])               # absent constant
+    @example(SMALL, [(A, P, B), (ABSENT, C, B)])
+    def test_join_equals_brute_force(self, g, body):
+        assert _bag(join([g] * len(body), body)) == _bag(
+            reference_bgp_eval(g, body))
+
+    def test_atom_i_matches_in_graph_i(self):
+        delta = Graph([Triple(N1, P, N0)])
+        body = [(A, P, B), (B, P, C)]
+        assert _bag(join([delta, SMALL], body)) == _bag(
+            [{"a": N1, "b": N0, "c": N1}, {"a": N1, "b": N0, "c": N0}])
+
+    def test_empty_body_has_one_empty_binding(self):
+        assert join([], []) == [{}]
 
 
 class TestMaterialize:
@@ -175,10 +221,13 @@ partof-trans: ?a more:partOfStudy ?b & ?b more:partOfStudy ?c
 """
 
 # partof-swap is recursive but no closure: a derivation that one round
-# misses is not re-derived by another path, so the fixpoint changes
+# misses is not re-derived by another path, so the fixpoint changes.
+# partof-mirror binds a predicate variable, so that its second atom is
+# matched with subject and object known and the predicate free.
 RECURSIVE_RULE_TEXT = RULE_TEXT + """
 partof-swap: ?a more:partOfStudy ?b & ?b obi:realizes ?c
   => ?c obi:realizes ?a .
+partof-mirror: ?a more:partOfStudy ?b & ?b ?p ?a => ?a ?p ?b .
 """
 
 

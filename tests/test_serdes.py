@@ -152,8 +152,9 @@ class TestTurtle:
 
 # Inputs whose terms are well-formed tokens but invalid terms: an empty
 # IRI, an unknown string escape, short \u and \U escapes, code points
-# above U+10FFFF and a lone surrogate.  Each must fail at the term's
-# position.
+# above U+10FFFF and a lone surrogate; in IRIs, escapes that encode a
+# space or a character IRIs exclude, a non-\u escape and a short one.
+# Each must fail at the term's position.
 BAD_TERMS = [
     ('<> <http://e/p> <http://e/o> .', 1),
     ('<http://e/s> <http://e/p> "a\\qb" .', 27),
@@ -162,7 +163,20 @@ BAD_TERMS = [
     ('<http://e/s> <http://e/p> "a\\U00110000" .', 27),
     ('<http://e/s> <http://e/p> "a\\UFFFFFFFF" .', 27),
     ('<http://e/s> <http://e/p> "a\\uD800" .', 27),
+    ('<http://a/\\u0020> <http://e/p> <http://e/o> .', 1),
+    ('<http://e/s> <http://e/p> <http://a/\\u003E> .', 27),
+    ('<http://e/s> <http://e/p> <http://a/\\U0000007C> .', 27),
+    ('<http://e/s> <http://e/p> <http://a/\\u005C> .', 27),
+    ('<http://e/s> <http://e/p> <http://a/\\q> .', 27),
+    ('<http://e/s> <http://e/p> <http://a/\\u00> .', 27),
 ]
+
+
+@pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle])
+def test_iri_escapes_decoded(parse):
+    g = parse('<http://a/\\u0041> <http://e/p> "x"^^<http://a/\\U00000042> .')
+    assert list(g) == [Triple(IRI("http://a/A"), IRI("http://e/p"),
+                              Literal("x", "http://a/B"))]
 
 
 @pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle])
