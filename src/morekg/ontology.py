@@ -1,14 +1,16 @@
 """Schema axioms for the motor-test knowledge graph and an RDFS-subset
-closure (subclass transitivity plus type propagation)."""
+closure (subclass transitivity plus type propagation, by the builtin
+rules)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import vocab
 from .bundle import BundleError, TestItemDef
-from .rdf import Graph, IRI, Literal, Triple
+from .rdf import Graph, IRI, Literal
+from .rules import RuleSet, builtin_rules, materialize
 
 
 class SubclassCycleError(Exception):
@@ -123,22 +125,20 @@ def _subclass_supers(g: Graph) -> dict:
     return supers
 
 
+_RDFS_RULES = ("subclass-transitivity", "type-propagation")
+
+
 def rdfs_closure(g: Graph, schema: Optional[OntologySchema] = None) -> Graph:
     """Graph plus transitive subclass triples and propagated rdf:type
-    triples.  Monotone and idempotent."""
-    combined = g.copy()
+    triples: the fixpoint of the builtin ``subclass-transitivity`` and
+    ``type-propagation`` rules.  Monotone and idempotent; raises
+    ``SubclassCycleError`` on a subclass cycle."""
     if schema is not None:
-        combined.update(schema.graph)
-    supers = _subclass_supers(combined)
-
-    out = combined
-    for sub, sups in supers.items():
-        for sup in sups:
-            out.add(sub, vocab.RDFS_SUBCLASSOF, sup)
-    for t in list(out.match(None, vocab.RDF_TYPE, None)):
-        for sup in supers.get(t.object, ()):
-            out.add(t.subject, vocab.RDF_TYPE, sup)
-    return out
+        g = g.copy()
+        g.update(schema.graph)
+    _subclass_supers(g)  # raises on cycles
+    rdfs = [r for r in builtin_rules() if r.name in _RDFS_RULES]
+    return materialize(g, RuleSet(rdfs))
 
 
 def apply_aliases(g: Graph, aliases: dict[str, str]) -> Graph:

@@ -2,6 +2,11 @@
 questions: basic graph patterns, FILTER, GROUP BY with aggregates,
 ORDER BY, LIMIT/OFFSET, DISTINCT.
 
+Terms are read by ``serdes.TokenStream``, so IRIs, prefixed names and
+literals read exactly as in Turtle; blank nodes are rejected, since in
+SPARQL they would be variables.  A malformed query raises
+``QuerySyntaxError`` at a line and column.
+
 Evaluation uses bag semantics with exact rational arithmetic for
 numeric comparisons and aggregates.  The basic graph pattern is ordered
 by ``_plan_order`` and joined by ``rules.join``, the executor that
@@ -12,26 +17,23 @@ rows are sorted canonically so output is deterministic.
 from __future__ import annotations
 
 import datetime
-import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 from . import vocab
-from .rdf import Graph, IRI, Literal, PrefixMap, RdfError, Term
+from .rdf import Graph, IRI, Literal, PrefixMap, Term
 from .rules import Var, join, pattern_vars
+from .serdes import PositionedError, TokenStream, term_to_ttl
 
 
 class QueryError(Exception):
     pass
 
 
-class QuerySyntaxError(QueryError):
-    def __init__(self, message, line, column):
-        super().__init__("%s (line %d, column %d)" % (message, line, column))
-        self.line = line
-        self.column = column
+class QuerySyntaxError(PositionedError, QueryError):
+    pass
 
 
 _NUMERIC_DATATYPES = {
@@ -167,316 +169,187 @@ class PlanDescription:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_Q_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>[ \t\r\n]+|\#[^\n]*)
-    | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<iriref><[^<>"\s]*>)
-    | (?P<string>"(?:[^"\\]|\\.)*")
-    | (?P<dtsep>\^\^)
-    | (?P<langtag>@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)
-    | (?P<decimal>[+-]?[0-9]+\.[0-9]+)
-    | (?P<integer>[+-]?[0-9]+)
-    | (?P<pname>(?:[A-Za-z][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_-]*)?)
-    | (?P<word>[A-Za-z][A-Za-z0-9_]*)
-    | (?P<op>&&|\|\||!=|<=|>=|[=<>!])
-    | (?P<punct>[{}().;,*])
-    """,
-    re.X,
-)
-
-_KEYWORDS = {"PREFIX", "SELECT", "DISTINCT", "WHERE", "FILTER", "GROUP", "ORDER",
-             "BY", "ASC", "DESC", "LIMIT", "OFFSET", "AS",
-             "AVG", "COUNT", "SUM", "MIN", "MAX"}
-
-
-class _QueryParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        self.pos = 0
-        self.prefixes = PrefixMap.default()
-        self._tokenize()
-
-    def _err(self, message, offset):
-        line = self.text.count("\n", 0, offset) + 1
-        col = offset - self.text.rfind("\n", 0, offset)
-        raise QuerySyntaxError(message, line, col)
-
-    def _tokenize(self):
-        prev_end = 0
-        for m in _Q_TOKEN_RE.finditer(self.text):
-            if m.start() != prev_end:
-                self._err("unexpected character %r" % self.text[prev_end], prev_end)
-            prev_end = m.end()
-            if m.lastgroup != "ws":
-                self.tokens.append((m.lastgroup, m.group(0), m.start()))
-        if prev_end != len(self.text):
-            self._err("unexpected character %r" % self.text[prev_end], prev_end)
-
-    def _peek(self, ahead=0):
-        i = self.pos + ahead
-        if i < len(self.tokens):
-            return self.tokens[i]
-        return (None, "", len(self.text))
-
-    def _next(self):
-        tok = self._peek()
-        self.pos += 1
-        return tok
+class _QueryParser(TokenStream):
+    error = QuerySyntaxError
+    variable = Var
 
     def _is_kw(self, tok, kw):
         return tok[0] == "word" and tok[1].upper() == kw
 
     def _expect_kw(self, kw):
-        tok = self._next()
+        tok = self.next()
         if not self._is_kw(tok, kw):
-            self._err("expected %s, got %r" % (kw, tok[1] or "end of input"), tok[2])
-
-    def _expect_punct(self, ch):
-        tok = self._next()
-        if tok[0] != "punct" or tok[1] != ch:
-            self._err("expected %r, got %r" % (ch, tok[1] or "end of input"), tok[2])
-        return tok
+            self.err("expected %s, got %r" % (kw, tok[1] or "end of input"), tok[2])
 
     def parse(self) -> QueryAst:
-        while self._is_kw(self._peek(), "PREFIX"):
-            self._next()
-            kind, value, offset = self._next()
-            if kind != "pname" or not value.endswith(":"):
-                self._err("expected prefix label ending in ':'", offset)
-            iri_tok = self._next()
-            if iri_tok[0] != "iriref":
-                self._err("expected namespace IRI", iri_tok[2])
-            self.prefixes.register(value[:-1], iri_tok[1][1:-1])
+        while self._is_kw(self.peek(), "PREFIX"):
+            self.pos += 1
+            self.prefix()
 
         self._expect_kw("SELECT")
         distinct = False
-        if self._is_kw(self._peek(), "DISTINCT"):
-            self._next()
+        if self._is_kw(self.peek(), "DISTINCT"):
+            self.pos += 1
             distinct = True
         projections = self._projections()
         self._expect_kw("WHERE")
-        self._expect_punct("{")
+        self.expect_punct("{")
         where, filters = self._group_graph_pattern()
 
         group_by: list[str] = []
         order_by: list[tuple[str, str]] = []
         limit = offset_ = None
         while True:
-            tok = self._peek()
+            tok = self.peek()
             if self._is_kw(tok, "GROUP"):
-                self._next()
+                self.next()
                 self._expect_kw("BY")
-                while self._peek()[0] == "var":
-                    group_by.append(self._next()[1][1:])
+                while self.peek()[0] == "var":
+                    group_by.append(self.next()[1][1:])
                 if not group_by:
-                    self._err("GROUP BY requires at least one variable", tok[2])
+                    self.err("GROUP BY requires at least one variable", tok[2])
             elif self._is_kw(tok, "ORDER"):
-                self._next()
+                self.next()
                 self._expect_kw("BY")
                 found = False
                 while True:
-                    t = self._peek()
+                    t = self.peek()
                     if t[0] == "var":
-                        self._next()
+                        self.next()
                         order_by.append((t[1][1:], "asc"))
                         found = True
                     elif self._is_kw(t, "ASC") or self._is_kw(t, "DESC"):
                         direction = t[1].lower()
-                        self._next()
-                        self._expect_punct("(")
-                        v = self._next()
+                        self.next()
+                        self.expect_punct("(")
+                        v = self.next()
                         if v[0] != "var":
-                            self._err("expected variable in %s()" % direction.upper(), v[2])
-                        self._expect_punct(")")
+                            self.err("expected variable in %s()" % direction.upper(), v[2])
+                        self.expect_punct(")")
                         order_by.append((v[1][1:], direction))
                         found = True
                     else:
                         break
                 if not found:
-                    self._err("ORDER BY requires at least one sort key", tok[2])
+                    self.err("ORDER BY requires at least one sort key", tok[2])
             elif self._is_kw(tok, "LIMIT"):
-                self._next()
-                n = self._next()
+                self.next()
+                n = self.next()
                 if n[0] != "integer":
-                    self._err("expected integer after LIMIT", n[2])
+                    self.err("expected integer after LIMIT", n[2])
                 limit = int(n[1])
             elif self._is_kw(tok, "OFFSET"):
-                self._next()
-                n = self._next()
+                self.next()
+                n = self.next()
                 if n[0] != "integer":
-                    self._err("expected integer after OFFSET", n[2])
+                    self.err("expected integer after OFFSET", n[2])
                 offset_ = int(n[1])
             elif tok[0] is None:
                 break
             else:
-                self._err("unexpected token %r" % tok[1], tok[2])
+                self.err("unexpected token %r" % tok[1], tok[2])
 
         ast = QueryAst(prefixes=self.prefixes, projections=projections,
                        where=where, filters=filters, distinct=distinct,
                        group_by=group_by, order_by=order_by,
                        limit=limit, offset=offset_)
-        try:
-            ast.validate()
-        except QueryError:
-            raise
+        ast.validate()
         return ast
 
     def _projections(self) -> list[Projection]:
         out: list[Projection] = []
         while True:
-            tok = self._peek()
+            tok = self.peek()
             if tok[0] == "var":
-                self._next()
+                self.next()
                 out.append(VarProjection(tok[1][1:]))
-            elif tok[0] == "punct" and tok[1] == "(":
-                self._next()
-                func_tok = self._next()
+            elif self.accept("("):
+                func_tok = self.next()
                 if func_tok[0] != "word" or func_tok[1].upper() not in (
                         "AVG", "COUNT", "SUM", "MIN", "MAX"):
-                    self._err("expected aggregate function", func_tok[2])
+                    self.err("expected aggregate function", func_tok[2])
                 func = func_tok[1].upper()
-                self._expect_punct("(")
-                arg_tok = self._next()
+                self.expect_punct("(")
+                arg_tok = self.next()
                 if arg_tok[0] == "var":
                     arg = arg_tok[1][1:]
                 elif arg_tok[:2] == ("punct", "*") and func == "COUNT":
                     arg = None
                 else:
-                    self._err("expected variable in aggregate", arg_tok[2])
-                self._expect_punct(")")
+                    self.err("expected variable in aggregate", arg_tok[2])
+                self.expect_punct(")")
                 self._expect_kw("AS")
-                alias_tok = self._next()
+                alias_tok = self.next()
                 if alias_tok[0] != "var":
-                    self._err("expected alias variable after AS", alias_tok[2])
-                self._expect_punct(")")
+                    self.err("expected alias variable after AS", alias_tok[2])
+                self.expect_punct(")")
                 out.append(AggProjection(func, arg, alias_tok[1][1:]))
             else:
                 break
         if not out:
-            self._err("SELECT requires at least one projection", self._peek()[2])
+            self.err("SELECT requires at least one projection", self.peek()[2])
         return out
 
-    def _term(self, tok, allow_var=True):
-        kind, value, offset = tok
-        if kind == "var":
-            if not allow_var:
-                self._err("variable not allowed here", offset)
-            return Var(value[1:])
-        if kind == "iriref":
-            return IRI(value[1:-1])
-        if kind == "pname":
-            try:
-                return self.prefixes.expand(value)
-            except RdfError as e:
-                self._err(str(e), offset)
-        if kind == "integer":
-            return Literal(value, vocab.XSD_INTEGER.value)
-        if kind == "decimal":
-            return Literal(value, vocab.XSD_DECIMAL.value)
-        if kind == "string":
-            from .serdes import unescape_string
-            lex = unescape_string(value[1:-1])
-            nxt = self._peek()
-            if nxt[0] == "dtsep":
-                self._next()
-                dt = self._next()
-                if dt[0] == "iriref":
-                    return Literal(lex, dt[1][1:-1])
-                if dt[0] == "pname":
-                    return Literal(lex, self.prefixes.expand(dt[1]).value)
-                self._err("expected datatype IRI", dt[2])
-            if nxt[0] == "langtag":
-                self._next()
-                return Literal(lex, lang=nxt[1][1:])
-            return Literal(lex)
-        self._err("expected term, got %r" % (value or "end of input"), offset)
+    def term(self, what="term", verb=False):
+        if self.peek()[0] == "blank":
+            self.err("blank nodes are not supported in queries", self.peek()[2])
+        return super().term(what, verb)
 
     def _group_graph_pattern(self):
         patterns: list[tuple] = []
         filters: list[FilterExpr] = []
-        while True:
-            tok = self._peek()
-            if tok[0] == "punct" and tok[1] == "}":
-                self._next()
-                return patterns, filters
+        while not self.accept("}"):
+            tok = self.peek()
             if tok[0] is None:
-                self._err("unterminated WHERE block", tok[2])
+                self.err("unterminated WHERE block", tok[2])
             if self._is_kw(tok, "FILTER"):
-                self._next()
-                self._expect_punct("(")
+                self.next()
+                self.expect_punct("(")
                 filters.append(self._or_expr())
-                self._expect_punct(")")
-                continue
-            self._triples_block(patterns)
+                self.expect_punct(")")
+            else:
+                self._triples_block(patterns)
+        return patterns, filters
 
     def _triples_block(self, patterns):
-        subject = self._term(self._next())
+        subject = self.term()
         while True:
-            verb_tok = self._next()
-            if verb_tok[0] == "word" and verb_tok[1] == "a":
-                predicate = vocab.RDF_TYPE
-            else:
-                predicate = self._term(verb_tok)
-            while True:
-                obj = self._term(self._next())
-                patterns.append((subject, predicate, obj))
-                nxt = self._peek()
-                if nxt[0] == "punct" and nxt[1] == ",":
-                    self._next()
-                    continue
+            predicate = self.term(verb=True)
+            patterns.append((subject, predicate, self.term()))
+            while self.accept(","):
+                patterns.append((subject, predicate, self.term()))
+            # a trailing ';' before the '.' or '}' is allowed
+            if not self.accept(";") or self.peek()[1] in (".", "}"):
                 break
-            nxt = self._peek()
-            if nxt[0] == "punct" and nxt[1] == ";":
-                self._next()
-                after = self._peek()
-                if after[0] == "punct" and after[1] in ".}":
-                    break
-                continue
-            break
-        nxt = self._peek()
-        if nxt[0] == "punct" and nxt[1] == ".":
-            self._next()
+        self.accept(".")
 
     def _or_expr(self) -> FilterExpr:
-        left = self._and_expr()
-        operands = [left]
-        while self._peek()[:2] == ("op", "||"):
-            self._next()
+        operands = [self._and_expr()]
+        while self.accept("||"):
             operands.append(self._and_expr())
-        if len(operands) == 1:
-            return left
-        return BoolOp("||", tuple(operands))
+        return operands[0] if len(operands) == 1 else BoolOp("||", tuple(operands))
 
     def _and_expr(self) -> FilterExpr:
-        left = self._unary_expr()
-        operands = [left]
-        while self._peek()[:2] == ("op", "&&"):
-            self._next()
+        operands = [self._unary_expr()]
+        while self.accept("&&"):
             operands.append(self._unary_expr())
-        if len(operands) == 1:
-            return left
-        return BoolOp("&&", tuple(operands))
+        return operands[0] if len(operands) == 1 else BoolOp("&&", tuple(operands))
 
     def _unary_expr(self) -> FilterExpr:
-        tok = self._peek()
-        if tok[:2] == ("op", "!"):
-            self._next()
+        if self.accept("!"):
             return BoolOp("!", (self._unary_expr(),))
-        if tok[:2] == ("punct", "("):
-            self._next()
+        if self.accept("("):
             e = self._or_expr()
-            self._expect_punct(")")
+            self.expect_punct(")")
             return e
         return self._comparison()
 
     def _comparison(self) -> Comparison:
-        lhs = self._term(self._next())
-        op_tok = self._next()
-        if op_tok[0] != "op" or op_tok[1] not in ("=", "!=", "<", "<=", ">", ">="):
-            self._err("expected comparison operator, got %r" % op_tok[1], op_tok[2])
-        rhs = self._term(self._next())
+        lhs = self.term()
+        op_tok = self.next()
+        if op_tok[0] != "punct" or op_tok[1] not in ("=", "!=", "<", "<=", ">", ">="):
+            self.err("expected comparison operator, got %r" % op_tok[1], op_tok[2])
+        rhs = self.term()
         return Comparison(op_tok[1], lhs, rhs)
 
 
@@ -695,15 +568,9 @@ def explain(q: QueryAst, g: Optional[Graph] = None) -> PlanDescription:
     """Join order by ascending estimated cardinality; informational only."""
     graph = g or Graph()
     ordered = _plan_order(graph, q.where)
-    pm = q.prefixes
 
     def show(t):
-        if isinstance(t, Var):
-            return "?%s" % t.name
-        if isinstance(t, IRI):
-            return pm.compact(t)
-        from .serdes import term_to_nt
-        return term_to_nt(t)
+        return "?%s" % t.name if isinstance(t, Var) else term_to_ttl(t, q.prefixes)
 
     steps = []
     for i, p in enumerate(ordered, start=1):

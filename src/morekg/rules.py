@@ -11,20 +11,29 @@ delta.  Heads never invent terms, so the fixpoint always terminates.
 ``query.evaluate``: it compiles an ordered body once, then extends the
 bindings atom by atom with index walks specialized to which positions
 are already known.
+
+Rule files (``parse_rules``/``export_rules``) write one rule as
+``name: s p o & s p o => s p o .``, with ``?variables`` and terms read
+and written as in Turtle by ``serdes``; a malformed file raises
+``RuleSyntaxError`` at a line and column.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Optional, Sequence
 
 from . import vocab
-from .rdf import Graph, IRI, Literal, PrefixMap, RdfError, Term, Triple
+from .rdf import Graph, IRI, Literal, PrefixMap, Triple
+from .serdes import PositionedError, TokenStream, term_to_ttl
 
 
 class RuleError(Exception):
+    pass
+
+
+class RuleSyntaxError(PositionedError, RuleError):
     pass
 
 
@@ -343,119 +352,37 @@ def materialize(g: Graph, rs: RuleSet) -> Graph:
 # ---------------------------------------------------------------------------
 # Rule file syntax:  name: s p o & s p o ... => s p o [& s p o ...] .
 
-_RULE_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>[ \t\r\n]+|\#[^\n]*)
-    | (?P<arrow>=>)
-    | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<iriref><[^<>"\s]*>)
-    | (?P<string>"(?:[^"\\]|\\.)*")(?:\^\^(?P<dtiri><[^<>"\s]*>|[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_][A-Za-z0-9_-]*))?
-    | (?P<decimal>[+-]?[0-9]+\.[0-9]+)
-    | (?P<integer>[+-]?[0-9]+)
-    | (?P<pname>[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_][A-Za-z0-9_-]*)
-    | (?P<label>[A-Za-z][A-Za-z0-9_-]*)
-    | (?P<punct>[:&.])
-    """,
-    re.X,
-)
+class _RuleParser(TokenStream):
+    error = RuleSyntaxError
+    variable = Var
 
+    def rules(self) -> list[Rule]:
+        rules = []
+        while self.peek()[0] is not None:
+            kind, name, offset = self.next()
+            if kind == "pname" and name.endswith(":") and name != ":":
+                name = name[:-1]  # "r1:" lexes as a prefixed name, local part empty
+            elif kind not in ("word", "pname") or self.next()[:2] != ("pname", ":"):
+                self.err("expected a rule name and ':'", offset)
+            body = self._patterns()
+            self.expect_punct("=>")
+            head = self._patterns()
+            self.expect_punct(".")
+            rules.append(Rule(name=name, body=body, head=head))
+        return rules
 
-def _rule_term(kind: str, value: str, dt: Optional[str], pm: PrefixMap):
-    from .serdes import unescape_string
-    if kind == "var":
-        return Var(value[1:])
-    if kind == "iriref":
-        return IRI(value[1:-1])
-    if kind == "pname":
-        return pm.expand(value)
-    if kind == "label":
-        if value == "a":
-            return vocab.RDF_TYPE
-        raise RuleError("bare word %r is not a term (use a CURIE or <IRI>)" % value)
-    if kind == "integer":
-        return Literal(value, vocab.XSD_INTEGER.value)
-    if kind == "decimal":
-        return Literal(value, vocab.XSD_DECIMAL.value)
-    if kind == "string":
-        lex = unescape_string(value[1:-1])
-        if dt:
-            dtiri = IRI(dt[1:-1]) if dt.startswith("<") else pm.expand(dt)
-            return Literal(lex, dtiri.value)
-        return Literal(lex)
-    raise RuleError("unexpected token %r" % value)
+    def _patterns(self) -> tuple[Pattern, ...]:
+        """Triple patterns up to '=>' or '.', each optionally followed by '&'."""
+        patterns = []
+        while self.peek()[:2] not in (("punct", "=>"), ("punct", ".")):
+            patterns.append((self.term(), self.term(verb=True), self.term()))
+            self.accept("&")
+        return tuple(patterns)
 
 
 def parse_rules(text: str, prefixes: Optional[PrefixMap] = None,
                 include_builtins: bool = True) -> RuleSet:
-    pm = prefixes or PrefixMap.default()
-    tokens: list[tuple[str, str, Optional[str], int]] = []
-    prev_end = 0
-    for m in _RULE_TOKEN_RE.finditer(text):
-        if m.start() != prev_end:
-            line = text.count("\n", 0, prev_end) + 1
-            raise RuleError("line %d: unexpected character %r" % (line, text[prev_end]))
-        prev_end = m.end()
-        kind = m.lastgroup
-        if kind == "dtiri":
-            kind = "string"
-        if kind != "ws":
-            if kind == "string":
-                tokens.append((kind, m.group("string"), m.group("dtiri"), m.start()))
-            else:
-                tokens.append((kind, m.group(0), None, m.start()))
-    if prev_end != len(text):
-        line = text.count("\n", 0, prev_end) + 1
-        raise RuleError("line %d: unexpected character %r" % (line, text[prev_end]))
-
-    rules: list[Rule] = []
-    pos = 0
-
-    def lineno(offset):
-        return text.count("\n", 0, offset) + 1
-
-    while pos < len(tokens):
-        kind, value, _, offset = tokens[pos]
-        if kind not in ("label", "pname"):
-            raise RuleError("line %d: expected rule name, got %r" % (lineno(offset), value))
-        name = value
-        pos += 1
-        if pos >= len(tokens) or tokens[pos][:2] != ("punct", ":"):
-            raise RuleError("line %d: expected ':' after rule name %r" % (lineno(offset), name))
-        pos += 1
-
-        def read_patterns(stop_kinds):
-            nonlocal pos
-            patterns = []
-            current: list = []
-            while pos < len(tokens):
-                k, v, dt, off = tokens[pos]
-                if (k, v) in stop_kinds:
-                    break
-                try:
-                    current.append(_rule_term(k, v, dt, pm))
-                except RdfError as e:
-                    raise RuleError("line %d: %s" % (lineno(off), e)) from None
-                pos += 1
-                if len(current) == 3:
-                    patterns.append(tuple(current))
-                    current = []
-                    if pos < len(tokens) and tokens[pos][:2] == ("punct", "&"):
-                        pos += 1
-            if current:
-                raise RuleError("line %d: incomplete triple pattern in rule %r"
-                                % (lineno(offset), name))
-            return tuple(patterns)
-
-        body = read_patterns({("arrow", "=>"), ("punct", ".")})
-        if pos >= len(tokens) or tokens[pos][0] != "arrow":
-            raise RuleError("line %d: expected '=>' in rule %r" % (lineno(offset), name))
-        pos += 1
-        head = read_patterns({("punct", ".")})
-        if pos >= len(tokens) or tokens[pos][:2] != ("punct", "."):
-            raise RuleError("line %d: expected '.' ending rule %r" % (lineno(offset), name))
-        pos += 1
-        rules.append(Rule(name=name, body=body, head=head))
-
+    rules = _RuleParser(text, prefixes).rules()
     if include_builtins:
         have = {r.name for r in rules}
         rules = [r for r in builtin_rules() if r.name not in have] + rules
@@ -466,19 +393,10 @@ def export_rules(rs: RuleSet, prefixes: Optional[PrefixMap] = None) -> str:
     """Serialize a rule set back to the line-oriented syntax."""
     pm = prefixes or PrefixMap.default()
 
-    def term(t):
-        if isinstance(t, Var):
-            return "?%s" % t.name
-        if isinstance(t, IRI):
-            c = pm.compact(t)
-            return c
-        if isinstance(t, Literal):
-            from .serdes import term_to_nt
-            return term_to_nt(t)
-        return "_:%s" % t.label
-
     def patterns(ps):
-        return " & ".join(" ".join(term(t) for t in p) for p in ps)
+        return " & ".join(" ".join(
+            "?%s" % t.name if isinstance(t, Var) else term_to_ttl(t, pm) for t in p)
+            for p in ps)
 
     return "".join(
         "%s: %s => %s .\n" % (r.name, patterns(r.body), patterns(r.head))

@@ -1,9 +1,16 @@
-"""N-Triples and Turtle-subset reading/writing.
+"""N-Triples and Turtle-subset reading/writing, and the term syntax that
+the query and rule parsers share with Turtle.
 
 The Turtle subset covers ``@prefix`` directives, prefixed names, the
 ``a`` keyword, ``;`` predicate lists, ``,`` object lists, typed and
 language-tagged literals, and bare integer/decimal shorthand.  No
 collections, blank-node property lists, or ``@base``.
+
+``TokenStream`` lexes Turtle, queries and rule files with one regex and
+builds their terms with one method, so an IRI, prefixed name or literal
+reads the same in all three; ``term_to_ttl`` writes terms back in that
+syntax.  N-Triples keeps its own line parser, with a cache of the terms
+it has seen.
 
 Canonical output is byte-deterministic: a pure function of the triple
 set, independent of insertion order.
@@ -19,11 +26,17 @@ from .rdf import IRI, BlankNode, Graph, Literal, PrefixMap, Term, RdfError
 from . import vocab
 
 
-class ParseError(RdfError):
+class PositionedError(Exception):
+    """An error at a line and column of a parsed text."""
+
     def __init__(self, message: str, line: int, column: int):
         super().__init__("%s (line %d, column %d)" % (message, line, column))
         self.line = line
         self.column = column
+
+
+class ParseError(PositionedError, RdfError):
+    pass
 
 
 @dataclass
@@ -192,194 +205,173 @@ def write_ntriples(g: Graph, cfg: Optional[SerializationConfig] = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Turtle subset
+# Term syntax shared by the Turtle, query and rule parsers
 
-_TTL_TOKEN_RE = re.compile(
+# One lexer for all three: the IRIREF, PNAME, blank-node and literal
+# productions that Turtle and SPARQL share, plus the variables, words and
+# punctuation that queries and rules add.  Each grammar rejects the
+# tokens it has no place for.  Order matters only where two alternatives
+# can start alike (pname before word, iriref before punct's '<', @prefix
+# before lang, decimal before integer); otherwise the commonest Turtle
+# tokens come first, which is the fastest order measured.
+_TOKEN_RE = re.compile(
     r"""
       (?P<ws>[ \t\r\n]+|\#[^\n]*)
-    | (?P<prefix_kw>@prefix\b)
+    | (?P<pname>(?:[A-Za-z][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_-]*)?)
     | (?P<iriref><[^<>"\s]*>)
+    | (?P<punct>=>|&&|\|\||!=|<=|>=|[=<>!&{}().;,*])
     | (?P<string>"(?:[^"\\]|\\.)*")
     | (?P<dtsep>\^\^)
+    | (?P<prefix_kw>@prefix\b)
     | (?P<lang>@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)
+    | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
     | (?P<decimal>[+-]?[0-9]+\.[0-9]+)
     | (?P<integer>[+-]?[0-9]+)
     | (?P<blank>_:[A-Za-z0-9_][A-Za-z0-9_-]*)
-    | (?P<pname>(?:[A-Za-z][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_-]*)?)
-    | (?P<kw_a>a\b)
-    | (?P<punct>[.;,])
+    | (?P<word>[A-Za-z][A-Za-z0-9_-]*)
     """,
     re.X,
 )
 
 
-class _TurtleParser:
-    def __init__(self, text: str):
+class TokenStream:
+    """The tokens of one text, read front to back by a recursive-descent
+    parser, and the term builder that all three parsers share.
+
+    A subclass sets ``error`` to its positioned error class and, if its
+    grammar has variables, ``variable`` to the class that names one.
+    """
+
+    error = ParseError
+    variable = None
+
+    def __init__(self, text: str, prefixes: Optional[PrefixMap] = None):
         self.text = text
-        self.tokens: list[tuple[str, str, int]] = []  # (kind, value, offset)
+        self.prefixes = PrefixMap.default() if prefixes is None else prefixes
         self.pos = 0
-        self.prefixes = PrefixMap.default()
-        self._tokenize()
+        self.tokens: list[tuple[str, str, int]] = []  # (kind, value, offset)
+        end = 0
+        for m in _TOKEN_RE.finditer(text):
+            if m.start() != end:
+                break
+            end = m.end()
+            if m.lastgroup != "ws":
+                self.tokens.append((m.lastgroup, m.group(), m.start()))
+        if end != len(text):
+            self.err("unexpected character %r" % text[end], end)
+        self.tokens.append((None, "", end))  # the end, which reading never passes
 
-    def _line_col(self, offset: int) -> tuple[int, int]:
+    def err(self, message: str, offset: int):
         line = self.text.count("\n", 0, offset) + 1
-        last_nl = self.text.rfind("\n", 0, offset)
-        return line, offset - last_nl
+        raise self.error(message, line, offset - self.text.rfind("\n", 0, offset))
 
-    def _err(self, message: str, offset: int):
-        line, col = self._line_col(offset)
-        raise ParseError(message, line, col)
+    def peek(self) -> tuple:
+        return self.tokens[self.pos]
 
-    def _tokenize(self):
-        prev_end = 0
-        for m in _TTL_TOKEN_RE.finditer(self.text):
-            if m.start() != prev_end:
-                self._err("unexpected character %r" % self.text[prev_end], prev_end)
-            prev_end = m.end()
-            kind = m.lastgroup
-            if kind != "ws":
-                self.tokens.append((kind, m.group(0), m.start()))
-        if prev_end != len(self.text):
-            self._err("unexpected character %r" % self.text[prev_end], prev_end)
-
-    def _peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return (None, "", len(self.text))
-
-    def _next(self):
-        tok = self._peek()
-        self.pos += 1
+    def next(self) -> tuple:
+        tok = self.tokens[self.pos]
+        if tok[0] is not None:
+            self.pos += 1
         return tok
 
-    def _expect(self, kind: str, what: str):
-        tok = self._next()
-        if tok[0] != kind:
-            self._err("expected %s, got %r" % (what, tok[1] or "end of input"), tok[2])
-        return tok
+    def accept(self, ch: str) -> bool:
+        """Consume the next token if it is the punctuation ``ch``."""
+        tok = self.tokens[self.pos]
+        if tok[1] == ch and tok[0] == "punct":
+            self.pos += 1
+            return True
+        return False
 
-    def _expect_punct(self, ch: str):
-        tok = self._next()
-        if tok[0] != "punct" or tok[1] != ch:
-            self._err("expected %r, got %r" % (ch, tok[1] or "end of input"), tok[2])
+    def expect_punct(self, ch: str) -> None:
+        if not self.accept(ch):
+            tok = self.peek()
+            self.err("expected %r, got %r" % (ch, tok[1] or "end of input"), tok[2])
 
+    def prefix(self) -> None:
+        """Read and register a prefix label and its namespace IRI."""
+        kind, label, offset = self.next()
+        if kind != "pname" or not label.endswith(":"):
+            self.err("expected prefix label ending in ':'", offset)
+        kind, ns, offset = self.next()
+        if kind != "iriref":
+            self.err("expected namespace IRI, got %r" % (ns or "end of input"), offset)
+        try:
+            self.prefixes.register(label[:-1], unescape_iri(ns[1:-1]))
+        except RdfError as e:
+            self.err(str(e), offset)
+
+    def term(self, what: str = "term", verb: bool = False):
+        """The next term: an IRI, a prefixed name, a blank node, a number,
+        a string with its ``^^`` datatype or ``@`` language, a variable
+        where the grammar has them, or ``a`` where ``verb`` is set.  An
+        invalid term raises ``error`` at its first character."""
+        kind, value, offset = self.next()
+        try:
+            if kind == "pname":
+                return self.prefixes.expand(value)
+            if kind == "iriref":
+                return IRI(unescape_iri(value[1:-1]))
+            if kind == "string":
+                lex = unescape_string(value[1:-1])
+                suffix, tag, _ = self.peek()
+                if suffix == "lang":
+                    self.pos += 1
+                    return Literal(lex, lang=tag[1:])
+                if suffix != "dtsep":
+                    return Literal(lex)
+                self.pos += 1
+                dkind, dt, _ = self.next()
+                if dkind == "iriref":
+                    return Literal(lex, unescape_iri(dt[1:-1]))
+                if dkind == "pname":
+                    return Literal(lex, self.prefixes.expand(dt).value)
+                raise RdfError("expected datatype IRI, got %r" % (dt or "end of input"))
+            if kind == "blank":
+                return BlankNode(value[2:])
+            if kind == "integer":
+                return Literal(value, vocab.XSD_INTEGER.value)
+            if kind == "decimal":
+                return Literal(value, vocab.XSD_DECIMAL.value)
+        except RdfError as e:
+            self.err(str(e), offset)
+        if kind == "var" and self.variable is not None:
+            return self.variable(value[1:])
+        if verb and kind == "word" and value == "a":
+            return vocab.RDF_TYPE
+        self.err("expected %s, got %r" % (what, value or "end of input"), offset)
+
+
+# ---------------------------------------------------------------------------
+# Turtle subset
+
+class _TurtleParser(TokenStream):
     def parse(self) -> Graph:
         graph = Graph()
-        while self._peek()[0] is not None:
-            if self._peek()[0] == "prefix_kw":
-                self._directive()
+        while self.peek()[0] is not None:
+            if self.peek()[0] == "prefix_kw":
+                self.pos += 1
+                self.prefix()
             else:
                 self._triples(graph)
+            self.expect_punct(".")
         return graph
 
-    def _directive(self):
-        self._next()  # @prefix
-        kind, value, offset = self._next()
-        if kind != "pname" or not value.endswith(":"):
-            self._err("expected prefix label ending in ':'", offset)
-        iri_tok = self._expect("iriref", "namespace IRI")
-        self.prefixes.register(value[:-1], self._iri_text(*iri_tok[1:]))
-        self._expect_punct(".")
-
     def _triples(self, graph: Graph):
-        subject = self._subject()
+        start = self.peek()[2]
+        subject = self.term("subject")
         while True:
-            predicate = self._verb()
+            predicate = self.term("predicate", verb=True)
             while True:
-                obj = self._object()
+                obj = self.term("object")
                 try:
                     graph.add(subject, predicate, obj)
                 except RdfError as e:
-                    self._err(str(e), self._peek()[2])
-                tok = self._peek()
-                if tok[0] == "punct" and tok[1] == ",":
-                    self._next()
-                    continue
-                break
-            tok = self._peek()
-            if tok[0] == "punct" and tok[1] == ";":
-                self._next()
-                # tolerate trailing ';' before '.'
-                nxt = self._peek()
-                if nxt[0] == "punct" and nxt[1] == ".":
+                    self.err(str(e), start)
+                if not self.accept(","):
                     break
-                continue
-            break
-        self._expect_punct(".")
-
-    def _resolve_pname(self, value: str, offset: int) -> IRI:
-        try:
-            return self.prefixes.expand(value)
-        except RdfError as e:
-            self._err(str(e), offset)
-
-    def _iri_text(self, value: str, offset: int) -> str:
-        try:
-            return unescape_iri(value[1:-1])
-        except RdfError as e:
-            self._err(str(e), offset)
-
-    def _iri(self, value: str, offset: int) -> IRI:
-        text = self._iri_text(value, offset)
-        try:
-            return IRI(text)
-        except RdfError as e:
-            self._err(str(e), offset)
-
-    def _string(self, value: str, offset: int) -> str:
-        try:
-            return unescape_string(value[1:-1])
-        except RdfError as e:
-            self._err(str(e), offset)
-
-    def _subject(self) -> Term:
-        kind, value, offset = self._next()
-        if kind == "iriref":
-            return self._iri(value, offset)
-        if kind == "pname":
-            return self._resolve_pname(value, offset)
-        if kind == "blank":
-            return BlankNode(value[2:])
-        self._err("expected subject, got %r" % (value or "end of input"), offset)
-
-    def _verb(self) -> IRI:
-        kind, value, offset = self._next()
-        if kind == "kw_a":
-            return vocab.RDF_TYPE
-        if kind == "iriref":
-            return self._iri(value, offset)
-        if kind == "pname":
-            return self._resolve_pname(value, offset)
-        self._err("expected predicate, got %r" % (value or "end of input"), offset)
-
-    def _object(self) -> Term:
-        kind, value, offset = self._next()
-        if kind == "iriref":
-            return self._iri(value, offset)
-        if kind == "pname":
-            return self._resolve_pname(value, offset)
-        if kind == "blank":
-            return BlankNode(value[2:])
-        if kind == "integer":
-            return Literal(value, vocab.XSD_INTEGER.value)
-        if kind == "decimal":
-            return Literal(value, vocab.XSD_DECIMAL.value)
-        if kind == "string":
-            lex = self._string(value, offset)
-            nxt = self._peek()
-            if nxt[0] == "dtsep":
-                self._next()
-                dkind, dvalue, doffset = self._next()
-                if dkind == "iriref":
-                    return Literal(lex, self._iri_text(dvalue, doffset))
-                if dkind == "pname":
-                    return Literal(lex, self._resolve_pname(dvalue, doffset).value)
-                self._err("expected datatype IRI", doffset)
-            if nxt[0] == "lang":
-                self._next()
-                return Literal(lex, lang=nxt[1][1:])
-            return Literal(lex)
-        self._err("expected object, got %r" % (value or "end of input"), offset)
+            # a trailing ';' before the '.' is allowed
+            if not self.accept(";") or self.peek()[:2] == ("punct", "."):
+                break
 
 
 def parse_turtle(text: str) -> Graph:
@@ -390,24 +382,17 @@ _SAFE_LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*\Z")
 _SAFE_PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 
 
-def _ttl_term(term: Term, pm: PrefixMap, cache: dict) -> str:
-    out = cache.get(term)
-    if out is not None:
-        return out
+def term_to_ttl(term: Term, pm: PrefixMap) -> str:
+    """A term as Turtle, query and rule text spell it: an IRI as a CURIE
+    where that lexes back to the same IRI, anything else as N-Triples."""
     if isinstance(term, IRI):
         curie = pm.compact(term)
-        if curie.startswith("<"):
-            out = curie
-        else:
-            prefix, _, local = curie.partition(":")
-            if _SAFE_PREFIX_RE.match(prefix) and (local == "" or _SAFE_LOCAL_RE.match(local)):
-                out = curie
-            else:
-                out = "<%s>" % term.value
-    else:
-        out = term_to_nt(term)
-    cache[term] = out
-    return out
+        prefix, _, local = curie.partition(":")
+        if not (_SAFE_PREFIX_RE.match(prefix)
+                and (local == "" or _SAFE_LOCAL_RE.match(local))):
+            return "<%s>" % term.value
+        return curie
+    return term_to_nt(term)
 
 
 def write_turtle(g: Graph, cfg: Optional[SerializationConfig] = None) -> str:
@@ -422,7 +407,10 @@ def write_turtle(g: Graph, cfg: Optional[SerializationConfig] = None) -> str:
         by_subject.setdefault(s, {}).setdefault(p, []).append(o)
 
     def render(term):
-        return _ttl_term(term, pm, cache)
+        out = cache.get(term)
+        if out is None:
+            out = cache[term] = term_to_ttl(term, pm)
+        return out
 
     subjects = by_subject.keys()
     if cfg.canonical:

@@ -3,7 +3,7 @@
 from hypothesis import strategies as st
 
 from morekg.rdf import BlankNode, Graph, IRI, Literal, Triple
-from morekg.rules import Var
+from morekg.rules import Rule, RuleSet, Var
 from morekg import vocab
 
 _LOCAL = st.text(
@@ -74,3 +74,26 @@ rule_bodies = st.lists(st.tuples(
     st.sampled_from(_rule_vars + _rule_predicates + [ABSENT]),
     st.sampled_from(_rule_vars + _rule_nodes + [Literal("v"), ABSENT]),
 ), min_size=1, max_size=4)
+
+
+# Rule sets of 1 to 3 rules whose constants are any of the terms above:
+# bodies of 1 to 3 atoms over three variables, heads over the variables
+# their body binds.
+_pattern_vars = st.sampled_from([Var("x"), Var("y"), Var("z")])
+_body_atoms = st.tuples(st.one_of(_pattern_vars, subjects),
+                        st.one_of(_pattern_vars, predicates),
+                        st.one_of(_pattern_vars, objects))
+
+
+@st.composite
+def rules(draw):
+    out = []
+    for i in range(draw(st.integers(1, 3))):
+        body = tuple(draw(st.lists(_body_atoms, min_size=1, max_size=3)))
+        bound = sorted({t.name for atom in body for t in atom if isinstance(t, Var)})
+        known = st.sampled_from([Var(n) for n in bound]) if bound else st.nothing()
+        head = tuple(draw(st.lists(st.tuples(
+            st.one_of(known, subjects), st.one_of(known, predicates),
+            st.one_of(known, objects)), min_size=1, max_size=2)))
+        out.append(Rule("r%d" % i, body, head))
+    return RuleSet(out)

@@ -59,6 +59,23 @@ class TestParser:
         with pytest.raises(QuerySyntaxError, match="zzz"):
             parse_query("SELECT ?x WHERE { ?x a zzz:Thing . }")
 
+    @pytest.mark.parametrize("where,term", [
+        ("?x <> ?y", "<>"),
+        ('?x <p> "a\\q"', '"a\\q"'),
+        ('?x ?p ?y FILTER(?y = "1"^^nope:int)', '"1"'),
+        ("?x ?p _:b", "_:b"),
+    ])
+    def test_bad_term_reports_its_position(self, where, term):
+        line = "WHERE { %s }" % where
+        with pytest.raises(QuerySyntaxError) as e:
+            parse_query("SELECT ?x\n" + line)
+        assert (e.value.line, e.value.column) == (2, line.index(term) + 1)
+
+    def test_prefix_namespace_escapes_decoded(self):
+        q = parse_query("PREFIX ex: <http://a/\\u0041#> "
+                        "SELECT ?x WHERE { ?x ex:b ?y }")
+        assert q.where[0][1] == IRI("http://a/A#b")
+
     def test_projection_not_in_where(self):
         with pytest.raises(QueryError, match="\\?y"):
             parse_query("SELECT ?y WHERE { ?x a more:Person . }")

@@ -4,15 +4,16 @@ import pytest
 from hypothesis import example, given, settings
 
 from morekg import vocab
-from morekg.rdf import Graph, IRI, Literal
+from morekg.rdf import BlankNode, Graph, IRI, Literal
 from morekg.rdf import Triple
-from morekg.rules import (Rule, RuleError, RuleSet, Var, builtin_ruleset,
-                          builtin_rules, builtin_shortcut_rule, export_rules,
-                          join, match_pattern, materialize, parse_rules)
+from morekg.rules import (Rule, RuleError, RuleSet, RuleSyntaxError, Var,
+                          builtin_ruleset, builtin_rules, builtin_shortcut_rule,
+                          export_rules, join, match_pattern, materialize,
+                          parse_rules)
 
 from oracles import (materialize_naive, naive_shortcut_inferences,
                      reference_bgp_eval)
-from strategies import ABSENT, graphs, rule_bodies, rule_graphs
+from strategies import ABSENT, graphs, rule_bodies, rule_graphs, rules
 
 EX = "http://example.org/"
 
@@ -276,6 +277,40 @@ class TestRuleSyntax:
             parse_rules("r1: ?x a more:Person => ?x a more:Person .\n"
                         "r2: ?x a more:Person => ?x a .",
                         include_builtins=False)
+
+    def test_syntax_error_has_line_and_column(self):
+        with pytest.raises(RuleSyntaxError) as e:
+            parse_rules("r1: ?x a more:Person\n  => ?x more:p more:a/b .",
+                        include_builtins=False)
+        assert isinstance(e.value, RuleError)
+        assert (e.value.line, e.value.column) == (2, 22)
+
+    def test_terms_read_as_in_turtle(self):
+        rs = parse_rules('r1 : ?x more: "v"@en & ?x a <http://a/\\u0041> '
+                         '=> ?x more:p _:b .', include_builtins=False)
+        rule, = rs
+        assert rule.name == "r1"
+        assert rule.body == ((Var("x"), IRI(vocab.MORE), Literal("v", lang="en")),
+                             (Var("x"), vocab.RDF_TYPE, IRI("http://a/A")))
+        assert rule.head == ((Var("x"), IRI(vocab.MORE + "p"), BlankNode("b")),)
+
+    @pytest.mark.parametrize("term", [
+        Literal("v", lang="en"),
+        IRI(vocab.MORE),
+        IRI(vocab.MORE + "a/b"),
+    ])
+    def test_export_round_trip_of_term(self, term):
+        x = Var("x")
+        rs = RuleSet([Rule("r1", ((x, vocab.RDF_TYPE, term),),
+                           ((x, vocab.MORE_PART_OF_STUDY, term),))])
+        assert list(parse_rules(export_rules(rs), include_builtins=False)) == \
+            list(rs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rules())
+    def test_export_round_trip_property(self, rs):
+        assert list(parse_rules(export_rules(rs), include_builtins=False)) == \
+            list(rs)
 
     def test_export_round_trip(self):
         rs = builtin_ruleset()

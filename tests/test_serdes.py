@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morekg import vocab
+from morekg.query import QueryError, QuerySyntaxError, parse_query
 from morekg.rdf import BlankNode, Graph, IRI, Literal, PrefixMap, Triple
+from morekg.rules import RuleError, RuleSyntaxError, parse_rules
 from morekg.serdes import (ParseError, SerializationConfig, parse_ntriples,
                            parse_turtle, write_ntriples, write_turtle)
 
@@ -153,8 +155,9 @@ class TestTurtle:
 # Inputs whose terms are well-formed tokens but invalid terms: an empty
 # IRI, an unknown string escape, short \u and \U escapes, code points
 # above U+10FFFF and a lone surrogate; in IRIs, escapes that encode a
-# space or a character IRIs exclude, a non-\u escape and a short one.
-# Each must fail at the term's position.
+# space or a character IRIs exclude, a non-\u escape and a short one; in
+# a datatype IRI, an escape that encodes a space.  Each must fail at the
+# position of the term's first character.
 BAD_TERMS = [
     ('<> <http://e/p> <http://e/o> .', 1),
     ('<http://e/s> <http://e/p> "a\\qb" .', 27),
@@ -169,10 +172,24 @@ BAD_TERMS = [
     ('<http://e/s> <http://e/p> <http://a/\\u005C> .', 27),
     ('<http://e/s> <http://e/p> <http://a/\\q> .', 27),
     ('<http://e/s> <http://e/p> <http://a/\\u00> .', 27),
+    ('<http://e/s> <http://e/p> "x"^^<http://a/\\u0020> .', 27),
 ]
 
 
-@pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle])
+def _query_patterns(text):
+    """The triple patterns of ``text`` as the WHERE block of a query."""
+    return parse_query("SELECT ?x WHERE { ?x ?p ?o . %s }" % text).where[1:]
+
+
+def _rule_patterns(text):
+    """The triple patterns of ``text`` as the body of a rule."""
+    rule, = parse_rules("r1: %s & ?x ?p ?o => ?x ?p ?o ." % text.rstrip(" ."),
+                        include_builtins=False)
+    return list(rule.body[:-1])
+
+
+@pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle,
+                                   _query_patterns, _rule_patterns])
 def test_iri_escapes_decoded(parse):
     g = parse('<http://a/\\u0041> <http://e/p> "x"^^<http://a/\\U00000042> .')
     assert list(g) == [Triple(IRI("http://a/A"), IRI("http://e/p"),
@@ -185,6 +202,35 @@ def test_invalid_term_reports_position(parse, text, column):
     with pytest.raises(ParseError) as e:
         parse(text)
     assert (e.value.line, e.value.column) == (1, column)
+
+
+# Each row of BAD_TERMS, less its final " .", as line 2 of a document in
+# each syntax, at the row's own columns: (parse, template, error class).
+EMBEDDINGS = {
+    "ntriples": (parse_ntriples, "<http://e/s> <http://e/p> <http://e/o> .\n%s .\n",
+                 ParseError),
+    "turtle": (parse_turtle, "@prefix e: <http://e/> .\n%s .\ne:s e:p e:o .",
+               ParseError),
+    "query": (parse_query, "SELECT ?x WHERE { ?x ?p ?o .\n%s .\n}",
+              QuerySyntaxError),
+    "rule": (lambda text: parse_rules(text, include_builtins=False),
+             "r1: ?x ?p ?o &\n%s\n=> ?x ?p ?o .", RuleSyntaxError),
+}
+
+
+@pytest.mark.parametrize("syntax", sorted(EMBEDDINGS))
+def test_embedding_of_a_good_row_parses(syntax):
+    parse, template, _ = EMBEDDINGS[syntax]
+    parse(template % '<http://e/s> <http://e/p> "a\\u0041"')
+
+
+@pytest.mark.parametrize("syntax", sorted(EMBEDDINGS))
+@pytest.mark.parametrize("row,column", BAD_TERMS)
+def test_one_term_grammar_reports_position(syntax, row, column):
+    parse, template, error = EMBEDDINGS[syntax]
+    with pytest.raises(error) as e:
+        parse(template % row.rstrip(" ."))
+    assert (e.value.line, e.value.column) == (2, column)
 
 
 def _fuzz_graph():
@@ -212,19 +258,37 @@ def mutated(draw, doc):
     return doc
 
 
+FUZZ_QUERY = """PREFIX ex: <http://example.org/>
+SELECT ?s (AVG(?v) AS ?avg) WHERE {
+  ?s a ex:Test ; ex:value ?v , 31.5 ; ex:label "grip, right"@en .
+  FILTER(?v >= "30"^^<http://www.w3.org/2001/XMLSchema#decimal> && ?v < 40)
+} GROUP BY ?s ORDER BY DESC(?avg) LIMIT 5
+"""
+
+FUZZ_RULES = """# two rules
+r1: ?a more:p <http://example.org/b> & ?b more:q "x"@en => ?a more:r ?b .
+r2: ?a a more:C => ?a more:v "31.5"^^xsd:decimal & ?a more:w -2 .
+"""
+
+
 @settings(max_examples=300, deadline=None)
-@pytest.mark.parametrize("parse,doc", [
-    (parse_ntriples, write_ntriples(_fuzz_graph())),
+@pytest.mark.parametrize("parse,doc,error", [
+    (parse_ntriples, write_ntriples(_fuzz_graph()), ParseError),
     (parse_turtle, write_turtle(_fuzz_graph(), SerializationConfig(
-        format="turtle", prefixes=PrefixMap({"ex": EX})))),
-], ids=["ntriples", "turtle"])
+        format="turtle", prefixes=PrefixMap({"ex": EX}))), ParseError),
+    (parse_query, FUZZ_QUERY, QuerySyntaxError),
+    (parse_rules, FUZZ_RULES, RuleSyntaxError),
+], ids=["ntriples", "turtle", "query", "rules"])
 @given(data=st.data())
-def test_mutated_input_parses_or_fails_with_position(parse, doc, data):
+def test_mutated_input_parses_or_fails_with_position(parse, doc, error, data):
     text = data.draw(mutated(doc))
     try:
         parse(text)
-    except ParseError as e:
+    except error as e:
         assert e.line >= 1 and e.column >= 1
+    except (QueryError, RuleError) as e:
+        # well-formed, but a variable is unbound or a rule name repeats
+        assert type(e) in (QueryError, RuleError)
 
 
 def test_many_seeded_random_graphs_round_trip():
