@@ -94,12 +94,6 @@ class StudyBundle:
     items: list[TestItemDef]
     results: list[ResultRecord]
 
-    def participant_ids(self) -> set[str]:
-        return {p.participant_id for p in self.participants}
-
-    def item_keys(self) -> set[str]:
-        return {i.key for i in self.items}
-
 
 @dataclass
 class IngestConfig:
@@ -108,7 +102,6 @@ class IngestConfig:
     items_file: str = "test_items.csv"
     results_file: str = "results.csv"
     alias_table: Optional[str] = None
-    fixture_seed: int = 42
 
     @classmethod
     def from_dict(cls, data: dict) -> "IngestConfig":

@@ -198,10 +198,6 @@ def validate_bundle(b: StudyBundle) -> ValidationReport:
     return report
 
 
-def _value_literal(lexical: str, datatype: str) -> Literal:
-    return Literal(lexical, datatype)
-
-
 def emit_kg(b: StudyBundle, schema: OntologySchema) -> Graph:
     """Emit the data-level graph for one study (schema triples not
     included; merge with ``schema.graph`` for a queryable KG)."""
@@ -230,9 +226,9 @@ def emit_kg(b: StudyBundle, schema: OntologySchema) -> Graph:
         g.add(person, vocab.MORE_HAS_AGE, Literal(str(p.age), vocab.XSD_INTEGER.value))
         if p.sex:
             g.add(person, vocab.MORE_HAS_SEX, Literal(p.sex))
-        g.add(person, vocab.MORE_HAS_HEIGHT, _value_literal(p.height_cm, vocab.XSD_DECIMAL.value))
-        g.add(person, vocab.MORE_HAS_WEIGHT, _value_literal(p.weight_kg, vocab.XSD_DECIMAL.value))
-        g.add(person, vocab.MORE_HAS_BMI, _value_literal(p.bmi, vocab.XSD_DECIMAL.value))
+        g.add(person, vocab.MORE_HAS_HEIGHT, Literal(p.height_cm, vocab.XSD_DECIMAL.value))
+        g.add(person, vocab.MORE_HAS_WEIGHT, Literal(p.weight_kg, vocab.XSD_DECIMAL.value))
+        g.add(person, vocab.MORE_HAS_BMI, Literal(p.bmi, vocab.XSD_DECIMAL.value))
         g.add(person, part_of, study)
         for item in b.items:
             disp = mint_iri(study_id, "disposition",
@@ -257,7 +253,7 @@ def emit_kg(b: StudyBundle, schema: OntologySchema) -> Graph:
         role = mint_iri(study_id, "role", local)
         datum = mint_iri(study_id, "datum", local)
         vspec = mint_iri(study_id, "valuespec", local)
-        value = _value_literal(r.value, item_def.datatype)
+        value = Literal(r.value, item_def.datatype)
 
         g.add(plan, vocab.RDF_TYPE, vocab.IAO_PLAN)
         g.add(plan, vocab.BFO_CONCRETIZES, item_iri)

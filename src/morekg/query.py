@@ -8,10 +8,11 @@ SPARQL they would be variables.  A malformed query raises
 ``QuerySyntaxError`` at a line and column.
 
 Evaluation uses bag semantics with exact rational arithmetic for
-numeric comparisons and aggregates.  The basic graph pattern is ordered
-by ``_plan_order`` and joined by ``rules.join``, the executor that
-``materialize`` uses too.  When no ORDER BY is given, result
-rows are sorted canonically so output is deterministic.
+numeric comparisons and aggregates.  The basic graph pattern is joined
+by ``rules.join``, the executor and planner that ``materialize`` uses
+too, and ``explain`` prints ``rules.plan``'s order and estimates.  When
+no ORDER BY is given, result rows are sorted canonically so output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional, Union
 
 from . import vocab
 from .rdf import Graph, IRI, Literal, PrefixMap, Term
-from .rules import Var, join, pattern_vars
+from .rules import Var, join, pattern_vars, plan
 from .serdes import PositionedError, TokenStream, term_to_ttl
 
 
@@ -415,33 +416,6 @@ def _eval_filter(expr: FilterExpr, binding: dict) -> bool:
     return not _eval_filter(expr.operands[0], binding)
 
 
-def _plan_order(g: Graph, patterns: list[tuple]) -> list[tuple]:
-    """Greedy join order by ascending estimated pattern cardinality."""
-    # each pattern is counted once; only the connectedness term changes
-    # from round to round
-    remaining = [(p, pattern_vars(p),
-                  g.count(*(None if isinstance(t, Var) else t for t in p)))
-                 for p in patterns]
-    ordered: list[tuple] = []
-    bound: set[str] = set()
-
-    def estimate(entry):
-        _, names, base = entry
-        # patterns connected through an already-bound variable are cheaper
-        return (0 if names & bound else 1, base)
-
-    while remaining:
-        best = min(remaining, key=estimate)
-        remaining.remove(best)
-        ordered.append(best[0])
-        bound |= best[1]
-    return ordered
-
-
-def _join_bgp(g: Graph, patterns: list[tuple]) -> list[dict]:
-    return join([g] * len(patterns), _plan_order(g, patterns))
-
-
 def format_decimal(value: Fraction, places: int = 6) -> str:
     """Round half-up rendering of an exact rational to fixed places."""
     sign = "-" if value < 0 else ""
@@ -514,7 +488,7 @@ def _row_key(row: tuple) -> tuple:
 
 
 def evaluate(g: Graph, q: QueryAst, avg_places: int = 6) -> SolutionTable:
-    solutions = _join_bgp(g, q.where)
+    solutions = join([g] * len(q.where), q.where)
     for f in q.filters:
         solutions = [b for b in solutions if _eval_filter(f, b)]
 
@@ -564,20 +538,17 @@ def evaluate(g: Graph, q: QueryAst, avg_places: int = 6) -> SolutionTable:
     return SolutionTable(columns=q.columns, rows=rows)
 
 
-def explain(q: QueryAst, g: Optional[Graph] = None) -> PlanDescription:
-    """Join order by ascending estimated cardinality; informational only."""
-    graph = g or Graph()
-    ordered = _plan_order(graph, q.where)
-
+def explain(q: QueryAst, g: Graph) -> PlanDescription:
+    """The join order ``evaluate`` uses on ``g``, with each pattern's
+    estimated cardinality; informational only."""
     def show(t):
         return "?%s" % t.name if isinstance(t, Var) else term_to_ttl(t, q.prefixes)
 
     steps = []
-    for i, p in enumerate(ordered, start=1):
-        s, pr, o = (None if isinstance(t, Var) else t for t in p)
-        card = graph.count(s, pr, o) if g is not None else "?"
+    for n, (i, estimate) in enumerate(plan([g] * len(q.where), q.where), start=1):
+        p = q.where[i]
         steps.append("%d. match %s %s %s  (est. %s)"
-                     % (i, show(p[0]), show(p[1]), show(p[2]), card))
+                     % (n, show(p[0]), show(p[1]), show(p[2]), estimate))
     return PlanDescription(steps)
 
 

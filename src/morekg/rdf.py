@@ -107,6 +107,9 @@ class Literal(_Term):
                 datatype = RDF_LANG_STRING
             elif datatype is None:
                 datatype = XSD_STRING
+            elif not datatype or _SPACE_RE.search(datatype):
+                raise RdfError("datatype IRI must be non-empty and contain no "
+                               "whitespace: %r" % datatype)
             # the normalized key makes Literal("x") and
             # Literal("x", XSD_STRING) one object
             norm = (lexical, datatype, lang)
@@ -282,9 +285,6 @@ class Graph:
         if p is not None and o is None and s is None:
             return sum(len(v) for v in self._pos.get(p, {}).values())
         return sum(1 for _ in self.match(s, p, o))
-
-    def subjects(self, p: Term, o: Term) -> Iterator[Term]:
-        yield from self._pos.get(p, {}).get(o, ())
 
     def objects(self, s: Term, p: Term) -> Iterator[Term]:
         yield from self._spo.get(s, {}).get(p, ())

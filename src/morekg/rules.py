@@ -3,14 +3,16 @@
 Rules are Horn-style: a conjunctive body of triple patterns and a head
 of patterns over body variables only.  ``materialize`` computes the
 least fixpoint with semi-naive iteration: round 1 joins each rule once
-over the whole graph, starting from its smallest body atom; later
-rounds join once per body atom, that atom against the previous round's
-delta.  Heads never invent terms, so the fixpoint always terminates.
+over the whole graph; later rounds join once per body atom, that atom
+against the previous round's delta and the others against the whole
+graph.  Heads never invent terms, so the fixpoint always terminates.
 
 ``join`` is the one basic-graph-pattern executor, shared with
-``query.evaluate``: it compiles an ordered body once, then extends the
-bindings atom by atom with index walks specialized to which positions
-are already known.
+``query.evaluate``.  ``plan`` orders its body greedily by cardinality:
+each atom is counted once on its own graph, and the next atom is the
+smallest of those connected to the atoms already placed.  ``join`` then
+compiles the ordered body once and extends the bindings atom by atom
+with index walks specialized to which positions are already known.
 
 Rule files (``parse_rules``/``export_rules``) write one rule as
 ``name: s p o & s p o => s p o .``, with ``?variables`` and terms read
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import vocab
 from .rdf import Graph, IRI, Literal, PrefixMap, Triple
@@ -165,16 +167,16 @@ def _subst(p: Pattern, binding: dict) -> tuple:
 _NO_ENTRIES = MappingProxyType({})  # read-only stand-in for a missing index key
 
 
-def _compile(body: Sequence[Pattern], bound=()) -> list[tuple]:
+def _compile(body: Sequence[Pattern]) -> list[tuple]:
     """Classify each position of each atom of ``body``, in join order.
 
     A position becomes ``(key, const, new)``: a constant is
-    ``(None, term, None)``, a variable bound by an earlier atom or in
-    ``bound`` is ``(name, None, None)``, and a variable bound by this atom
-    is ``(None, None, name)``.  A known position reads as
+    ``(None, term, None)``, a variable bound by an earlier atom is
+    ``(name, None, None)``, and a variable bound by this atom is
+    ``(None, None, name)``.  A known position reads as
     ``b.get(key, const)`` either way, because no binding has the key None.
     """
-    bound = set(bound)
+    bound = set()
     steps = []
     for atom in body:
         steps.append(tuple(
@@ -267,49 +269,43 @@ def _extend(g: Graph, step: tuple, solutions: list[dict]) -> list[dict]:
     return out
 
 
+def plan(graphs: Sequence[Graph], body: Sequence[Pattern]) -> list[tuple[int, int]]:
+    """The join order of ``body`` as ``(atom index, estimate)`` pairs.
+
+    Each atom is counted once, with its variables as wildcards, against
+    its own graph ``graphs[i]``.  The next atom is one that shares a
+    variable with the atoms already placed (any atom, if none does), and
+    among those the one with the fewest matches; ties keep body order.
+    """
+    remaining = [(i, pattern_vars(atom),
+                  g.count(*(None if isinstance(t, Var) else t for t in atom)))
+                 for i, (g, atom) in enumerate(zip(graphs, body))]
+    order = []
+    bound: set[str] = set()
+    while remaining:
+        best = min(remaining, key=lambda entry: (not (entry[1] & bound), entry[2]))
+        remaining.remove(best)
+        order.append((best[0], best[2]))
+        bound |= best[1]
+    return order
+
+
 def join(graphs: Sequence[Graph], body: Sequence[Pattern]) -> list[dict]:
     """Every binding under which each atom ``body[i]`` matches a triple of
-    ``graphs[i]``, joining the atoms in the order given."""
+    ``graphs[i]``, joining the atoms in the order ``plan`` gives."""
+    order = [i for i, _ in plan(graphs, body)]
     solutions = [{}]
-    for g, step in zip(graphs, _compile(body)):
+    for i, step in zip(order, _compile([body[i] for i in order])):
         if not solutions:
             break
-        solutions = _extend(g, step, solutions)
+        solutions = _extend(graphs[i], step, solutions)
     return solutions
 
 
-def match_pattern(g: Graph, p: Pattern, binding: dict) -> Iterator[dict]:
-    """Extend ``binding`` over every triple matching pattern ``p``."""
-    return iter(_extend(g, _compile([p], binding)[0], [binding]))
-
-
-def _order_body(body: Sequence[Pattern], first: int) -> list[Pattern]:
-    """Atom ``first`` first, then greedily the most-bound remaining atom."""
-    ordered = [body[first]]
-    bound = pattern_vars(body[first])
-    remaining = [p for i, p in enumerate(body) if i != first]
-    while remaining:
-        def unbound_count(p):
-            return len(pattern_vars(p) - bound)
-        best = min(remaining, key=unbound_count)
-        remaining.remove(best)
-        ordered.append(best)
-        bound |= pattern_vars(best)
-    return ordered
-
-
-def _smallest_atom(g: Graph, body: Sequence[Pattern]) -> int:
-    """Index of the body atom whose constant positions match fewest triples."""
-    def size(i):
-        return g.count(*(None if isinstance(t, Var) else t for t in body[i]))
-    return min(range(len(body)), key=size)
-
-
-def _derive(full: Graph, graphs: list[Graph], rule: Rule, body: list[Pattern],
-            out: set[Triple]) -> None:
-    """Add to ``out`` every head instantiation of ``join(graphs, body)``
+def _derive(full: Graph, graphs: list[Graph], rule: Rule, out: set[Triple]) -> None:
+    """Add to ``out`` every head instantiation of ``join(graphs, rule.body)``
     not in ``full``."""
-    for binding in join(graphs, body):
+    for binding in join(graphs, rule.body):
         for hp in rule.head:
             s, p, o = _subst(hp, binding)
             if isinstance(s, Literal) or not isinstance(p, IRI):
@@ -319,33 +315,28 @@ def _derive(full: Graph, graphs: list[Graph], rule: Rule, body: list[Pattern],
                 out.add(t)
 
 
-def _fire(full: Graph, delta: Graph, rule: Rule, out: set[Triple]) -> None:
-    """Every derivation that uses at least one triple of ``delta``."""
-    graphs = [delta] + [full] * (len(rule.body) - 1)
-    for i in range(len(rule.body)):
-        _derive(full, graphs, rule, _order_body(rule.body, i), out)
-
-
 def materialize(g: Graph, rs: RuleSet) -> Graph:
     """Least fixpoint of ``g`` under ``rs``; returns a new graph.
 
-    Round 1 joins each rule once over the whole graph, starting from its
-    smallest body atom.  Each later round joins once per body atom, that
-    atom against the previous round's new triples.
+    Round 1 joins each rule once over the whole graph.  Each later round
+    joins once per body atom, that atom against the previous round's new
+    triples and every other atom against the whole graph.
     """
     for r in rs:
         r.validate()
     full = g.copy()
     new: set[Triple] = set()
     for rule in rs:
-        body = _order_body(rule.body, _smallest_atom(full, rule.body))
-        _derive(full, [full] * len(body), rule, body, new)
+        _derive(full, [full] * len(rule.body), rule, new)
     while new:
         full.update(new)
         delta = Graph(new)
         new = set()
         for rule in rs:
-            _fire(full, delta, rule, new)
+            for i in range(len(rule.body)):
+                graphs = [full] * len(rule.body)
+                graphs[i] = delta
+                _derive(full, graphs, rule, new)
     return full
 
 

@@ -19,7 +19,6 @@ set, independent of insertion order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .rdf import IRI, BlankNode, Graph, Literal, PrefixMap, Term, RdfError
@@ -37,13 +36,6 @@ class PositionedError(Exception):
 
 class ParseError(PositionedError, RdfError):
     pass
-
-
-@dataclass
-class SerializationConfig:
-    format: str = "ntriples"  # ntriples | turtle
-    prefixes: PrefixMap = field(default_factory=PrefixMap.default)
-    canonical: bool = True
 
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
@@ -188,8 +180,8 @@ def parse_ntriples(text: str) -> Graph:
     return graph
 
 
-def write_ntriples(g: Graph, cfg: Optional[SerializationConfig] = None) -> str:
-    cfg = cfg or SerializationConfig()
+def write_ntriples(g: Graph) -> str:
+    """``g`` as canonical N-Triples: one line per triple, sorted."""
     cache: dict = {}
 
     def nt(term):
@@ -199,8 +191,7 @@ def write_ntriples(g: Graph, cfg: Optional[SerializationConfig] = None) -> str:
         return s
 
     lines = ["%s %s %s ." % (nt(s), nt(p), nt(o)) for s, p, o in g]
-    if cfg.canonical:
-        lines.sort()
+    lines.sort()
     return "".join(line + "\n" for line in lines)
 
 
@@ -395,9 +386,10 @@ def term_to_ttl(term: Term, pm: PrefixMap) -> str:
     return term_to_nt(term)
 
 
-def write_turtle(g: Graph, cfg: Optional[SerializationConfig] = None) -> str:
-    cfg = cfg or SerializationConfig(format="turtle")
-    pm = cfg.prefixes
+def write_turtle(g: Graph, prefixes: Optional[PrefixMap] = None) -> str:
+    """``g`` as canonical Turtle: subjects, predicates and objects sorted,
+    IRIs written as CURIEs of ``prefixes`` (default: the project's)."""
+    pm = PrefixMap.default() if prefixes is None else prefixes
     cache: dict = {}
     lines = ["@prefix %s: <%s> ." % (p, ns) for p, ns in sorted(pm.items())]
     lines.append("")
@@ -412,19 +404,11 @@ def write_turtle(g: Graph, cfg: Optional[SerializationConfig] = None) -> str:
             out = cache[term] = term_to_ttl(term, pm)
         return out
 
-    subjects = by_subject.keys()
-    if cfg.canonical:
-        subjects = sorted(subjects, key=render)
-    for s in subjects:
+    for s in sorted(by_subject, key=render):
         preds = by_subject[s]
-        pred_keys = preds.keys()
-        if cfg.canonical:
-            pred_keys = sorted(pred_keys, key=render)
         parts = []
-        for p in pred_keys:
-            objs = preds[p]
-            if cfg.canonical:
-                objs = sorted(objs, key=render)
+        for p in sorted(preds, key=render):
+            objs = sorted(preds[p], key=render)
             pstr = "a" if p == vocab.RDF_TYPE else render(p)
             parts.append("%s %s" % (pstr, ", ".join(render(o) for o in objs)))
         lines.append("%s %s ." % (render(s), " ;\n    ".join(parts)))
@@ -440,10 +424,11 @@ def parse_file(path) -> Graph:
     return parse_turtle(text)
 
 
-def write_file(g: Graph, path, canonical: bool = True) -> None:
+def write_file(g: Graph, path) -> None:
+    """Write ``.nt`` or ``.ttl`` by extension (Turtle by default)."""
     if str(path).endswith(".nt"):
-        text = write_ntriples(g, SerializationConfig(canonical=canonical))
+        text = write_ntriples(g)
     else:
-        text = write_turtle(g, SerializationConfig(format="turtle", canonical=canonical))
+        text = write_turtle(g)
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)

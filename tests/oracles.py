@@ -128,9 +128,15 @@ def _unify(pattern, triple, binding):
 
 def reference_bgp_eval(graph: Graph, patterns) -> list[dict]:
     """Brute-force nested-loop BGP evaluation in syntactic pattern order."""
+    return reference_join([graph] * len(patterns), patterns)
+
+
+def reference_join(graphs, patterns) -> list[dict]:
+    """Brute-force nested loops in syntactic pattern order, pattern ``i``
+    over the triples of ``graphs[i]``."""
     solutions = [{}]
-    all_triples = list(graph)
-    for p in patterns:
+    for g, p in zip(graphs, patterns):
+        all_triples = list(g)
         next_solutions = []
         for b in solutions:
             for t in all_triples:

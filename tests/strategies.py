@@ -76,6 +76,21 @@ rule_bodies = st.lists(st.tuples(
 ), min_size=1, max_size=4)
 
 
+@st.composite
+def two_graph_joins(draw):
+    """``(graphs, body)``: 1 to 4 atoms, each on one of two rule graphs.
+    Each atom is a triple drawn from its own graph, with some terms made
+    variables throughout the body, so the drawn triples are a solution
+    and no join is empty."""
+    pair = [draw(rule_graphs()), draw(rule_graphs())]
+    graphs = draw(st.lists(st.sampled_from(pair), min_size=1, max_size=4))
+    atoms = [draw(st.sampled_from(sorted(g, key=repr))) for g in graphs]
+    terms = sorted({t for atom in atoms for t in atom}, key=repr)
+    hidden = draw(st.lists(st.sampled_from(terms), unique=True))
+    names = {t: Var("v%d" % i) for i, t in enumerate(hidden)}
+    return graphs, [tuple(names.get(t, t) for t in atom) for atom in atoms]
+
+
 # Rule sets of 1 to 3 rules whose constants are any of the terms above:
 # bodies of 1 to 3 atoms over three variables, heads over the variables
 # their body binds.

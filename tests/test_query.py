@@ -12,6 +12,8 @@ from morekg.query import (AggProjection, QueryError, QuerySyntaxError,
                           evaluate, explain, format_decimal, numeric_value,
                           parse_query, to_csv, to_text)
 from morekg.rdf import Graph, IRI, Literal
+from morekg.rules import Var, plan
+from morekg.serdes import term_to_ttl
 
 from oracles import cq1_average_by_age, cq2_items_in_range, reference_bgp_eval
 from strategies import graphs
@@ -269,6 +271,15 @@ class TestRendering:
 
     def test_explain_lists_all_patterns(self, fixture_graph):
         q = parse_query(CQ1_QUERY)
-        plan = explain(q, fixture_graph)
-        assert len(plan.steps) == 6
-        assert "more:hasAge" in str(plan)
+        described = explain(q, fixture_graph)
+        assert len(described.steps) == 6
+        assert "more:hasAge" in str(described)
+
+        def show(t):
+            return "?%s" % t.name if isinstance(t, Var) else term_to_ttl(t, q.prefixes)
+
+        # the steps are the planner's order and estimates
+        order = plan([fixture_graph] * len(q.where), q.where)
+        assert described.steps == [
+            "%d. match %s  (est. %d)" % (n, " ".join(show(t) for t in q.where[i]), est)
+            for n, (i, est) in enumerate(order, start=1)]

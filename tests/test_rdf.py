@@ -41,6 +41,12 @@ class TestTerms:
         with pytest.raises(RdfError):
             IRI("")
 
+    @pytest.mark.parametrize("datatype", ["", "http://example.org/a b"])
+    def test_literal_datatype_rejects_whitespace_and_empty(self, datatype):
+        for _ in range(2):  # and is not cached
+            with pytest.raises(RdfError):
+                Literal("x", datatype)
+
     def test_term_equality_is_type_aware(self):
         assert IRI("http://example.org/x") != Literal("http://example.org/x")
 

@@ -1,19 +1,20 @@
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from morekg import vocab
 from morekg.rdf import BlankNode, Graph, IRI, Literal
 from morekg.rdf import Triple
 from morekg.rules import (Rule, RuleError, RuleSet, RuleSyntaxError, Var,
                           builtin_ruleset, builtin_rules, builtin_shortcut_rule,
-                          export_rules, join, match_pattern, materialize,
-                          parse_rules)
+                          export_rules, join, materialize, parse_rules,
+                          plan)
 
 from oracles import (materialize_naive, naive_shortcut_inferences,
-                     reference_bgp_eval)
-from strategies import ABSENT, graphs, rule_bodies, rule_graphs, rules
+                     reference_bgp_eval, reference_join)
+from strategies import (ABSENT, graphs, rule_bodies, rule_graphs, rules,
+                        two_graph_joins)
 
 EX = "http://example.org/"
 
@@ -54,25 +55,27 @@ class TestRuleValidation:
 
 
 class TestMatchPattern:
+    # pattern matching, through ``join``
     def test_binds_free_variables(self):
         g = Graph()
         g.add(iri("s"), vocab.RDF_TYPE, iri("C"))
-        out = list(match_pattern(g, (Var("x"), vocab.RDF_TYPE, Var("c")), {}))
+        out = join([g], [(Var("x"), vocab.RDF_TYPE, Var("c"))])
         assert out == [{"x": iri("s"), "c": iri("C")}]
 
     def test_respects_existing_bindings(self):
         g = Graph()
         g.add(iri("s1"), vocab.RDF_TYPE, iri("C"))
         g.add(iri("s2"), vocab.RDF_TYPE, iri("C"))
-        out = list(match_pattern(g, (Var("x"), vocab.RDF_TYPE, Var("c")),
-                                 {"x": iri("s2")}))
+        binder = Graph([Triple(iri("s2"), iri("p"), iri("o"))])
+        body = [(Var("x"), iri("p"), iri("o")), (Var("x"), vocab.RDF_TYPE, Var("c"))]
+        out = join([binder, g], body)
         assert out == [{"x": iri("s2"), "c": iri("C")}]
 
     def test_repeated_variable_must_agree(self):
         g = Graph()
         g.add(iri("a"), iri("p"), iri("a"))
         g.add(iri("a"), iri("p"), iri("b"))
-        out = list(match_pattern(g, (Var("x"), iri("p"), Var("x")), {}))
+        out = join([g], [(Var("x"), iri("p"), Var("x"))])
         assert out == [{"x": iri("a")}]
 
 
@@ -116,8 +119,49 @@ class TestJoin:
         assert _bag(join([delta, SMALL], body)) == _bag(
             [{"a": N1, "b": N0, "c": N1}, {"a": N1, "b": N0, "c": N0}])
 
+    def test_atom_planned_first_keeps_its_graph(self):
+        # the one-triple delta atom is joined first, yet still on delta
+        delta = Graph([Triple(N1, P, N0)])
+        body = [(A, P, B), (B, P, C)]
+        assert _bag(join([SMALL, delta], body)) == _bag(
+            [{"a": N0, "b": N1, "c": N0}])
+
     def test_empty_body_has_one_empty_binding(self):
         assert join([], []) == [{}]
+
+    @settings(max_examples=200, deadline=None)
+    @given(two_graph_joins(), st.data())
+    def test_permuted_atoms_keep_their_graphs(self, case, data):
+        graphs, body = case
+        perm = data.draw(st.permutations(range(len(body))))
+        expected = _bag(reference_join(graphs, body))
+        assert _bag(join(graphs, body)) == expected
+        assert _bag(join([graphs[i] for i in perm], [body[i] for i in perm])) == expected
+
+
+def _estimate(g, atom):
+    return g.count(*(None if isinstance(t, Var) else t for t in atom))
+
+
+class TestPlan:
+    def test_each_atom_once_with_its_own_count(self):
+        delta = Graph([Triple(N1, P, N0)])
+        graphs = [SMALL, delta, SMALL]
+        body = [(A, P, B), (B, P, C), (A, Q, C)]
+        order = plan(graphs, body)
+        assert sorted(i for i, _ in order) == [0, 1, 2]
+        assert all(est == _estimate(graphs[i], body[i]) for i, est in order)
+        assert order[0] == (1, 1)  # the one-triple delta atom comes first
+
+    def test_connected_atom_before_smaller_unconnected_one(self):
+        # the first two tie at 2 matches, so body order picks atom 0; then
+        # atom 2 shares ?a with it and goes before atom 1, which does not
+        body = [(N0, P, A), (C, Q, B), (A, P, B)]
+        assert plan([SMALL] * 3, body) == [(0, 2), (2, 3), (1, 2)]
+
+    def test_absent_predicate_on_delta_estimates_zero(self):
+        delta = Graph([Triple(N1, Q, N0)])
+        assert plan([SMALL, delta], [(A, P, B), (B, P, C)]) == [(1, 0), (0, 3)]
 
 
 class TestMaterialize:

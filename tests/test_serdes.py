@@ -7,8 +7,8 @@ from morekg import vocab
 from morekg.query import QueryError, QuerySyntaxError, parse_query
 from morekg.rdf import BlankNode, Graph, IRI, Literal, PrefixMap, Triple
 from morekg.rules import RuleError, RuleSyntaxError, parse_rules
-from morekg.serdes import (ParseError, SerializationConfig, parse_ntriples,
-                           parse_turtle, write_ntriples, write_turtle)
+from morekg.serdes import (ParseError, parse_ntriples, parse_turtle,
+                           write_ntriples, write_turtle)
 
 from strategies import graphs
 
@@ -156,8 +156,8 @@ class TestTurtle:
 # IRI, an unknown string escape, short \u and \U escapes, code points
 # above U+10FFFF and a lone surrogate; in IRIs, escapes that encode a
 # space or a character IRIs exclude, a non-\u escape and a short one; in
-# a datatype IRI, an escape that encodes a space.  Each must fail at the
-# position of the term's first character.
+# a datatype IRI, an escape that encodes a space, and an empty one.  Each
+# must fail at the position of the term's first character.
 BAD_TERMS = [
     ('<> <http://e/p> <http://e/o> .', 1),
     ('<http://e/s> <http://e/p> "a\\qb" .', 27),
@@ -173,6 +173,7 @@ BAD_TERMS = [
     ('<http://e/s> <http://e/p> <http://a/\\q> .', 27),
     ('<http://e/s> <http://e/p> <http://a/\\u00> .', 27),
     ('<http://e/s> <http://e/p> "x"^^<http://a/\\u0020> .', 27),
+    ('<http://e/s> <http://e/p> "x"^^<> .', 27),
 ]
 
 
@@ -274,8 +275,7 @@ r2: ?a a more:C => ?a more:v "31.5"^^xsd:decimal & ?a more:w -2 .
 @settings(max_examples=300, deadline=None)
 @pytest.mark.parametrize("parse,doc,error", [
     (parse_ntriples, write_ntriples(_fuzz_graph()), ParseError),
-    (parse_turtle, write_turtle(_fuzz_graph(), SerializationConfig(
-        format="turtle", prefixes=PrefixMap({"ex": EX}))), ParseError),
+    (parse_turtle, write_turtle(_fuzz_graph(), PrefixMap({"ex": EX})), ParseError),
     (parse_query, FUZZ_QUERY, QuerySyntaxError),
     (parse_rules, FUZZ_RULES, RuleSyntaxError),
 ], ids=["ntriples", "turtle", "query", "rules"])
