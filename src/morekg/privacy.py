@@ -28,24 +28,13 @@ class PolicyError(Exception):
 
 
 @dataclass(frozen=True)
-class SensitivityAnnotation:
-    target: IRI
-    level: str
-
-    def __post_init__(self):
-        if self.level not in LEVELS:
-            raise PolicyError("unknown sensitivity level %r for %s"
-                              % (self.level, self.target.value))
-
-
-@dataclass(frozen=True)
 class GeneralizationSpec:
     width: int
-    kind: str = "band"
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise PolicyError("generalization width must be positive")
+        if type(self.width) is not int or self.width <= 0:  # bool is not a width
+            raise PolicyError("generalization width must be a positive integer, got %r"
+                              % (self.width,))
 
     def band_label(self, value) -> Optional[str]:
         num = numeric_value(value)
@@ -110,7 +99,9 @@ def policy_from_dict(data: dict, prefixes: Optional[PrefixMap] = None) -> Policy
         annotations: dict[IRI, str] = {}
         for key, level in (data.get("annotations") or {}).items():
             target = _expand_target(key, pm)
-            SensitivityAnnotation(target, level)  # level check
+            if level not in LEVELS:
+                raise PolicyError("unknown sensitivity level %r for %s"
+                                  % (level, target.value))
             annotations[target] = level
 
         roles: dict[str, Role] = {}
@@ -125,8 +116,16 @@ def policy_from_dict(data: dict, prefixes: Optional[PrefixMap] = None) -> Policy
                                   % (name, ", ".join(sorted(unknown))))
             generalizations = {}
             for key, gspec in (spec.get("generalize") or {}).items():
-                generalizations[_expand_target(key, pm)] = GeneralizationSpec(
-                    width=int(gspec["width"]), kind=gspec.get("kind", "band"))
+                try:
+                    if not isinstance(gspec, dict):
+                        raise PolicyError("expected a mapping with a width")
+                    if gspec.get("kind", "band") != "band":
+                        raise PolicyError("unknown kind %r (only band is supported)"
+                                          % gspec["kind"])
+                    generalizations[_expand_target(key, pm)] = GeneralizationSpec(
+                        gspec.get("width"))
+                except PolicyError as e:
+                    raise PolicyError("role %s: generalize %s: %s" % (name, key, e)) from None
             roles[name] = Role(name=name, allowed=allowed,
                                generalizations=generalizations)
     except RdfError as e:

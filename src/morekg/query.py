@@ -555,7 +555,7 @@ def explain(q: QueryAst, g: Graph) -> PlanDescription:
 # ---------------------------------------------------------------------------
 # Result rendering
 
-def render_term(term, prefixes: Optional[PrefixMap] = None) -> str:
+def render_term(term) -> str:
     if term is None:
         return ""
     if isinstance(term, Literal):

@@ -3,9 +3,12 @@
 Terms are interned: constructing an ``IRI``, ``BlankNode`` or ``Literal``
 from the same arguments returns the same immutable object, so terms
 compare and hash by identity.  The intern tables live for the process.
-The graph keeps three nested-dict indexes (SPO, POS, OSP) so that any
-single-triple pattern can be answered with dictionary lookups only; SPO
-also answers membership.
+The graph keeps two nested-dict indexes, SPO and POS; SPO also answers
+membership.  A pattern is answered by lookups alone unless it binds the
+object but not the predicate; then the object is looked up under each
+predicate of the subject (SPO) or of the whole graph (POS).  A KG built
+from a fixed vocabulary has few predicates, and its queries and rules
+name them.
 """
 
 from __future__ import annotations
@@ -150,18 +153,17 @@ def _copy_index(index: dict) -> dict:
 
 
 class Graph:
-    """Set of triples with SPO/POS/OSP indexes.
+    """Set of triples with SPO and POS indexes.
 
     Single-writer, multi-reader: mutate only with exclusive access.
     """
 
-    __slots__ = ("_len", "_spo", "_pos", "_osp")
+    __slots__ = ("_len", "_spo", "_pos")
 
     def __init__(self, triples=None):
         self._len = 0
         self._spo: dict = {}
         self._pos: dict = {}
-        self._osp: dict = {}
         if triples:
             self.update(triples)
 
@@ -206,15 +208,6 @@ class Graph:
                 os_[o] = {s}
             else:
                 subjs.add(s)
-        sp = self._osp.get(o)
-        if sp is None:
-            self._osp[o] = {s: {p}}
-        else:
-            preds = sp.get(s)
-            if preds is None:
-                sp[s] = {p}
-            else:
-                preds.add(p)
         self._len += 1
         return True
 
@@ -237,7 +230,6 @@ class Graph:
         g._len = self._len
         g._spo = _copy_index(self._spo)
         g._pos = _copy_index(self._pos)
-        g._osp = _copy_index(self._osp)
         return g
 
     def triples(self) -> set[Triple]:
@@ -253,8 +245,9 @@ class Graph:
             for obj in self._spo.get(s, {}).get(p, ()):
                 yield Triple(s, p, obj)
         elif s is not None and o is not None:
-            for pred in self._osp.get(o, {}).get(s, ()):
-                yield Triple(s, pred, o)
+            for pred, objs in self._spo.get(s, {}).items():
+                if o in objs:
+                    yield Triple(s, pred, o)
         elif p is not None and o is not None:
             for subj in self._pos.get(p, {}).get(o, ()):
                 yield Triple(subj, p, o)
@@ -267,8 +260,8 @@ class Graph:
                 for subj in subjs:
                     yield Triple(subj, p, obj)
         elif o is not None:
-            for subj, preds in self._osp.get(o, {}).items():
-                for pred in preds:
+            for pred, os_ in self._pos.items():
+                for subj in os_.get(o, ()):
                     yield Triple(subj, pred, o)
         else:
             yield from self

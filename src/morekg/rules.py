@@ -196,7 +196,7 @@ def _extend(g: Graph, step: tuple, solutions: list[dict]) -> list[dict]:
     and writes only the atom's new variables into a copy of the binding.
     """
     (sk, sc, sn), (pk, pc, pn), (ok, oc, on) = step
-    spo, pos, osp = g._spo, g._pos, g._osp
+    spo, pos = g._spo, g._pos
     out: list[dict] = []
     add = out.append
     new = [n for n in (sn, pn, on) if n is not None]
@@ -222,10 +222,12 @@ def _extend(g: Graph, step: tuple, solutions: list[dict]) -> list[dict]:
                 add(nb)
     elif sn is None and on is None:  # (s, ?, o)
         for b in solutions:
-            for p in osp.get(b.get(ok, oc), _NO_ENTRIES).get(b.get(sk, sc), ()):
-                nb = b.copy()
-                nb[pn] = p
-                add(nb)
+            o = b.get(ok, oc)
+            for p, objs in spo.get(b.get(sk, sc), _NO_ENTRIES).items():
+                if o in objs:
+                    nb = b.copy()
+                    nb[pn] = p
+                    add(nb)
     elif pn is None and on is None:  # (?, p, o)
         for b in solutions:
             for s in pos.get(b.get(pk, pc), _NO_ENTRIES).get(b.get(ok, oc), ()):
@@ -250,8 +252,9 @@ def _extend(g: Graph, step: tuple, solutions: list[dict]) -> list[dict]:
                     add(nb)
     elif on is None:  # (?, ?, o)
         for b in solutions:
-            for s, preds in osp.get(b.get(ok, oc), _NO_ENTRIES).items():
-                for p in preds:
+            o = b.get(ok, oc)
+            for p, os_ in pos.items():
+                for s in os_.get(o, ()):
                     nb = b.copy()
                     nb[sn] = s
                     nb[pn] = p

@@ -189,6 +189,23 @@ class TestRedactAndAudit:
         assert not list(g.match(None, vocab.MORE_HAS_SEX, None))
         assert list(g.match(None, vocab.MORE_HAS_AGE, None))  # not denied here
 
+    @pytest.mark.parametrize("entry", ["{}", "5", "{width: wide}",
+                                       "{width: 5, kind: quantile}"])
+    def test_malformed_generalize_is_domain_error(self, kg_path, tmp_path,
+                                                  capsys, entry):
+        policy = tmp_path / "policy.yaml"
+        policy.write_text(
+            "annotations: {more:hasAge: identifying}\n"
+            "roles: {public: {allow: [public], generalize: {more:hasAge: %s}}}\n"
+            % entry, encoding="utf-8")
+        view = tmp_path / "view.nt"
+        assert main(["redact", str(kg_path), "--policy", str(policy),
+                     "--role", "public", "-o", str(view)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: role public: generalize more:hasAge: ")
+        assert "Traceback" not in err
+        assert not view.exists()
+
 
 class TestCqCommand:
     def _write_case(self, kg_path, cases, capsys):

@@ -61,6 +61,32 @@ class TestPolicyModel:
         with pytest.raises(PolicyError, match="width"):
             GeneralizationSpec(0)
 
+    @pytest.mark.parametrize("entry,message", [
+        ({}, "generalization width must be a positive integer"),
+        (5, "expected a mapping"),
+        ([5], "expected a mapping"),
+        ({"width": "wide"}, "generalization width must be a positive integer"),
+        ({"width": 2.5}, "generalization width must be a positive integer"),
+        ({"width": True}, "generalization width must be a positive integer"),
+        ({"width": 5, "kind": "quantile"}, "unknown kind 'quantile'"),
+    ])
+    def test_malformed_generalize_entry_rejected(self, entry, message):
+        with pytest.raises(PolicyError,
+                           match="role public: generalize more:hasAge: " + message):
+            policy_from_dict({
+                "annotations": {"more:hasAge": "identifying"},
+                "roles": {"public": {"allow": ["public"],
+                                     "generalize": {"more:hasAge": entry}}},
+            })
+
+    def test_band_kind_accepted(self):
+        p = policy_from_dict({
+            "annotations": {"more:hasAge": "identifying"},
+            "roles": {"public": {"allow": ["public"], "generalize": {
+                "more:hasAge": {"width": 10, "kind": "band"}}}},
+        })
+        assert p.role("public").generalizations[vocab.MORE_HAS_AGE].width == 10
+
     def test_unknown_role_lookup(self):
         with pytest.raises(PolicyError, match="nobody"):
             default_policy().role("nobody")
