@@ -82,7 +82,9 @@ class Policy:
         return {t for t, level in self.annotations.items() if level in role.denied}
 
 
-def _expand_target(key: str, pm: PrefixMap) -> IRI:
+def _expand_target(key, pm: PrefixMap) -> IRI:
+    if not isinstance(key, str):
+        raise PolicyError("target must be an IRI or CURIE string, got %r" % (key,))
     if key.startswith("<") and key.endswith(">"):
         return IRI(key[1:-1])
     if "://" in key:
@@ -90,32 +92,54 @@ def _expand_target(key: str, pm: PrefixMap) -> IRI:
     return pm.expand(key)
 
 
+def _section(value, where: str) -> dict:
+    """A policy section that must be a mapping; absent or empty reads as {}."""
+    if not value:
+        return {}
+    if not isinstance(value, dict):
+        raise PolicyError("%s: expected a mapping, got %s" % (where, type(value).__name__))
+    return value
+
+
 def policy_from_dict(data: dict, prefixes: Optional[PrefixMap] = None) -> Policy:
     pm = prefixes or PrefixMap.default()
-    for prefix, ns in (data.get("prefixes") or {}).items():
+    for prefix, ns in _section(data.get("prefixes"), "prefixes").items():
+        if not isinstance(prefix, str) or not isinstance(ns, str):
+            raise PolicyError("prefixes: expected a prefix name and a namespace "
+                              "IRI string, got %r: %r" % (prefix, ns))
         pm.register(prefix, ns)
 
     try:
         annotations: dict[IRI, str] = {}
-        for key, level in (data.get("annotations") or {}).items():
-            target = _expand_target(key, pm)
+        for key, level in _section(data.get("annotations"), "annotations").items():
+            try:
+                target = _expand_target(key, pm)
+            except PolicyError as e:
+                raise PolicyError("annotations: %s" % e) from None
             if level not in LEVELS:
                 raise PolicyError("unknown sensitivity level %r for %s"
                                   % (level, target.value))
             annotations[target] = level
 
         roles: dict[str, Role] = {}
-        for name, spec in (data.get("roles") or {}).items():
+        for name, spec in _section(data.get("roles"), "roles").items():
+            if not isinstance(name, str):
+                raise PolicyError("roles: role name must be a string, got %r" % (name,))
             if name in roles:
                 raise PolicyError("duplicate role %r" % name)
-            spec = spec or {}
-            allowed = frozenset(spec.get("allow") or ())
+            spec = _section(spec, "role %s" % name)
+            allow = spec.get("allow") or []
+            if not isinstance(allow, list) or not all(isinstance(a, str) for a in allow):
+                raise PolicyError("role %s: allow: expected a list of levels, got %r"
+                                  % (name, allow))
+            allowed = frozenset(allow)
             unknown = allowed - set(LEVELS)
             if unknown:
                 raise PolicyError("role %s: unknown level(s): %s"
                                   % (name, ", ".join(sorted(unknown))))
             generalizations = {}
-            for key, gspec in (spec.get("generalize") or {}).items():
+            generalize = _section(spec.get("generalize"), "role %s: generalize" % name)
+            for key, gspec in generalize.items():
                 try:
                     if not isinstance(gspec, dict):
                         raise PolicyError("expected a mapping with a width")

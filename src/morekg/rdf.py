@@ -9,6 +9,15 @@ object but not the predicate; then the object is looked up under each
 predicate of the subject (SPO) or of the whole graph (POS).  A KG built
 from a fixed vocabulary has few predicates, and its queries and rules
 name them.
+
+An index leaf (the objects of one subject and predicate, or the subjects
+of one predicate and object) is the term itself while it holds one term,
+and a ``set`` from the second term on.  Most leaves of a KG hold one
+term, so this saves a container the garbage collector would walk for
+nearly every triple.  ``Graph`` has no remove, so a ``set`` never shrinks
+back: each leaf has one form for its content, and equal graphs have
+equal indexes.  Only ``Graph`` and ``rules._extend`` read the leaves,
+through ``_leaf_terms`` or a ``type(leaf) is set`` test.
 """
 
 from __future__ import annotations
@@ -148,12 +157,25 @@ def _reject_triple(s: Term, p: Term, o: Term) -> None:
     raise MalformedTripleError("triple predicate must be an IRI: %r" % (t,))
 
 
+def _leaf_terms(leaf) -> set | tuple:
+    """The terms of an index leaf: a ``set`` as it is, a bare term as a
+    one-element tuple, and None (a missing key) as an empty tuple."""
+    if type(leaf) is set:
+        return leaf
+    return () if leaf is None else (leaf,)
+
+
 def _copy_index(index: dict) -> dict:
-    return {k: {k2: v.copy() for k2, v in inner.items()} for k, inner in index.items()}
+    # bare leaves are interned, immutable terms and can be shared
+    return {k: {k2: v.copy() if type(v) is set else v for k2, v in inner.items()}
+            for k, inner in index.items()}
 
 
 class Graph:
     """Set of triples with SPO and POS indexes.
+
+    ``_spo[s][p]`` and ``_pos[p][o]`` are leaves: one bare term, or a
+    ``set`` of two or more (see the module docstring).
 
     Single-writer, multi-reader: mutate only with exclusive access.
     """
@@ -171,14 +193,18 @@ class Graph:
         return self._len
 
     def __iter__(self) -> Iterator[Triple]:
+        new = tuple.__new__  # skips the namedtuple's Python-level __new__
         for s, po in self._spo.items():
             for p, objs in po.items():
-                for o in objs:
-                    yield Triple(s, p, o)
+                if type(objs) is set:
+                    for o in objs:
+                        yield new(Triple, (s, p, o))
+                else:
+                    yield new(Triple, (s, p, objs))
 
     def __contains__(self, t: Triple) -> bool:
         s, p, o = t
-        return o in self._spo.get(s, {}).get(p, ())
+        return o in _leaf_terms(self._spo.get(s, {}).get(p))
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self._len == other._len
@@ -190,24 +216,30 @@ class Graph:
             _reject_triple(s, p, o)
         po = self._spo.get(s)
         if po is None:
-            self._spo[s] = {p: {o}}
+            self._spo[s] = {p: o}
         else:
             objs = po.get(p)
             if objs is None:
-                po[p] = {o}
-            elif o in objs:
+                po[p] = o
+            elif type(objs) is set:
+                if o in objs:
+                    return False
+                objs.add(o)
+            elif objs is o:
                 return False
             else:
-                objs.add(o)
+                po[p] = {objs, o}
         os_ = self._pos.get(p)
         if os_ is None:
-            self._pos[p] = {o: {s}}
+            self._pos[p] = {o: s}
         else:
             subjs = os_.get(o)
             if subjs is None:
-                os_[o] = {s}
-            else:
+                os_[o] = s
+            elif type(subjs) is set:
                 subjs.add(s)
+            else:
+                os_[o] = {subjs, s}
         self._len += 1
         return True
 
@@ -238,31 +270,32 @@ class Graph:
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> Iterator[Triple]:
         """Yield triples agreeing with every bound position."""
+        new = tuple.__new__
         if s is not None and p is not None and o is not None:
-            if o in self._spo.get(s, {}).get(p, ()):
-                yield Triple(s, p, o)
+            if o in _leaf_terms(self._spo.get(s, {}).get(p)):
+                yield new(Triple, (s, p, o))
         elif s is not None and p is not None:
-            for obj in self._spo.get(s, {}).get(p, ()):
-                yield Triple(s, p, obj)
+            for obj in _leaf_terms(self._spo.get(s, {}).get(p)):
+                yield new(Triple, (s, p, obj))
         elif s is not None and o is not None:
             for pred, objs in self._spo.get(s, {}).items():
-                if o in objs:
-                    yield Triple(s, pred, o)
+                if o in _leaf_terms(objs):
+                    yield new(Triple, (s, pred, o))
         elif p is not None and o is not None:
-            for subj in self._pos.get(p, {}).get(o, ()):
-                yield Triple(subj, p, o)
+            for subj in _leaf_terms(self._pos.get(p, {}).get(o)):
+                yield new(Triple, (subj, p, o))
         elif s is not None:
             for pred, objs in self._spo.get(s, {}).items():
-                for obj in objs:
-                    yield Triple(s, pred, obj)
+                for obj in _leaf_terms(objs):
+                    yield new(Triple, (s, pred, obj))
         elif p is not None:
             for obj, subjs in self._pos.get(p, {}).items():
-                for subj in subjs:
-                    yield Triple(subj, p, obj)
+                for subj in _leaf_terms(subjs):
+                    yield new(Triple, (subj, p, obj))
         elif o is not None:
             for pred, os_ in self._pos.items():
-                for subj in os_.get(o, ()):
-                    yield Triple(subj, pred, o)
+                for subj in _leaf_terms(os_.get(o)):
+                    yield new(Triple, (subj, pred, o))
         else:
             yield from self
 
@@ -272,15 +305,16 @@ class Graph:
         if s is None and p is None and o is None:
             return self._len
         if s is not None and p is not None and o is None:
-            return len(self._spo.get(s, {}).get(p, ()))
+            return len(_leaf_terms(self._spo.get(s, {}).get(p)))
         if s is None and p is not None and o is not None:
-            return len(self._pos.get(p, {}).get(o, ()))
+            return len(_leaf_terms(self._pos.get(p, {}).get(o)))
         if p is not None and o is None and s is None:
-            return sum(len(v) for v in self._pos.get(p, {}).values())
+            return sum(len(v) if type(v) is set else 1
+                       for v in self._pos.get(p, {}).values())
         return sum(1 for _ in self.match(s, p, o))
 
     def objects(self, s: Term, p: Term) -> Iterator[Term]:
-        yield from self._spo.get(s, {}).get(p, ())
+        yield from _leaf_terms(self._spo.get(s, {}).get(p))
 
 
 class PrefixMap:

@@ -27,7 +27,7 @@ from types import MappingProxyType
 from typing import Optional, Sequence
 
 from . import vocab
-from .rdf import Graph, IRI, Literal, PrefixMap, Triple
+from .rdf import Graph, IRI, Literal, PrefixMap, _leaf_terms
 from .serdes import PositionedError, TokenStream, term_to_ttl
 
 
@@ -194,6 +194,8 @@ def _extend(g: Graph, step: tuple, solutions: list[dict]) -> list[dict]:
 
     Each of the eight shapes of known positions walks one index directly
     and writes only the atom's new variables into a copy of the binding.
+    A leaf is a bare term or a ``set`` (see ``rdf``); ``_leaf_terms``
+    iterates either.
     """
     (sk, sc, sn), (pk, pc, pn), (ok, oc, on) = step
     spo, pos = g._spo, g._pos
@@ -211,12 +213,14 @@ def _extend(g: Graph, step: tuple, solutions: list[dict]) -> list[dict]:
                     add(nb)
     elif sn is None and pn is None and on is None:  # (s, p, o)
         for b in solutions:
-            s, p = b.get(sk, sc), b.get(pk, pc)
-            if b.get(ok, oc) in spo.get(s, _NO_ENTRIES).get(p, ()):
+            objs = spo.get(b.get(sk, sc), _NO_ENTRIES).get(b.get(pk, pc))
+            o = b.get(ok, oc)
+            if objs is o or (type(objs) is set and o in objs):
                 add(b)
     elif sn is None and pn is None:  # (s, p, ?)
         for b in solutions:
-            for o in spo.get(b.get(sk, sc), _NO_ENTRIES).get(b.get(pk, pc), ()):
+            objs = spo.get(b.get(sk, sc), _NO_ENTRIES).get(b.get(pk, pc))
+            for o in _leaf_terms(objs):
                 nb = b.copy()
                 nb[on] = o
                 add(nb)
@@ -224,20 +228,21 @@ def _extend(g: Graph, step: tuple, solutions: list[dict]) -> list[dict]:
         for b in solutions:
             o = b.get(ok, oc)
             for p, objs in spo.get(b.get(sk, sc), _NO_ENTRIES).items():
-                if o in objs:
+                if objs is o or (type(objs) is set and o in objs):
                     nb = b.copy()
                     nb[pn] = p
                     add(nb)
     elif pn is None and on is None:  # (?, p, o)
         for b in solutions:
-            for s in pos.get(b.get(pk, pc), _NO_ENTRIES).get(b.get(ok, oc), ()):
+            subjs = pos.get(b.get(pk, pc), _NO_ENTRIES).get(b.get(ok, oc))
+            for s in _leaf_terms(subjs):
                 nb = b.copy()
                 nb[sn] = s
                 add(nb)
     elif sn is None:  # (s, ?, ?)
         for b in solutions:
             for p, objs in spo.get(b.get(sk, sc), _NO_ENTRIES).items():
-                for o in objs:
+                for o in _leaf_terms(objs):
                     nb = b.copy()
                     nb[pn] = p
                     nb[on] = o
@@ -245,7 +250,7 @@ def _extend(g: Graph, step: tuple, solutions: list[dict]) -> list[dict]:
     elif pn is None:  # (?, p, ?)
         for b in solutions:
             for o, subjs in pos.get(b.get(pk, pc), _NO_ENTRIES).items():
-                for s in subjs:
+                for s in _leaf_terms(subjs):
                     nb = b.copy()
                     nb[sn] = s
                     nb[on] = o
@@ -254,7 +259,7 @@ def _extend(g: Graph, step: tuple, solutions: list[dict]) -> list[dict]:
         for b in solutions:
             o = b.get(ok, oc)
             for p, os_ in pos.items():
-                for s in os_.get(o, ()):
+                for s in _leaf_terms(os_.get(o)):
                     nb = b.copy()
                     nb[sn] = s
                     nb[pn] = p
@@ -263,7 +268,7 @@ def _extend(g: Graph, step: tuple, solutions: list[dict]) -> list[dict]:
         for b in solutions:
             for s, po in spo.items():
                 for p, objs in po.items():
-                    for o in objs:
+                    for o in _leaf_terms(objs):
                         nb = b.copy()
                         nb[sn] = s
                         nb[pn] = p
@@ -305,15 +310,15 @@ def join(graphs: Sequence[Graph], body: Sequence[Pattern]) -> list[dict]:
     return solutions
 
 
-def _derive(full: Graph, graphs: list[Graph], rule: Rule, out: set[Triple]) -> None:
+def _derive(full: Graph, graphs: list[Graph], rule: Rule, out: set[tuple]) -> None:
     """Add to ``out`` every head instantiation of ``join(graphs, rule.body)``
-    not in ``full``."""
+    not in ``full``, as a plain ``(s, p, o)`` tuple."""
     for binding in join(graphs, rule.body):
         for hp in rule.head:
-            s, p, o = _subst(hp, binding)
+            t = _subst(hp, binding)
+            s, p, _ = t
             if isinstance(s, Literal) or not isinstance(p, IRI):
                 continue  # unrepresentable instantiation
-            t = Triple(s, p, o)
             if t not in full:
                 out.add(t)
 
@@ -328,7 +333,7 @@ def materialize(g: Graph, rs: RuleSet) -> Graph:
     for r in rs:
         r.validate()
     full = g.copy()
-    new: set[Triple] = set()
+    new: set[tuple] = set()
     for rule in rs:
         _derive(full, [full] * len(rule.body), rule, new)
     while new:

@@ -206,6 +206,17 @@ class TestRedactAndAudit:
         assert "Traceback" not in err
         assert not view.exists()
 
+    def test_malformed_policy_is_domain_error(self, kg_path, tmp_path, capsys):
+        policy = tmp_path / "policy.yaml"
+        policy.write_text("roles: {public: 5}\n", encoding="utf-8")
+        view = tmp_path / "view.nt"
+        assert main(["redact", str(kg_path), "--policy", str(policy),
+                     "--role", "public", "-o", str(view)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: role public: expected a mapping")
+        assert "Traceback" not in err
+        assert not view.exists()
+
 
 class TestCqCommand:
     def _write_case(self, kg_path, cases, capsys):

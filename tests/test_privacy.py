@@ -79,6 +79,30 @@ class TestPolicyModel:
                                      "generalize": {"more:hasAge": entry}}},
             })
 
+    @pytest.mark.parametrize("data,message", [
+        ({"roles": {"public": 5}}, "role public: expected a mapping, got int"),
+        ({"roles": {"public": {"allow": ["public"], "generalize": 5}}},
+         "role public: generalize: expected a mapping, got int"),
+        ({"annotations": ["x"], "roles": {"public": {}}},
+         "annotations: expected a mapping, got list"),
+        ({"roles": 5}, "roles: expected a mapping, got int"),
+        ({"roles": {5: {"allow": ["public"]}}}, "roles: role name must be a string"),
+        ({"prefixes": 5, "roles": {"public": {}}}, "prefixes: expected a mapping, got int"),
+        ({"annotations": {"more:hasAge": "identifying"},
+          "roles": {"public": {"generalize": {5: {"width": 5}}}}},
+         "role public: generalize 5: target must be an IRI or CURIE string"),
+        ({"roles": {"public": {"allow": "public"}}},
+         "role public: allow: expected a list of levels, got 'public'"),
+        ({"annotations": {5: "public"}, "roles": {"public": {}}},
+         "annotations: target must be an IRI or CURIE string"),
+        ({"prefixes": {"ex": 5}, "annotations": {"ex:a": "public"}, "roles": {"public": {}}},
+         "prefixes: expected a prefix name and a namespace IRI string"),
+    ])
+    def test_malformed_section_names_it(self, data, message):
+        with pytest.raises(PolicyError) as info:
+            policy_from_dict(data)
+        assert str(info.value).startswith(message)
+
     def test_band_kind_accepted(self):
         p = policy_from_dict({
             "annotations": {"more:hasAge": "identifying"},

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -8,6 +9,7 @@ from morekg.rdf import (XSD_STRING, BlankNode, Graph, IRI, Literal,
                         MalformedTripleError, PrefixMap, RdfError, Triple,
                         UnresolvedPrefixError)
 from morekg import vocab
+from morekg.rules import Var, join
 
 from strategies import graphs, triples
 
@@ -183,6 +185,100 @@ class TestGraph:
         for t in ts:
             g.insert(t)
         assert len(g) == len(set(ts))
+
+
+EX_S2, EX_S3 = IRI("http://example.org/s2"), IRI("http://example.org/s3")
+EX_P2 = IRI("http://example.org/p2")
+EX_O2, EX_O3 = IRI("http://example.org/o2"), IRI("http://example.org/o3")
+# never added; each shares one index key with the triples the tests add
+ABSENT_TRIPLES = [Triple(EX_S, IRI("http://example.org/absent"), EX_O),
+                  Triple(EX_S2, EX_P, IRI("http://example.org/absent"))]
+
+
+def _check_against_scan(g, expected):
+    """Every read of ``g`` agrees with a scan of the set ``expected``: all
+    seven ``match`` shapes, ``count`` and a one-atom ``join`` over patterns
+    built from present and absent triples, plus ``in``, ``objects`` and
+    ``len``."""
+    assert len(g) == len(expected)
+    assert set(g) == expected
+    for t in list(expected) + ABSENT_TRIPLES:
+        assert (t in g) == (t in expected)
+        assert set(g.objects(t.subject, t.predicate)) == {
+            x.object for x in expected if x[:2] == t[:2]}
+        for pattern in _shapes(*t):
+            scan = {x for x in expected
+                    if all(q is None or q is v for q, v in zip(pattern, x))}
+            assert set(g.match(*pattern)) == scan, pattern
+            assert g.count(*pattern) == len(scan), pattern
+            atom = tuple(Var(n) if q is None else q for n, q in zip("spo", pattern))
+            joined = {Triple(*(b.get(n, q) for n, q in zip("spo", pattern)))
+                      for b in join([g], [atom])}
+            assert joined == scan, pattern
+
+
+class TestLeaves:
+    """An index leaf is a bare term while it holds one term and a set from
+    the second term on; every read must see both forms alike."""
+
+    def test_leaf_grows_from_one_term_to_two_and_ignores_duplicates(self):
+        g = Graph()
+        expected = set()
+        steps = [
+            [Triple(EX_S, EX_P, EX_O)],  # both leaves bare
+            # the (s, p) leaf and the (p, o) leaf each get a second term
+            [Triple(EX_S, EX_P, EX_O2), Triple(EX_S2, EX_P, EX_O)],
+            [],  # duplicates only
+        ]
+        for step in steps:
+            for t in step:
+                assert g.add(*t) is True
+                expected.add(t)
+            for t in sorted(expected, key=repr):
+                assert g.add(*t) is False
+            _check_against_scan(g, expected)
+
+    def test_copy_promotes_its_own_leaves(self):
+        source = {Triple(EX_S, EX_P, EX_O), Triple(EX_S, EX_P, EX_O2),
+                  Triple(EX_S2, EX_P, EX_O), Triple(EX_S3, EX_P2, EX_O3)}
+        g = Graph(source)
+        c = g.copy()
+        extra = {Triple(EX_S, EX_P, EX_O3),     # a set leaf grows
+                 Triple(EX_S3, EX_P2, EX_O),    # a bare leaf becomes a set
+                 Triple(EX_S2, EX_P2, EX_O3)}   # and a (p, o) set leaf
+        assert c.update(extra) == len(extra)
+        _check_against_scan(g, source)
+        _check_against_scan(c, source | extra)
+
+    def test_equal_whatever_the_insertion_order(self):
+        ts = [Triple(EX_S, EX_P, EX_O), Triple(EX_S, EX_P, EX_O2),
+              Triple(EX_S2, EX_P, EX_O), Triple(EX_S, EX_P2, EX_O3),
+              Triple(EX_S3, EX_P2, EX_O3)]
+        first = Graph(ts)
+        for order in itertools.permutations(ts):
+            g = Graph(order)
+            assert g == first and g.copy() == first
+        assert Graph(ts[1:]) != first
+        assert Graph(ts[1:] + [Triple(EX_S3, EX_P, EX_O)]) != first
+
+    def test_distinct_pairs_hold_no_set_leaf(self):
+        def set_leaf_sizes(index):
+            return [len(leaf) for inner in index.values() for leaf in inner.values()
+                    if isinstance(leaf, set)]
+
+        g = Graph()
+        for i in range(4):
+            # (s, p) pairs and (p, o) pairs all distinct; subjects,
+            # predicates and objects each repeat
+            g.add(IRI("http://example.org/s%d" % (i % 2)),
+                  IRI("http://example.org/p%d" % (i // 2)),
+                  IRI("http://example.org/o%d" % i))
+        assert sum(len(inner) for inner in g._spo.values()) == 4
+        assert sum(len(inner) for inner in g._pos.values()) == 4
+        assert set_leaf_sizes(g._spo) == set_leaf_sizes(g._pos) == []
+        g.add(IRI("http://example.org/s0"), IRI("http://example.org/p0"),
+              IRI("http://example.org/o1"))
+        assert set_leaf_sizes(g._spo) == set_leaf_sizes(g._pos) == [2]
 
 
 class TestPrefixMap:
