@@ -9,8 +9,14 @@ collections, blank-node property lists, or ``@base``.
 ``TokenStream`` lexes Turtle, queries and rule files with one regex and
 builds their terms with one method, so an IRI, prefixed name or literal
 reads the same in all three; ``term_to_ttl`` writes terms back in that
-syntax.  N-Triples keeps its own line parser, with a cache of the terms
-it has seen.
+syntax.
+
+N-Triples has two readers over one cache from a term's exact text to the
+term.  A line in canonical form, ``<s> <p> <o> .``, is split at its first
+two spaces and its three texts looked up; a text seen for the first time
+must match the term grammar whole.  Every other line, and a canonical one
+whose texts do not all resolve, goes to the full line parser, which
+accepts any valid layout and is the only source of positioned errors.
 
 Canonical output is byte-deterministic: a pure function of the triple
 set, independent of insertion order.
@@ -42,6 +48,9 @@ _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _ESCAPE_RE = re.compile(r'[\\"\n\r\t]')
 _UNESCAPE_RE = re.compile(r"\\(u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8}|.)")
 _IRI_ESCAPE_RE = re.compile(r"\\(u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8})?")
+# what an IRI reference may not contain, raw or escaped, but for the
+# backslash, which starts an escape
+_IRI_EXCLUDED_RE = re.compile(r'[\x00-\x20<>"{}|^`]')
 
 
 def escape_string(s: str) -> str:
@@ -67,21 +76,26 @@ def unescape_string(s: str) -> str:
             return {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}[e]
         except KeyError:
             raise RdfError("unknown escape sequence \\%s" % e) from None
-    return _UNESCAPE_RE.sub(repl, s)
+    return _UNESCAPE_RE.sub(repl, s) if "\\" in s else s
 
 
 def unescape_iri(s: str) -> str:
     """Decode the ``\\u``/``\\U`` escapes of an IRI reference's text.
 
-    Those are the only escapes an IRI reference allows, and they may not
-    encode a character it excludes: space, controls or ``<>"{}|^`\\``.
+    Those are the only escapes an IRI reference allows.  Neither the text
+    nor an escape may hold a character IRIs exclude: space, controls or
+    ``<>"{}|^`\\`` (a raw backslash starts an escape).
     """
+    bad = _IRI_EXCLUDED_RE.search(s)
+    if bad:
+        raise RdfError("IRIs may not contain %r" % bad.group())
+
     def repl(m):
         e = m.group(1)
         if e is None:
             raise RdfError("IRI escape must be \\uXXXX or \\UXXXXXXXX")
         c = _uchar(e)
-        if c <= " " or c in '<>"{}|^`\\':
+        if c == "\\" or _IRI_EXCLUDED_RE.match(c):
             raise RdfError("\\%s in an IRI encodes %r, which IRIs may not contain"
                            % (e, c))
         return c
@@ -103,12 +117,15 @@ def term_to_nt(term: Term) -> str:
 # ---------------------------------------------------------------------------
 # N-Triples
 
+# One term, or the terminating dot, after optional blanks; ``term`` spans
+# the term's own text.
 _NT_TERM_RE = re.compile(
     r"""\s*(?:
-        (?P<iri><[^<>"\s]*>)
-      | (?P<blank>_:[A-Za-z0-9_][A-Za-z0-9_-]*)
-      | (?P<lit>"(?:[^"\\]|\\.)*")
-        (?:\^\^(?P<dt><[^<>"\s]*>)|@(?P<lang>[a-zA-Z]+(?:-[a-zA-Z0-9]+)*))?
+        (?P<term>
+          (?P<iri><[^<>"\s]*>)
+        | (?P<blank>_:[A-Za-z0-9_][A-Za-z0-9_-]*)
+        | (?P<lit>"(?:[^"\\]|\\.)*")
+          (?:\^\^(?P<dt><[^<>"\s]*>)|@(?P<lang>[a-zA-Z]+(?:-[a-zA-Z0-9]+)*))?)
       | (?P<dot>\.)
     )""",
     re.X,
@@ -116,13 +133,12 @@ _NT_TERM_RE = re.compile(
 
 
 def _nt_term(m: re.Match) -> Term:
-    if m.group("iri"):
-        return IRI(unescape_iri(m.group("iri")[1:-1]))
-    if m.group("blank"):
-        return BlankNode(m.group("blank")[2:])
-    lex = unescape_string(m.group("lit")[1:-1])
-    dt = m.group("dt")
-    lang = m.group("lang")
+    iri, blank, lit, dt, lang = m.group("iri", "blank", "lit", "dt", "lang")
+    if iri:
+        return IRI(unescape_iri(iri[1:-1]))
+    if blank:
+        return BlankNode(blank[2:])
+    lex = unescape_string(lit[1:-1])
     if lang:
         return Literal(lex, lang=lang)
     if dt:
@@ -130,38 +146,53 @@ def _nt_term(m: re.Match) -> Term:
     return Literal(lex)
 
 
+def _nt_new_term(text: str, cache: dict) -> Optional[Term]:
+    """The term ``text`` spells, now stored in ``cache`` under it; None
+    unless ``text`` is exactly one valid term."""
+    m = _NT_TERM_RE.fullmatch(text)
+    # start("term") is -1 for the dot and above 0 after leading blanks
+    if m is None or m.start("term") != 0:
+        return None
+    try:
+        term = cache[text] = _nt_term(m)
+    except RdfError:
+        return None
+    return term
+
+
 def _nt_parse_line(line: str, lineno: int, graph: Graph, cache: dict) -> None:
+    """Parse one line of any valid layout, or raise a positioned error."""
     pos = 0
     terms = []
     saw_dot = False
     while pos < len(line):
         m = _NT_TERM_RE.match(line, pos)
-        if not m or m.end() == pos:
-            rest = line[pos:].strip()
+        if not m:
+            rest = line[pos:].lstrip()
             if not rest:
                 break
-            raise ParseError("malformed term %r" % rest[:20], lineno, pos + 1)
+            raise ParseError("malformed term %r" % rest.rstrip()[:20], lineno,
+                             len(line) - len(rest) + 1)
         pos = m.end()
         if m.group("dot"):
             saw_dot = True
             if line[pos:].strip():
                 raise ParseError("content after terminating dot", lineno, pos + 1)
             break
-        key = m.group(0)
+        key = m.group("term")
         term = cache.get(key)
         if term is None:
             try:
-                term = _nt_term(m)
+                term = cache[key] = _nt_term(m)
             except RdfError as e:
-                # ``key`` may start with blanks; point at the term itself
-                column = m.start() + len(key) - len(key.lstrip()) + 1
-                raise ParseError(str(e), lineno, column) from None
-            cache[key] = term
+                raise ParseError(str(e), lineno, m.start("term") + 1) from None
         terms.append(term)
     if not terms and not saw_dot:
         return
     if len(terms) != 3 or not saw_dot:
-        raise ParseError("expected exactly 3 terms and a terminating dot", lineno, pos)
+        # at the dot, or where the missing one belongs
+        raise ParseError("expected exactly 3 terms and a terminating dot", lineno,
+                         pos if saw_dot else pos + 1)
     s, p, o = terms
     try:
         graph.add(s, p, o)
@@ -171,28 +202,49 @@ def _nt_parse_line(line: str, lineno: int, graph: Graph, cache: dict) -> None:
 
 def parse_ntriples(text: str) -> Graph:
     graph = Graph()
-    cache: dict = {}
+    add = graph.add
+    cache: dict = {}  # a term's exact text -> the term
+    get = cache.get
     for lineno, line in enumerate(text.split("\n"), start=1):
+        # A canonical line, "<s> <p> <o> .", whose three texts are each
+        # one term is added directly; any other line, valid or not, goes
+        # to the line parser, which alone raises errors.
+        parts = line.split(" ", 2)
+        if len(parts) == 3 and parts[2][-2:] == " .":
+            s = get(parts[0]) or _nt_new_term(parts[0], cache)
+            p = get(parts[1]) or _nt_new_term(parts[1], cache)
+            o = parts[2][:-2]
+            o = get(o) or _nt_new_term(o, cache)
+            if s and p and o:
+                try:
+                    add(s, p, o)
+                    continue
+                except RdfError:
+                    pass  # the line parser raises it at its position
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        _nt_parse_line(line, lineno, graph, cache)
+        if stripped and not stripped.startswith("#"):
+            _nt_parse_line(line, lineno, graph, cache)
     return graph
+
+
+class _TermTexts(dict):
+    """Term -> its text as ``write`` spells it, written on first lookup."""
+
+    def __init__(self, write):
+        self.write = write
+
+    def __missing__(self, term):
+        text = self[term] = self.write(term)
+        return text
 
 
 def write_ntriples(g: Graph) -> str:
     """``g`` as canonical N-Triples: one line per triple, sorted."""
-    cache: dict = {}
-
-    def nt(term):
-        s = cache.get(term)
-        if s is None:
-            s = cache[term] = term_to_nt(term)
-        return s
-
-    lines = ["%s %s %s ." % (nt(s), nt(p), nt(o)) for s, p, o in g]
+    nt = _TermTexts(term_to_nt)
+    # no line is a prefix of another, so the newline leaves the order as is
+    lines = ["%s %s %s .\n" % (nt[s], nt[p], nt[o]) for s, p, o in g]
     lines.sort()
-    return "".join(line + "\n" for line in lines)
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +442,7 @@ def write_turtle(g: Graph, prefixes: Optional[PrefixMap] = None) -> str:
     """``g`` as canonical Turtle: subjects, predicates and objects sorted,
     IRIs written as CURIEs of ``prefixes`` (default: the project's)."""
     pm = PrefixMap.default() if prefixes is None else prefixes
-    cache: dict = {}
+    render = _TermTexts(lambda term: term_to_ttl(term, pm)).__getitem__
     lines = ["@prefix %s: <%s> ." % (p, ns) for p, ns in sorted(pm.items())]
     lines.append("")
 
@@ -398,19 +450,13 @@ def write_turtle(g: Graph, prefixes: Optional[PrefixMap] = None) -> str:
     for s, p, o in g:
         by_subject.setdefault(s, {}).setdefault(p, []).append(o)
 
-    def render(term):
-        out = cache.get(term)
-        if out is None:
-            out = cache[term] = term_to_ttl(term, pm)
-        return out
-
     for s in sorted(by_subject, key=render):
         preds = by_subject[s]
         parts = []
         for p in sorted(preds, key=render):
             objs = sorted(preds[p], key=render)
             pstr = "a" if p == vocab.RDF_TYPE else render(p)
-            parts.append("%s %s" % (pstr, ", ".join(render(o) for o in objs)))
+            parts.append("%s %s" % (pstr, ", ".join(map(render, objs))))
         lines.append("%s %s ." % (render(s), " ;\n    ".join(parts)))
     return "".join(line + "\n" for line in lines)
 

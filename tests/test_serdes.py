@@ -7,8 +7,8 @@ from morekg import vocab
 from morekg.query import QueryError, QuerySyntaxError, parse_query
 from morekg.rdf import BlankNode, Graph, IRI, Literal, PrefixMap, Triple
 from morekg.rules import RuleError, RuleSyntaxError, parse_rules
-from morekg.serdes import (ParseError, parse_ntriples, parse_turtle,
-                           write_ntriples, write_turtle)
+from morekg.serdes import (ParseError, _nt_parse_line, parse_ntriples,
+                           parse_turtle, write_ntriples, write_turtle)
 
 from strategies import graphs
 
@@ -46,6 +46,24 @@ class TestNTriples:
     def test_missing_dot(self):
         with pytest.raises(ParseError):
             parse_ntriples("<http://a> <http://b> <http://c>")
+
+    # A term that does not lex fails at its first character, past any
+    # blanks, and a missing dot at the end of the line, where Turtle
+    # reports it too; a canonical line whose terms cannot form a triple
+    # fails at its start.
+    @pytest.mark.parametrize("text,message,column", [
+        ('<http://e/s> <http://e/p> <http://e/o o> .', "malformed term", 27),
+        ('<http://e/s> <http://e/p>   "abc .', "malformed term", 29),
+        ('<http://e/s> <http://e/p> <http://e/o>',
+         "expected exactly 3 terms and a terminating dot", 39),
+        ('"s" <http://e/p> <http://e/o> .', "triple subject may not be a literal", 1),
+        ('<http://e/s> _:p <http://e/o> .', "triple predicate must be an IRI", 1),
+    ])
+    def test_error_position(self, text, message, column):
+        with pytest.raises(ParseError) as e:
+            parse_ntriples(text)
+        assert str(e.value).startswith(message)
+        assert (e.value.line, e.value.column) == (1, column)
 
     def test_escapes_round_trip(self):
         lit = Literal('he said "hi"\n\tand left\\')
@@ -156,8 +174,9 @@ class TestTurtle:
 # IRI, an unknown string escape, short \u and \U escapes, code points
 # above U+10FFFF and a lone surrogate; in IRIs, escapes that encode a
 # space or a character IRIs exclude, a non-\u escape and a short one; in
-# a datatype IRI, an escape that encodes a space, and an empty one.  Each
-# must fail at the position of the term's first character.
+# a datatype IRI, an escape that encodes a space, and an empty one; raw
+# characters that IRIs exclude, in each position and in a datatype IRI.
+# Each must fail at the position of the term's first character.
 BAD_TERMS = [
     ('<> <http://e/p> <http://e/o> .', 1),
     ('<http://e/s> <http://e/p> "a\\qb" .', 27),
@@ -174,6 +193,14 @@ BAD_TERMS = [
     ('<http://e/s> <http://e/p> <http://a/\\u00> .', 27),
     ('<http://e/s> <http://e/p> "x"^^<http://a/\\u0020> .', 27),
     ('<http://e/s> <http://e/p> "x"^^<> .', 27),
+    ('<http://x/a{b}> <http://e/p> <http://e/o> .', 1),
+    ('<http://e/s> <http://e/a|b> <http://e/o> .', 14),
+    ('<http://e/s> <http://e/p> <http://x/a}b> .', 27),
+    ('<http://e/s> <http://e/p> <http://e/a^b> .', 27),
+    ('<http://e/s> <http://e/p> <http://e/a`b> .', 27),
+    ('<http://e/s> <http://e/p> <http://e/a\x00b> .', 27),
+    ('<http://e/s> <http://e/p> <http://e/a\x01b> .', 27),
+    ('<http://e/s> <http://e/p> "x"^^<http://e/a{b> .', 27),
 ]
 
 
@@ -248,13 +275,15 @@ FUZZ_PIECES = list('<>"\\_:.;,@^ #') + ["\\u00", "\\U0001F6"]
 
 
 @st.composite
-def mutated(draw, doc):
+def mutated(draw, doc, pieces=FUZZ_PIECES):
     """``doc`` after 1-3 edits, each inserting, deleting or replacing at one
-    position."""
+    position, half of them at a blank, where terms meet."""
     for _ in range(draw(st.integers(1, 3))):
-        i = draw(st.integers(0, len(doc)))
+        blanks = [i for i, c in enumerate(doc) if c in " \t\n"]
+        i = draw(st.integers(0, len(doc)) if not blanks or draw(st.booleans())
+                 else st.sampled_from(blanks))
         op = draw(st.sampled_from(["insert", "delete", "replace"]))
-        piece = "" if op == "delete" else draw(st.sampled_from(FUZZ_PIECES))
+        piece = "" if op == "delete" else draw(st.sampled_from(pieces))
         doc = doc[:i] + piece + doc[i + (op != "insert"):]
     return doc
 
@@ -289,6 +318,55 @@ def test_mutated_input_parses_or_fails_with_position(parse, doc, error, data):
     except (QueryError, RuleError) as e:
         # well-formed, but a variable is unbound or a rule name repeats
         assert type(e) in (QueryError, RuleError)
+
+
+# Canonical lines whose literals hold inner spaces, " ." and \", with a
+# language tag, a datatype and blank nodes, and some terms repeated; then
+# valid lines in other layouts: tabs, CRLF, leading blanks, a comment.
+NT_LAYOUTS = """\
+<http://e/s> <http://e/label> "grip strength . right hand ." .
+<http://e/s> <http://e/quote> "he said \\"hi .\\" and left" .
+<http://e/s> <http://e/label> "Handkraft rechts"@de-AT .
+<http://e/s> <http://e/value> "31.5"^^<http://www.w3.org/2001/XMLSchema#decimal> .
+_:b1 <http://e/next> <http://e/s> .
+<http://e/s> <http://e/next> _:b1 .
+<http://e/s>\t<http://e/value>\t"7"^^<http://www.w3.org/2001/XMLSchema#integer>\t.
+<http://e/t> <http://e/label> "x y" .\r
+   _:b1 <http://e/label> "grip strength . right hand ." .
+# a comment <http://e/s> <http://e/p> <http://e/o> .
+<http://e/t> <http://e/next> <http://e/s> .
+"""
+
+# FUZZ_PIECES plus layout: tabs, CR, newlines and a spaced dot
+NT_FUZZ_PIECES = FUZZ_PIECES + ["\t", "\r", "\n", " ."]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return str(e), e.line, e.column
+
+
+def _parse_lines_alone(text):
+    """``text`` through the line parser alone, with no term cache."""
+    graph = Graph()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            _nt_parse_line(line, lineno, graph, {})
+    return graph
+
+
+def test_ntriples_layouts_parse():
+    assert len(parse_ntriples(NT_LAYOUTS)) == 10
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_canonical_fast_path_equals_line_parser(data):
+    text = data.draw(mutated(NT_LAYOUTS, NT_FUZZ_PIECES))
+    assert _outcome(parse_ntriples, text) == _outcome(_parse_lines_alone, text)
 
 
 def test_many_seeded_random_graphs_round_trip():
