@@ -10,9 +10,11 @@ SPARQL they would be variables.  A malformed query raises
 Evaluation uses bag semantics with exact rational arithmetic for
 numeric comparisons and aggregates.  The basic graph pattern is joined
 by ``rules.join``, the executor and planner that ``materialize`` uses
-too, and ``explain`` prints ``rules.plan``'s order and estimates.  When
-no ORDER BY is given, result rows are sorted canonically so output is
-deterministic.
+too, and ``explain`` prints ``rules.plan``'s order and estimates.  Its
+solutions are slot rows: each variable is resolved to its slot once per
+query, and projections, GROUP BY keys, aggregates and FILTERs read the
+row by index.  When no ORDER BY is given, result rows are sorted
+canonically so output is deterministic.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import datetime
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Union
 
 from . import vocab
@@ -395,25 +398,26 @@ def _compare(op: str, a: Term, b: Term) -> bool:
     return av >= bv
 
 
-def _eval_filter(expr: FilterExpr, binding: dict) -> bool:
-    """Error-as-false semantics for type errors."""
-    if isinstance(expr, Comparison):
-        def resolve(side):
-            if isinstance(side, Var):
-                value = binding.get(side.name)
-                if value is None:
-                    raise _FilterTypeError("unbound variable ?%s" % side.name)
-                return value
-            return side
+def _row_test(expr: FilterExpr, slot: dict):
+    """``expr`` as a test of one row, each variable read at its slot.
+    Error-as-false semantics for type errors."""
+    if isinstance(expr, BoolOp):
+        tests = [_row_test(e, slot) for e in expr.operands]
+        if expr.op == "&&":
+            return lambda row: all(test(row) for test in tests)
+        if expr.op == "||":
+            return lambda row: any(test(row) for test in tests)
+        return lambda row: not tests[0](row)
+    op = expr.op
+    lhs, rhs = (itemgetter(slot[t.name]) if isinstance(t, Var) else (lambda row, t=t: t)
+                for t in (expr.lhs, expr.rhs))
+
+    def test(row):
         try:
-            return _compare(expr.op, resolve(expr.lhs), resolve(expr.rhs))
+            return _compare(op, lhs(row), rhs(row))
         except _FilterTypeError:
             return False
-    if expr.op == "&&":
-        return all(_eval_filter(e, binding) for e in expr.operands)
-    if expr.op == "||":
-        return any(_eval_filter(e, binding) for e in expr.operands)
-    return not _eval_filter(expr.operands[0], binding)
+    return test
 
 
 def format_decimal(value: Fraction, places: int = 6) -> str:
@@ -428,20 +432,15 @@ def format_decimal(value: Fraction, places: int = 6) -> str:
     return "%s%d.%0*d" % (sign, whole, places, frac)
 
 
-def _aggregate(func: str, arg: Optional[str], rows: list[dict],
+def _aggregate(func: str, k: Optional[int], rows: list[tuple],
                avg_places: int) -> Optional[Term]:
+    """``func`` over the terms at slot ``k`` of ``rows``; COUNT counts rows."""
     if func == "COUNT":
-        if arg is None:
-            n = len(rows)
-        else:
-            n = sum(1 for r in rows if r.get(arg) is not None)
-        return Literal(str(n), vocab.XSD_INTEGER.value)
+        return Literal(str(len(rows)), vocab.XSD_INTEGER.value)
 
     values: list[tuple[Fraction, Term]] = []
     for r in rows:
-        term = r.get(arg)
-        if term is None:
-            continue
+        term = r[k]
         if not isinstance(term, Literal):
             # IRIs/blank nodes are not values; skip them
             continue
@@ -488,17 +487,20 @@ def _row_key(row: tuple) -> tuple:
 
 
 def evaluate(g: Graph, q: QueryAst, avg_places: int = 6) -> SolutionTable:
-    solutions = join([g] * len(q.where), q.where)
+    slots, solutions = join([g] * len(q.where), q.where)
+    # a basic graph pattern binds every WHERE variable in every row
+    slot = {t.name: k for t, k in slots.items() if isinstance(t, Var)}
     for f in q.filters:
-        solutions = [b for b in solutions if _eval_filter(f, b)]
+        test = _row_test(f, slot)
+        solutions = [row for row in solutions if test(row)]
 
     has_agg = any(isinstance(p, AggProjection) for p in q.projections)
     rows: list[tuple] = []
     if has_agg or q.group_by:
-        groups: dict[tuple, list[dict]] = {}
-        for b in solutions:
-            key = tuple(b.get(v) for v in q.group_by)
-            groups.setdefault(key, []).append(b)
+        key_slots = [slot[v] for v in q.group_by]
+        groups: dict[tuple, list[tuple]] = {}
+        for row in solutions:
+            groups.setdefault(tuple([row[k] for k in key_slots]), []).append(row)
         if not q.group_by and not groups:
             groups[()] = []  # aggregates over the empty solution sequence
         for key, members in groups.items():
@@ -507,11 +509,11 @@ def evaluate(g: Graph, q: QueryAst, avg_places: int = 6) -> SolutionTable:
                 if isinstance(p, VarProjection):
                     row.append(key[q.group_by.index(p.name)])
                 else:
-                    row.append(_aggregate(p.func, p.arg, members, avg_places))
+                    row.append(_aggregate(p.func, slot.get(p.arg), members, avg_places))
             rows.append(tuple(row))
     else:
-        for b in solutions:
-            rows.append(tuple(b.get(p.name) for p in q.projections))
+        ks = [slot[p.name] for p in q.projections]
+        rows = [tuple([row[k] for k in ks]) for row in solutions]
 
     if q.distinct:
         seen = set()

@@ -16,13 +16,19 @@ and a ``set`` from the second term on.  Most leaves of a KG hold one
 term, so this saves a container the garbage collector would walk for
 nearly every triple.  ``Graph`` has no remove, so a ``set`` never shrinks
 back: each leaf has one form for its content, and equal graphs have
-equal indexes.  Only ``Graph`` and ``rules._extend`` read the leaves,
-through ``_leaf_terms`` or a ``type(leaf) is set`` test.
+equal indexes.  Only ``Graph`` reads the leaves, through ``_leaf_terms``
+or a ``type(leaf) is set`` test.
+
+``Graph.extend`` is the one walk over the indexes: it extends rows,
+tuples of terms indexed by slot, by the triples that match one pattern.
+``rules.join`` chains it atom by atom, and ``match`` is one row of it.
 """
 
 from __future__ import annotations
 
 import re
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterator, NamedTuple, Optional
 
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
@@ -165,6 +171,9 @@ def _leaf_terms(leaf) -> set | tuple:
     return () if leaf is None else (leaf,)
 
 
+_NO_ENTRIES = MappingProxyType({})  # read-only stand-in for a missing index key
+
+
 def _copy_index(index: dict) -> dict:
     # bare leaves are interned, immutable terms and can be shared
     return {k: {k2: v.copy() if type(v) is set else v for k2, v in inner.items()}
@@ -264,40 +273,72 @@ class Graph:
         g._pos = _copy_index(self._pos)
         return g
 
-    def triples(self) -> set[Triple]:
-        return set(self)
+    def extend(self, step: tuple, rows: list[tuple]) -> list[tuple]:
+        """Each row of ``rows`` extended by every triple of the graph that
+        matches ``step``; the one walk over the indexes.
+
+        ``step`` gives, for s, p and o, the index of the row term that
+        the position must equal, or None where the position is free.
+        The free positions' terms are appended to the row in s, p, o
+        order.  Each of the eight shapes walks one index directly.
+        """
+        si, pi, oi = step
+        spo, pos = self._spo, self._pos
+        out: list[tuple] = []
+        add = out.append
+        if si is not None and pi is not None and oi is not None:  # (s, p, o)
+            for b in rows:
+                objs = spo.get(b[si], _NO_ENTRIES).get(b[pi])
+                o = b[oi]
+                if objs is o or (type(objs) is set and o in objs):
+                    add(b)
+        elif si is not None and pi is not None:  # (s, p, ?)
+            for b in rows:
+                for o in _leaf_terms(spo.get(b[si], _NO_ENTRIES).get(b[pi])):
+                    add(b + (o,))
+        elif si is not None and oi is not None:  # (s, ?, o)
+            for b in rows:
+                o = b[oi]
+                for p, objs in spo.get(b[si], _NO_ENTRIES).items():
+                    if objs is o or (type(objs) is set and o in objs):
+                        add(b + (p,))
+        elif pi is not None and oi is not None:  # (?, p, o)
+            for b in rows:
+                for s in _leaf_terms(pos.get(b[pi], _NO_ENTRIES).get(b[oi])):
+                    add(b + (s,))
+        elif si is not None:  # (s, ?, ?)
+            for b in rows:
+                for p, objs in spo.get(b[si], _NO_ENTRIES).items():
+                    for o in _leaf_terms(objs):
+                        add(b + (p, o))
+        elif pi is not None:  # (?, p, ?)
+            for b in rows:
+                for o, subjs in pos.get(b[pi], _NO_ENTRIES).items():
+                    for s in _leaf_terms(subjs):
+                        add(b + (s, o))
+        elif oi is not None:  # (?, ?, o)
+            for b in rows:
+                o = b[oi]
+                for p, os_ in pos.items():
+                    for s in _leaf_terms(os_.get(o)):
+                        add(b + (s, p))
+        else:  # (?, ?, ?)
+            for b in rows:
+                for t in self:
+                    add(b + t)
+        return out
 
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> Iterator[Triple]:
-        """Yield triples agreeing with every bound position."""
+        """Yield triples agreeing with every bound position: ``extend`` of
+        the one row ``(s, p, o)``, whose free positions follow it."""
+        pattern = (s, p, o)
+        step = tuple(None if t is None else i for i, t in enumerate(pattern))
+        free = iter(range(3, 6))
+        get = itemgetter(*(next(free) if i is None else i for i in step))
         new = tuple.__new__
-        if s is not None and p is not None and o is not None:
-            if o in _leaf_terms(self._spo.get(s, {}).get(p)):
-                yield new(Triple, (s, p, o))
-        elif s is not None and p is not None:
-            for obj in _leaf_terms(self._spo.get(s, {}).get(p)):
-                yield new(Triple, (s, p, obj))
-        elif s is not None and o is not None:
-            for pred, objs in self._spo.get(s, {}).items():
-                if o in _leaf_terms(objs):
-                    yield new(Triple, (s, pred, o))
-        elif p is not None and o is not None:
-            for subj in _leaf_terms(self._pos.get(p, {}).get(o)):
-                yield new(Triple, (subj, p, o))
-        elif s is not None:
-            for pred, objs in self._spo.get(s, {}).items():
-                for obj in _leaf_terms(objs):
-                    yield new(Triple, (s, pred, obj))
-        elif p is not None:
-            for obj, subjs in self._pos.get(p, {}).items():
-                for subj in _leaf_terms(subjs):
-                    yield new(Triple, (subj, p, obj))
-        elif o is not None:
-            for pred, os_ in self._pos.items():
-                for subj in _leaf_terms(os_.get(o)):
-                    yield new(Triple, (subj, pred, o))
-        else:
-            yield from self
+        for row in self.extend(step, [pattern]):
+            yield new(Triple, get(row))
 
     def count(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> int:
@@ -312,9 +353,6 @@ class Graph:
             return sum(len(v) if type(v) is set else 1
                        for v in self._pos.get(p, {}).values())
         return sum(1 for _ in self.match(s, p, o))
-
-    def objects(self, s: Term, p: Term) -> Iterator[Term]:
-        yield from _leaf_terms(self._spo.get(s, {}).get(p))
 
 
 class PrefixMap:

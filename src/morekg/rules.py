@@ -11,8 +11,9 @@ graph.  Heads never invent terms, so the fixpoint always terminates.
 ``query.evaluate``.  ``plan`` orders its body greedily by cardinality:
 each atom is counted once on its own graph, and the next atom is the
 smallest of those connected to the atoms already placed.  ``join`` then
-compiles the ordered body once and extends the bindings atom by atom
-with index walks specialized to which positions are already known.
+extends its solutions atom by atom through ``Graph.extend``.  A solution
+is a row, a tuple of terms indexed by slot, and ``materialize``
+instantiates rule heads from those slots.
 
 Rule files (``parse_rules``/``export_rules``) write one rule as
 ``name: s p o & s p o => s p o .``, with ``?variables`` and terms read
@@ -23,11 +24,11 @@ and written as in Turtle by ``serdes``; a malformed file raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import vocab
-from .rdf import Graph, IRI, Literal, PrefixMap, _leaf_terms
+from .rdf import Graph, IRI, Literal, PrefixMap
 from .serdes import PositionedError, TokenStream, term_to_ttl
 
 
@@ -160,123 +161,6 @@ def builtin_ruleset() -> RuleSet:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _subst(p: Pattern, binding: dict) -> tuple:
-    return tuple(binding.get(t.name, None) if isinstance(t, Var) else t for t in p)
-
-
-_NO_ENTRIES = MappingProxyType({})  # read-only stand-in for a missing index key
-
-
-def _compile(body: Sequence[Pattern]) -> list[tuple]:
-    """Classify each position of each atom of ``body``, in join order.
-
-    A position becomes ``(key, const, new)``: a constant is
-    ``(None, term, None)``, a variable bound by an earlier atom is
-    ``(name, None, None)``, and a variable bound by this atom is
-    ``(None, None, name)``.  A known position reads as
-    ``b.get(key, const)`` either way, because no binding has the key None.
-    """
-    bound = set()
-    steps = []
-    for atom in body:
-        steps.append(tuple(
-            (None, t, None) if not isinstance(t, Var)
-            else (t.name, None, None) if t.name in bound
-            else (None, None, t.name)
-            for t in atom))
-        bound |= pattern_vars(atom)
-    return steps
-
-
-def _extend(g: Graph, step: tuple, solutions: list[dict]) -> list[dict]:
-    """Each binding of ``solutions`` extended over every triple of ``g``
-    that matches the compiled atom ``step``.
-
-    Each of the eight shapes of known positions walks one index directly
-    and writes only the atom's new variables into a copy of the binding.
-    A leaf is a bare term or a ``set`` (see ``rdf``); ``_leaf_terms``
-    iterates either.
-    """
-    (sk, sc, sn), (pk, pc, pn), (ok, oc, on) = step
-    spo, pos = g._spo, g._pos
-    out: list[dict] = []
-    add = out.append
-    new = [n for n in (sn, pn, on) if n is not None]
-    if len(set(new)) < len(new):
-        # a variable repeated within the atom: its positions must agree
-        for b in solutions:
-            known = (b.get(k, c) if n is None else None for k, c, n in step)
-            for t in g.match(*known):
-                nb = b.copy()
-                if all(nb.setdefault(n, x) is x
-                       for (_, _, n), x in zip(step, t) if n is not None):
-                    add(nb)
-    elif sn is None and pn is None and on is None:  # (s, p, o)
-        for b in solutions:
-            objs = spo.get(b.get(sk, sc), _NO_ENTRIES).get(b.get(pk, pc))
-            o = b.get(ok, oc)
-            if objs is o or (type(objs) is set and o in objs):
-                add(b)
-    elif sn is None and pn is None:  # (s, p, ?)
-        for b in solutions:
-            objs = spo.get(b.get(sk, sc), _NO_ENTRIES).get(b.get(pk, pc))
-            for o in _leaf_terms(objs):
-                nb = b.copy()
-                nb[on] = o
-                add(nb)
-    elif sn is None and on is None:  # (s, ?, o)
-        for b in solutions:
-            o = b.get(ok, oc)
-            for p, objs in spo.get(b.get(sk, sc), _NO_ENTRIES).items():
-                if objs is o or (type(objs) is set and o in objs):
-                    nb = b.copy()
-                    nb[pn] = p
-                    add(nb)
-    elif pn is None and on is None:  # (?, p, o)
-        for b in solutions:
-            subjs = pos.get(b.get(pk, pc), _NO_ENTRIES).get(b.get(ok, oc))
-            for s in _leaf_terms(subjs):
-                nb = b.copy()
-                nb[sn] = s
-                add(nb)
-    elif sn is None:  # (s, ?, ?)
-        for b in solutions:
-            for p, objs in spo.get(b.get(sk, sc), _NO_ENTRIES).items():
-                for o in _leaf_terms(objs):
-                    nb = b.copy()
-                    nb[pn] = p
-                    nb[on] = o
-                    add(nb)
-    elif pn is None:  # (?, p, ?)
-        for b in solutions:
-            for o, subjs in pos.get(b.get(pk, pc), _NO_ENTRIES).items():
-                for s in _leaf_terms(subjs):
-                    nb = b.copy()
-                    nb[sn] = s
-                    nb[on] = o
-                    add(nb)
-    elif on is None:  # (?, ?, o)
-        for b in solutions:
-            o = b.get(ok, oc)
-            for p, os_ in pos.items():
-                for s in _leaf_terms(os_.get(o)):
-                    nb = b.copy()
-                    nb[sn] = s
-                    nb[pn] = p
-                    add(nb)
-    else:  # (?, ?, ?)
-        for b in solutions:
-            for s, po in spo.items():
-                for p, objs in po.items():
-                    for o in _leaf_terms(objs):
-                        nb = b.copy()
-                        nb[sn] = s
-                        nb[pn] = p
-                        nb[on] = o
-                        add(nb)
-    return out
-
-
 def plan(graphs: Sequence[Graph], body: Sequence[Pattern]) -> list[tuple[int, int]]:
     """The join order of ``body`` as ``(atom index, estimate)`` pairs.
 
@@ -298,24 +182,47 @@ def plan(graphs: Sequence[Graph], body: Sequence[Pattern]) -> list[tuple[int, in
     return order
 
 
-def join(graphs: Sequence[Graph], body: Sequence[Pattern]) -> list[dict]:
-    """Every binding under which each atom ``body[i]`` matches a triple of
-    ``graphs[i]``, joining the atoms in the order ``plan`` gives."""
-    order = [i for i, _ in plan(graphs, body)]
-    solutions = [{}]
-    for i, step in zip(order, _compile([body[i] for i in order])):
-        if not solutions:
-            break
-        solutions = _extend(graphs[i], step, solutions)
-    return solutions
+def join(graphs: Sequence[Graph], body: Sequence[Pattern]) -> tuple[dict, list[tuple]]:
+    """Every solution under which each atom ``body[i]`` matches a triple of
+    ``graphs[i]``, joining the atoms in the order ``plan`` gives.
+
+    Returns ``(slots, rows)``.  A row starts with the body's constants,
+    then holds each variable in the order the atoms bind it; ``slots``
+    maps each constant and each ``Var`` to its index in the row.  A
+    variable repeated within one atom gets one slot per occurrence, and
+    only the rows in which those slots hold the same term are kept.
+    """
+    slots: dict = {}
+    for atom in body:
+        for t in atom:
+            if not isinstance(t, Var):
+                slots.setdefault(t, len(slots))
+    rows = [tuple(slots)]
+    width = len(slots)
+    for i, _ in plan(graphs, body):
+        atom = body[i]
+        step = tuple(slots.get(t) for t in atom)
+        rows = graphs[i].extend(step, rows)
+        for t, k in zip(atom, step):
+            if k is None:  # a new term, appended at ``width``
+                k = slots.setdefault(t, width)
+                if k != width:  # a repeat of a variable new in this atom
+                    rows = [r for r in rows if r[k] is r[width]]
+                width += 1
+    return slots, rows
 
 
 def _derive(full: Graph, graphs: list[Graph], rule: Rule, out: set[tuple]) -> None:
     """Add to ``out`` every head instantiation of ``join(graphs, rule.body)``
     not in ``full``, as a plain ``(s, p, o)`` tuple."""
-    for binding in join(graphs, rule.body):
-        for hp in rule.head:
-            t = _subst(hp, binding)
+    slots, rows = join(graphs, rule.body)
+    for head in rule.head:
+        # head constants the body lacks are put in front of each row
+        extra = tuple(t for t in head if t not in slots)
+        get = itemgetter(*(slots[t] + len(extra) if t in slots else extra.index(t)
+                           for t in head))
+        for row in rows:
+            t = get(extra + row)
             s, p, _ = t
             if isinstance(s, Literal) or not isinstance(p, IRI):
                 continue  # unrepresentable instantiation

@@ -117,10 +117,10 @@ def term_to_nt(term: Term) -> str:
 # ---------------------------------------------------------------------------
 # N-Triples
 
-# One term, or the terminating dot, after optional blanks; ``term`` spans
-# the term's own text.
+# One term, or the terminating dot, after optional blanks: space and tab,
+# the only ones N-Triples allows.  ``term`` spans the term's own text.
 _NT_TERM_RE = re.compile(
-    r"""\s*(?:
+    r"""[ \t]*(?:
         (?P<term>
           (?P<iri><[^<>"\s]*>)
         | (?P<blank>_:[A-Za-z0-9_][A-Za-z0-9_-]*)
@@ -162,13 +162,14 @@ def _nt_new_term(text: str, cache: dict) -> Optional[Term]:
 
 def _nt_parse_line(line: str, lineno: int, graph: Graph, cache: dict) -> None:
     """Parse one line of any valid layout, or raise a positioned error."""
+    line = line.rstrip("\r")  # the CR of a CRLF line end
     pos = 0
     terms = []
     saw_dot = False
     while pos < len(line):
         m = _NT_TERM_RE.match(line, pos)
         if not m:
-            rest = line[pos:].lstrip()
+            rest = line[pos:].lstrip(" \t")
             if not rest:
                 break
             raise ParseError("malformed term %r" % rest.rstrip()[:20], lineno,
@@ -176,7 +177,8 @@ def _nt_parse_line(line: str, lineno: int, graph: Graph, cache: dict) -> None:
         pos = m.end()
         if m.group("dot"):
             saw_dot = True
-            if line[pos:].strip():
+            rest = line[pos:].lstrip(" \t")
+            if rest and not rest.startswith("#"):  # a comment may follow
                 raise ParseError("content after terminating dot", lineno, pos + 1)
             break
         key = m.group("term")
@@ -221,7 +223,7 @@ def parse_ntriples(text: str) -> Graph:
                     continue
                 except RdfError:
                     pass  # the line parser raises it at its position
-        stripped = line.strip()
+        stripped = line.strip(" \t\r")
         if stripped and not stripped.startswith("#"):
             _nt_parse_line(line, lineno, graph, cache)
     return graph

@@ -126,6 +126,14 @@ def _unify(pattern, triple, binding):
     return out
 
 
+def as_dicts(solutions) -> list[dict]:
+    """``rules.join``'s ``(slots, rows)`` as one name -> term dict per
+    row, the form of the references below."""
+    slots, rows = solutions
+    names = [(t.name, k) for t, k in slots.items() if isinstance(t, Var)]
+    return [{name: row[k] for name, k in names} for row in rows]
+
+
 def reference_bgp_eval(graph: Graph, patterns) -> list[dict]:
     """Brute-force nested-loop BGP evaluation in syntactic pattern order."""
     return reference_join([graph] * len(patterns), patterns)

@@ -77,18 +77,31 @@ rule_bodies = st.lists(st.tuples(
 
 
 @st.composite
-def two_graph_joins(draw):
-    """``(graphs, body)``: 1 to 4 atoms, each on one of two rule graphs.
-    Each atom is a triple drawn from its own graph, with some terms made
-    variables throughout the body, so the drawn triples are a solution
-    and no join is empty."""
-    pair = [draw(rule_graphs()), draw(rule_graphs())]
-    graphs = draw(st.lists(st.sampled_from(pair), min_size=1, max_size=4))
+def drawn_bodies(draw, graphs):
+    """A body whose atom ``i`` is a triple drawn from ``graphs[i]``, with
+    some terms made variables throughout the body, so the drawn triples
+    are a solution and no join is empty."""
     atoms = [draw(st.sampled_from(sorted(g, key=repr))) for g in graphs]
     terms = sorted({t for atom in atoms for t in atom}, key=repr)
     hidden = draw(st.lists(st.sampled_from(terms), unique=True))
     names = {t: Var("v%d" % i) for i, t in enumerate(hidden)}
-    return graphs, [tuple(names.get(t, t) for t in atom) for atom in atoms]
+    return [tuple(names.get(t, t) for t in atom) for atom in atoms]
+
+
+@st.composite
+def one_graph_joins(draw):
+    """``(graph, body)``: 1 to 4 atoms drawn from one rule graph."""
+    g = draw(rule_graphs())
+    return g, draw(drawn_bodies([g] * draw(st.integers(1, 4))))
+
+
+@st.composite
+def two_graph_joins(draw):
+    """``(graphs, body)``: 1 to 4 atoms, each drawn from one of two rule
+    graphs."""
+    pair = [draw(rule_graphs()), draw(rule_graphs())]
+    graphs = draw(st.lists(st.sampled_from(pair), min_size=1, max_size=4))
+    return graphs, draw(drawn_bodies(graphs))
 
 
 # Rule sets of 1 to 3 rules whose constants are any of the terms above:

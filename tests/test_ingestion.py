@@ -208,8 +208,8 @@ class TestEmitKg:
         for t in g.match(None, vocab.PATO_EXECUTES, None):
             assert g.count(t.subject, vocab.OBI_HAS_SPECIFIED_OUTPUT, None) == 1
         for t in g.match(None, vocab.OBI_HAS_SPECIFIED_OUTPUT, None):
-            vs_objs = [o for o in g.objects(t.object, vocab.OBI_HAS_VALUE_SPECIFICATION)
-                       if isinstance(o, IRI)]
+            vs_objs = [x.object for x in g.match(t.object, vocab.OBI_HAS_VALUE_SPECIFICATION)
+                       if isinstance(x.object, IRI)]
             assert len(vs_objs) == 1
             assert g.count(vs_objs[0], vocab.OBI_SPECIFIES_VALUE_OF, None) == 1
 
@@ -217,10 +217,10 @@ class TestEmitKg:
         g = fixture_graph
         for t in g.match(None, vocab.PATO_EXECUTES, None):
             proc = t.subject
-            participants = list(g.objects(proc, vocab.OBI_HAS_PARTICIPANT))
+            participants = [x.object for x in g.match(proc, vocab.OBI_HAS_PARTICIPANT)]
             assert len(participants) == 1
-            roles = [o for o in g.objects(proc, vocab.OBI_REALIZES)
-                     if Triple(o, vocab.RDF_TYPE, vocab.OBI_EVALUANT_ROLE) in g]
+            roles = [x.object for x in g.match(proc, vocab.OBI_REALIZES)
+                     if Triple(x.object, vocab.RDF_TYPE, vocab.OBI_EVALUANT_ROLE) in g]
             assert len(roles) == 1
             assert Triple(participants[0], vocab.OBI_HAS_ROLE, roles[0]) in g
 

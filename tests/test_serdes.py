@@ -58,6 +58,12 @@ class TestNTriples:
          "expected exactly 3 terms and a terminating dot", 39),
         ('"s" <http://e/p> <http://e/o> .', "triple subject may not be a literal", 1),
         ('<http://e/s> _:p <http://e/o> .', "triple predicate must be an IRI", 1),
+        # blanks are space and tab only: U+00A0, U+2003 and U+000C are not
+        ('<http://e/s>\u00a0<http://e/p> <http://e/o> .', "malformed term", 13),
+        ('<http://e/s> <http://e/p>\u2003<http://e/o> .', "malformed term", 26),
+        ('<http://e/s> <http://e/p> <http://e/o>\x0c.', "malformed term", 39),
+        ('\u00a0<http://e/s> <http://e/p> <http://e/o> .', "malformed term", 1),
+        ('<http://e/s> <http://e/p> <http://e/o> .\u2003', "content after terminating dot", 41),
     ])
     def test_error_position(self, text, message, column):
         with pytest.raises(ParseError) as e:
@@ -322,7 +328,8 @@ def test_mutated_input_parses_or_fails_with_position(parse, doc, error, data):
 
 # Canonical lines whose literals hold inner spaces, " ." and \", with a
 # language tag, a datatype and blank nodes, and some terms repeated; then
-# valid lines in other layouts: tabs, CRLF, leading blanks, a comment.
+# valid lines in other layouts: tabs, CRLF, leading blanks, a comment, and
+# a comment after the dot.
 NT_LAYOUTS = """\
 <http://e/s> <http://e/label> "grip strength . right hand ." .
 <http://e/s> <http://e/quote> "he said \\"hi .\\" and left" .
@@ -335,6 +342,7 @@ _:b1 <http://e/next> <http://e/s> .
    _:b1 <http://e/label> "grip strength . right hand ." .
 # a comment <http://e/s> <http://e/p> <http://e/o> .
 <http://e/t> <http://e/next> <http://e/s> .
+<http://e/s> <http://e/p> <http://e/o> . # note
 """
 
 # FUZZ_PIECES plus layout: tabs, CR, newlines and a spaced dot
@@ -352,14 +360,14 @@ def _parse_lines_alone(text):
     """``text`` through the line parser alone, with no term cache."""
     graph = Graph()
     for lineno, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip()
+        stripped = line.strip(" \t\r")
         if stripped and not stripped.startswith("#"):
             _nt_parse_line(line, lineno, graph, {})
     return graph
 
 
 def test_ntriples_layouts_parse():
-    assert len(parse_ntriples(NT_LAYOUTS)) == 10
+    assert len(parse_ntriples(NT_LAYOUTS)) == 11
 
 
 @settings(max_examples=500, deadline=None)
