@@ -87,42 +87,34 @@ def build_schema(item_registry: Sequence[TestItemDef]) -> OntologySchema:
         g.add(item_iri, vocab.RDFS_LABEL, Literal(item.label))
         g.add(kind.iri, vocab.RDFS_SUBCLASSOF, vocab.BFO_DISPOSITION)
 
-    _subclass_supers(g)  # raises on cycles
+    _check_subclass_cycles(g)
     return schema
 
 
-def _subclass_supers(g: Graph) -> dict:
-    """Map each class to its set of strict superclasses; cycle-checked."""
+def _check_subclass_cycles(g: Graph) -> None:
+    """Raise ``SubclassCycleError`` on a ``rdfs:subClassOf`` cycle through
+    two or more classes, naming it from its first class round to it."""
     direct: dict = {}
     for t in g.match(None, vocab.RDFS_SUBCLASSOF, None):
         if t.subject != t.object:
-            direct.setdefault(t.subject, set()).add(t.object)
+            direct.setdefault(t.subject, []).append(t.object)
 
-    supers: dict = {}
-    state: dict = {}  # 1 = in progress, 2 = done
+    done: set = set()
     path: list = []
 
     def visit(c):
-        st = state.get(c)
-        if st == 2:
-            return supers[c]
-        if st == 1:
-            cycle = path[path.index(c):] + [c]
-            raise SubclassCycleError(cycle)
-        state[c] = 1
+        if c in done:
+            return
+        if c in path:
+            raise SubclassCycleError(path[path.index(c):] + [c])
         path.append(c)
-        acc = set()
         for d in direct.get(c, ()):
-            acc.add(d)
-            acc |= visit(d)
+            visit(d)
         path.pop()
-        state[c] = 2
-        supers[c] = acc
-        return acc
+        done.add(c)
 
-    for c in list(direct):
+    for c in direct:
         visit(c)
-    return supers
 
 
 _RDFS_RULES = ("subclass-transitivity", "type-propagation")
@@ -136,7 +128,7 @@ def rdfs_closure(g: Graph, schema: Optional[OntologySchema] = None) -> Graph:
     if schema is not None:
         g = g.copy()
         g.update(schema.graph)
-    _subclass_supers(g)  # raises on cycles
+    _check_subclass_cycles(g)
     rdfs = [r for r in builtin_rules() if r.name in _RDFS_RULES]
     return materialize(g, RuleSet(rdfs))
 

@@ -4,8 +4,9 @@ ORDER BY, LIMIT/OFFSET, DISTINCT.
 
 Terms are read by ``serdes.TokenStream``, so IRIs, prefixed names and
 literals read exactly as in Turtle; blank nodes are rejected, since in
-SPARQL they would be variables.  A malformed query raises
-``QuerySyntaxError`` at a line and column.
+SPARQL they would be variables.  A malformed query, or one that uses a
+variable its WHERE clause does not bind, raises ``QuerySyntaxError`` at
+a line and column.
 
 Evaluation uses bag semantics with exact rational arithmetic for
 numeric comparisons and aggregates.  The basic graph pattern is joined
@@ -15,6 +16,16 @@ solutions are slot rows: each variable is resolved to its slot once per
 query, and projections, GROUP BY keys, aggregates and FILTERs read the
 row by index.  When no ORDER BY is given, result rows are sorted
 canonically so output is deterministic.
+
+One value order, ``_value_key``, serves FILTER, ORDER BY, the canonical
+sort and aggregates, after SPARQL 1.1's ORDER BY and operator mapping
+(sections 15.1 and 17.3).  Its ranks are: unbound, numbers, valid
+``xsd:date``s, other literals by lexical form, datatype and language,
+IRIs, blank nodes.  ``=`` and ``!=`` compare two numbers by value and
+other terms by identity.  ``<``, ``<=``, ``>`` and ``>=`` compare two
+numbers, two dates, or two string-typed literals by lexical form; any
+other pair is a type error, and the comparison is false.  Each term is
+valued once per ``evaluate`` call.
 """
 
 from __future__ import annotations
@@ -23,7 +34,8 @@ import datetime
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from functools import cache
+from operator import eq, ge, gt, itemgetter, le, lt, ne
 from typing import Optional, Union
 
 from . import vocab
@@ -52,6 +64,8 @@ _NUMERIC_DATATYPES = {
 
 _STRING_DATATYPES = {vocab.XSD_STRING.value, "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"}
 
+_OPERATORS = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
+
 
 def numeric_value(term) -> Optional[Fraction]:
     if not isinstance(term, Literal) or term.datatype not in _NUMERIC_DATATYPES:
@@ -60,17 +74,30 @@ def numeric_value(term) -> Optional[Fraction]:
         if term.datatype == vocab.XSD_DOUBLE.value or term.datatype.endswith("#float"):
             return Fraction(float(term.lexical))
         return Fraction(term.lexical)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):  # INF has no Fraction
         return None
 
 
-def date_value(term) -> Optional[datetime.date]:
-    if isinstance(term, Literal) and term.datatype == vocab.XSD_DATE.value:
-        try:
-            return datetime.date.fromisoformat(term.lexical)
-        except ValueError:
-            return None
-    return None
+def _value_key(term) -> tuple:
+    """``(rank, value)``: the one place that says what a term's value is
+    and how it orders.  Ranks: 0 unbound, 1 numbers, 2 valid ``xsd:date``s,
+    3 other literals as ``(lexical, datatype, lang)``, 4 IRIs, 5 blank
+    nodes; values compare only within a rank."""
+    if term is None:
+        return (0, "")
+    num = numeric_value(term)
+    if num is not None:
+        return (1, num)
+    if isinstance(term, Literal):
+        if term.datatype == vocab.XSD_DATE.value:
+            try:
+                return (2, datetime.date.fromisoformat(term.lexical))
+            except ValueError:
+                pass
+        return (3, (term.lexical, term.datatype, term.lang or ""))
+    if isinstance(term, IRI):
+        return (4, term.value)
+    return (5, term.label)
 
 
 # ---------------------------------------------------------------------------
@@ -119,37 +146,6 @@ class QueryAst:
     limit: Optional[int] = None
     offset: Optional[int] = None
 
-    def validate(self) -> None:
-        where_vars = set()
-        for p in self.where:
-            where_vars |= pattern_vars(p)
-        has_agg = any(isinstance(p, AggProjection) for p in self.projections)
-        for p in self.projections:
-            if isinstance(p, VarProjection):
-                if p.name not in where_vars:
-                    raise QueryError("projected variable ?%s not in WHERE clause" % p.name)
-                if has_agg and p.name not in self.group_by:
-                    raise QueryError(
-                        "projected variable ?%s must appear in GROUP BY" % p.name)
-            elif p.arg is not None and p.arg not in where_vars:
-                raise QueryError("aggregated variable ?%s not in WHERE clause" % p.arg)
-        for g in self.group_by:
-            if g not in where_vars:
-                raise QueryError("GROUP BY variable ?%s not in WHERE clause" % g)
-
-        def check_expr(e):
-            if isinstance(e, Comparison):
-                for side in (e.lhs, e.rhs):
-                    if isinstance(side, Var) and side.name not in where_vars:
-                        raise QueryError(
-                            "filter variable ?%s not in WHERE clause" % side.name)
-            else:
-                for op in e.operands:
-                    check_expr(op)
-
-        for f in self.filters:
-            check_expr(f)
-
     @property
     def columns(self) -> list[str]:
         return [p.name if isinstance(p, VarProjection) else p.alias
@@ -186,6 +182,7 @@ class _QueryParser(TokenStream):
             self.err("expected %s, got %r" % (kw, tok[1] or "end of input"), tok[2])
 
     def parse(self) -> QueryAst:
+        self.uses: list[tuple[str, str, int]] = []  # (role, variable, offset)
         while self._is_kw(self.peek(), "PREFIX"):
             self.pos += 1
             self.prefix()
@@ -209,7 +206,9 @@ class _QueryParser(TokenStream):
                 self.next()
                 self._expect_kw("BY")
                 while self.peek()[0] == "var":
-                    group_by.append(self.next()[1][1:])
+                    _, var, offset = self.next()
+                    group_by.append(var[1:])
+                    self.uses.append(("GROUP BY", var[1:], offset))
                 if not group_by:
                     self.err("GROUP BY requires at least one variable", tok[2])
             elif self._is_kw(tok, "ORDER"):
@@ -253,12 +252,17 @@ class _QueryParser(TokenStream):
             else:
                 self.err("unexpected token %r" % tok[1], tok[2])
 
-        ast = QueryAst(prefixes=self.prefixes, projections=projections,
-                       where=where, filters=filters, distinct=distinct,
-                       group_by=group_by, order_by=order_by,
-                       limit=limit, offset=offset_)
-        ast.validate()
-        return ast
+        where_vars = set().union(*map(pattern_vars, where))
+        grouped = group_by or any(isinstance(p, AggProjection) for p in projections)
+        for role, var, offset in self.uses:
+            if var not in where_vars:
+                self.err("%s variable ?%s not in WHERE clause" % (role, var), offset)
+            if role == "projected" and grouped and var not in group_by:
+                self.err("projected variable ?%s must appear in GROUP BY" % var, offset)
+        return QueryAst(prefixes=self.prefixes, projections=projections,
+                        where=where, filters=filters, distinct=distinct,
+                        group_by=group_by, order_by=order_by,
+                        limit=limit, offset=offset_)
 
     def _projections(self) -> list[Projection]:
         out: list[Projection] = []
@@ -267,6 +271,7 @@ class _QueryParser(TokenStream):
             if tok[0] == "var":
                 self.next()
                 out.append(VarProjection(tok[1][1:]))
+                self.uses.append(("projected", tok[1][1:], tok[2]))
             elif self.accept("("):
                 func_tok = self.next()
                 if func_tok[0] != "word" or func_tok[1].upper() not in (
@@ -277,6 +282,7 @@ class _QueryParser(TokenStream):
                 arg_tok = self.next()
                 if arg_tok[0] == "var":
                     arg = arg_tok[1][1:]
+                    self.uses.append(("aggregated", arg, arg_tok[2]))
                 elif arg_tok[:2] == ("punct", "*") and func == "COUNT":
                     arg = None
                 else:
@@ -349,12 +355,18 @@ class _QueryParser(TokenStream):
         return self._comparison()
 
     def _comparison(self) -> Comparison:
-        lhs = self.term()
+        lhs = self._operand()
         op_tok = self.next()
-        if op_tok[0] != "punct" or op_tok[1] not in ("=", "!=", "<", "<=", ">", ">="):
+        if op_tok[0] != "punct" or op_tok[1] not in _OPERATORS:
             self.err("expected comparison operator, got %r" % op_tok[1], op_tok[2])
-        rhs = self.term()
-        return Comparison(op_tok[1], lhs, rhs)
+        return Comparison(op_tok[1], lhs, self._operand())
+
+    def _operand(self):
+        offset = self.peek()[2]
+        t = self.term()
+        if isinstance(t, Var):
+            self.uses.append(("filter", t.name, offset))
+        return t
 
 
 def parse_query(text: str) -> QueryAst:
@@ -364,59 +376,31 @@ def parse_query(text: str) -> QueryAst:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-class _FilterTypeError(Exception):
-    pass
-
-
-def _compare(op: str, a: Term, b: Term) -> bool:
-    if op in ("=", "!="):
-        na, nb = numeric_value(a), numeric_value(b)
-        if na is not None and nb is not None:
-            eq = na == nb
-        else:
-            eq = a == b
-        return eq if op == "=" else not eq
-
-    na, nb = numeric_value(a), numeric_value(b)
-    if na is not None and nb is not None:
-        av, bv = na, nb
-    else:
-        da, db = date_value(a), date_value(b)
-        if da is not None and db is not None:
-            av, bv = da, db
-        elif (isinstance(a, Literal) and isinstance(b, Literal)
-              and a.datatype in _STRING_DATATYPES and b.datatype in _STRING_DATATYPES):
-            av, bv = a.lexical, b.lexical
-        else:
-            raise _FilterTypeError("incomparable terms")
-    if op == "<":
-        return av < bv
-    if op == "<=":
-        return av <= bv
-    if op == ">":
-        return av > bv
-    return av >= bv
-
-
-def _row_test(expr: FilterExpr, slot: dict):
-    """``expr`` as a test of one row, each variable read at its slot.
-    Error-as-false semantics for type errors."""
+def _row_test(expr: FilterExpr, slot: dict, key):
+    """``expr`` as a test of one row, each variable read at its slot and
+    each term valued by ``key``.  A type error makes a comparison false."""
     if isinstance(expr, BoolOp):
-        tests = [_row_test(e, slot) for e in expr.operands]
+        tests = [_row_test(e, slot, key) for e in expr.operands]
         if expr.op == "&&":
             return lambda row: all(test(row) for test in tests)
         if expr.op == "||":
             return lambda row: any(test(row) for test in tests)
         return lambda row: not tests[0](row)
-    op = expr.op
+    cmp = _OPERATORS[expr.op]
+    ordering = expr.op not in ("=", "!=")
     lhs, rhs = (itemgetter(slot[t.name]) if isinstance(t, Var) else (lambda row, t=t: t)
                 for t in (expr.lhs, expr.rhs))
 
     def test(row):
-        try:
-            return _compare(op, lhs(row), rhs(row))
-        except _FilterTypeError:
-            return False
+        a, b = lhs(row), rhs(row)
+        (ra, va), (rb, vb) = key(a), key(b)
+        if ra == rb == 1 or (ra == rb == 2 and ordering):
+            return cmp(va, vb)  # two numbers, or two dates ordered
+        if not ordering:
+            return cmp(a, b)  # other terms are equal if identical
+        # two string-typed literals order by lexical form alone
+        return (ra == rb == 3 and va[1] in _STRING_DATATYPES
+                and vb[1] in _STRING_DATATYPES and cmp(va[0], vb[0]))
     return test
 
 
@@ -432,9 +416,10 @@ def format_decimal(value: Fraction, places: int = 6) -> str:
     return "%s%d.%0*d" % (sign, whole, places, frac)
 
 
-def _aggregate(func: str, k: Optional[int], rows: list[tuple],
-               avg_places: int) -> Optional[Term]:
-    """``func`` over the terms at slot ``k`` of ``rows``; COUNT counts rows."""
+def _aggregate(func: str, k: Optional[int], rows: list[tuple], avg_places: int,
+               key) -> Optional[Term]:
+    """``func`` over the terms at slot ``k`` of ``rows``, numbers read by
+    ``key``; COUNT counts rows."""
     if func == "COUNT":
         return Literal(str(len(rows)), vocab.XSD_INTEGER.value)
 
@@ -444,8 +429,8 @@ def _aggregate(func: str, k: Optional[int], rows: list[tuple],
         if not isinstance(term, Literal):
             # IRIs/blank nodes are not values; skip them
             continue
-        num = numeric_value(term)
-        if num is None:
+        rank, num = key(term)
+        if rank != 1:
             warnings.warn("non-numeric literal %r in %s; group yields unbound"
                           % (term.lexical, func))
             return None
@@ -466,32 +451,13 @@ def _aggregate(func: str, k: Optional[int], rows: list[tuple],
                    vocab.XSD_DECIMAL.value)
 
 
-def _sort_key(term) -> tuple:
-    if term is None:
-        return (0, "")
-    num = numeric_value(term)
-    if num is not None:
-        return (1, num)
-    d = date_value(term)
-    if d is not None:
-        return (2, d.isoformat())
-    if isinstance(term, Literal):
-        return (3, (term.lexical, term.datatype, term.lang or ""))
-    if isinstance(term, IRI):
-        return (4, term.value)
-    return (5, term.label)
-
-
-def _row_key(row: tuple) -> tuple:
-    return tuple(_sort_key(t) for t in row)
-
-
 def evaluate(g: Graph, q: QueryAst, avg_places: int = 6) -> SolutionTable:
+    key = cache(_value_key)  # each term is valued once per call
     slots, solutions = join([g] * len(q.where), q.where)
     # a basic graph pattern binds every WHERE variable in every row
     slot = {t.name: k for t, k in slots.items() if isinstance(t, Var)}
     for f in q.filters:
-        test = _row_test(f, slot)
+        test = _row_test(f, slot, key)
         solutions = [row for row in solutions if test(row)]
 
     has_agg = any(isinstance(p, AggProjection) for p in q.projections)
@@ -503,35 +469,32 @@ def evaluate(g: Graph, q: QueryAst, avg_places: int = 6) -> SolutionTable:
             groups.setdefault(tuple([row[k] for k in key_slots]), []).append(row)
         if not q.group_by and not groups:
             groups[()] = []  # aggregates over the empty solution sequence
-        for key, members in groups.items():
+        for group, members in groups.items():
             row = []
             for p in q.projections:
                 if isinstance(p, VarProjection):
-                    row.append(key[q.group_by.index(p.name)])
+                    row.append(group[q.group_by.index(p.name)])
                 else:
-                    row.append(_aggregate(p.func, slot.get(p.arg), members, avg_places))
+                    row.append(_aggregate(p.func, slot.get(p.arg), members,
+                                          avg_places, key))
             rows.append(tuple(row))
     else:
         ks = [slot[p.name] for p in q.projections]
         rows = [tuple([row[k] for k in ks]) for row in solutions]
 
     if q.distinct:
-        seen = set()
-        deduped = []
-        for r in rows:
-            if r not in seen:
-                seen.add(r)
-                deduped.append(r)
-        rows = deduped
+        rows = list(dict.fromkeys(rows))
 
-    # canonical pre-sort keeps output deterministic; ORDER BY keys are then
-    # applied as stable sorts on top
-    rows.sort(key=_row_key)
+    # each row is decorated with its keys once; the canonical sort keeps
+    # output deterministic, and ORDER BY keys are stable sorts on top
+    decorated = [(tuple(map(key, row)), row) for row in rows]
+    decorated.sort(key=itemgetter(0))
     cols = q.columns
     for var, direction in reversed(q.order_by):
         if var in cols:
             idx = cols.index(var)
-            rows.sort(key=lambda r: _sort_key(r[idx]), reverse=(direction == "desc"))
+            decorated.sort(key=lambda d: d[0][idx], reverse=(direction == "desc"))
+    rows = [row for _, row in decorated]
 
     if q.offset:
         rows = rows[q.offset:]

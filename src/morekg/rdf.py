@@ -53,7 +53,9 @@ class UnresolvedPrefixError(RdfError):
 _IRIS: dict = {}
 _BLANKS: dict = {}
 _LITERALS: dict = {}
-_SPACE_RE = re.compile(r"\s")  # the same set as str.isspace
+# The one rule for the characters an IRI may not hold: space, the
+# controls and <>"{}|^`\ (the IRIREF production of Turtle and N-Triples).
+IRI_EXCLUDED = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 
 
 def _new_term(cls, **fields):
@@ -81,8 +83,9 @@ class IRI(_Term):
     def __new__(cls, value: str):
         term = _IRIS.get(value)
         if term is None:
-            if not value or _SPACE_RE.search(value):
-                raise RdfError("IRI must be non-empty and contain no whitespace: %r" % value)
+            if not value or IRI_EXCLUDED.search(value):
+                raise RdfError("IRI must be non-empty and hold no space, control "
+                               "or any of <>\"{}|^`\\: %r" % value)
             term = _IRIS.setdefault(value, _new_term(cls, value=value))
         return term
 
@@ -125,9 +128,9 @@ class Literal(_Term):
                 datatype = RDF_LANG_STRING
             elif datatype is None:
                 datatype = XSD_STRING
-            elif not datatype or _SPACE_RE.search(datatype):
-                raise RdfError("datatype IRI must be non-empty and contain no "
-                               "whitespace: %r" % datatype)
+            elif not datatype or IRI_EXCLUDED.search(datatype):
+                raise RdfError("datatype IRI must be non-empty and hold no space, "
+                               "control or any of <>\"{}|^`\\: %r" % datatype)
             # the normalized key makes Literal("x") and
             # Literal("x", XSD_STRING) one object
             norm = (lexical, datatype, lang)

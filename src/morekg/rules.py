@@ -263,19 +263,33 @@ class _RuleParser(TokenStream):
     variable = Var
 
     def rules(self) -> list[Rule]:
-        rules = []
+        """The rules of the text.  An empty body, an unbound head variable
+        or a repeated rule name fails at the offending token; rules built
+        in Python get ``RuleSet``'s bare ``RuleError`` instead."""
+        rules: dict[str, Rule] = {}
         while self.peek()[0] is not None:
             kind, name, offset = self.next()
             if kind == "pname" and name.endswith(":") and name != ":":
                 name = name[:-1]  # "r1:" lexes as a prefixed name, local part empty
             elif kind not in ("word", "pname") or self.next()[:2] != ("pname", ":"):
                 self.err("expected a rule name and ':'", offset)
+            if name in rules:
+                self.err("duplicate rule name %r" % name, offset)
             body = self._patterns()
+            arrow = self.peek()[2]
             self.expect_punct("=>")
+            if not body:
+                self.err("rule %s: empty body" % name, arrow)
+            bound = set().union(*map(pattern_vars, body))
+            start = self.pos
             head = self._patterns()
+            for kind, value, offset in self.tokens[start:self.pos]:
+                if kind == "var" and value[1:] not in bound:
+                    self.err("rule %s: head variable %s not bound in body"
+                             % (name, value), offset)
             self.expect_punct(".")
-            rules.append(Rule(name=name, body=body, head=head))
-        return rules
+            rules[name] = Rule(name=name, body=body, head=head)
+        return list(rules.values())
 
     def _patterns(self) -> tuple[Pattern, ...]:
         """Triple patterns up to '=>' or '.', each optionally followed by '&'."""

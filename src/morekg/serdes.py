@@ -27,7 +27,8 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .rdf import IRI, BlankNode, Graph, Literal, PrefixMap, Term, RdfError
+from .rdf import (IRI, IRI_EXCLUDED, BlankNode, Graph, Literal, PrefixMap, Term,
+                  RdfError)
 from . import vocab
 
 
@@ -48,9 +49,6 @@ _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _ESCAPE_RE = re.compile(r'[\\"\n\r\t]')
 _UNESCAPE_RE = re.compile(r"\\(u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8}|.)")
 _IRI_ESCAPE_RE = re.compile(r"\\(u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8})?")
-# what an IRI reference may not contain, raw or escaped, but for the
-# backslash, which starts an escape
-_IRI_EXCLUDED_RE = re.compile(r'[\x00-\x20<>"{}|^`]')
 
 
 def escape_string(s: str) -> str:
@@ -82,24 +80,18 @@ def unescape_string(s: str) -> str:
 def unescape_iri(s: str) -> str:
     """Decode the ``\\u``/``\\U`` escapes of an IRI reference's text.
 
-    Those are the only escapes an IRI reference allows.  Neither the text
-    nor an escape may hold a character IRIs exclude: space, controls or
-    ``<>"{}|^`\\`` (a raw backslash starts an escape).
+    Those are the only escapes an IRI reference allows.  The decoded IRI
+    may not hold a character ``rdf.IRI_EXCLUDED`` names, raw or escaped.
     """
-    bad = _IRI_EXCLUDED_RE.search(s)
+    def repl(m):
+        if m.group(1) is None:
+            raise RdfError("IRI escape must be \\uXXXX or \\UXXXXXXXX")
+        return _uchar(m.group(1))
+    iri = _IRI_ESCAPE_RE.sub(repl, s) if "\\" in s else s
+    bad = IRI_EXCLUDED.search(iri)
     if bad:
         raise RdfError("IRIs may not contain %r" % bad.group())
-
-    def repl(m):
-        e = m.group(1)
-        if e is None:
-            raise RdfError("IRI escape must be \\uXXXX or \\UXXXXXXXX")
-        c = _uchar(e)
-        if c == "\\" or _IRI_EXCLUDED_RE.match(c):
-            raise RdfError("\\%s in an IRI encodes %r, which IRIs may not contain"
-                           % (e, c))
-        return c
-    return _IRI_ESCAPE_RE.sub(repl, s) if "\\" in s else s
+    return iri
 
 
 def term_to_nt(term: Term) -> str:
@@ -122,14 +114,17 @@ def term_to_nt(term: Term) -> str:
 _NT_TERM_RE = re.compile(
     r"""[ \t]*(?:
         (?P<term>
-          (?P<iri><[^<>"\s]*>)
+          (?P<iri><[^<>" \t\r\n]*>)
         | (?P<blank>_:[A-Za-z0-9_][A-Za-z0-9_-]*)
         | (?P<lit>"(?:[^"\\]|\\.)*")
-          (?:\^\^(?P<dt><[^<>"\s]*>)|@(?P<lang>[a-zA-Z]+(?:-[a-zA-Z0-9]+)*))?)
+          (?:\^\^(?P<dt><[^<>" \t\r\n]*>)|@(?P<lang>[a-zA-Z]+(?:-[a-zA-Z0-9]+)*))?)
       | (?P<dot>\.)
     )""",
     re.X,
 )
+
+
+_NT_EOL_RE = re.compile(r"\r\n?|\n")
 
 
 def _nt_term(m: re.Match) -> Term:
@@ -162,7 +157,6 @@ def _nt_new_term(text: str, cache: dict) -> Optional[Term]:
 
 def _nt_parse_line(line: str, lineno: int, graph: Graph, cache: dict) -> None:
     """Parse one line of any valid layout, or raise a positioned error."""
-    line = line.rstrip("\r")  # the CR of a CRLF line end
     pos = 0
     terms = []
     saw_dot = False
@@ -207,7 +201,9 @@ def parse_ntriples(text: str) -> Graph:
     add = graph.add
     cache: dict = {}  # a term's exact text -> the term
     get = cache.get
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    # a line ends at LF, CR or CRLF; a text without CR splits at LF alone
+    lines = _NT_EOL_RE.split(text) if "\r" in text else text.split("\n")
+    for lineno, line in enumerate(lines, start=1):
         # A canonical line, "<s> <p> <o> .", whose three texts are each
         # one term is added directly; any other line, valid or not, goes
         # to the line parser, which alone raises errors.
@@ -223,7 +219,7 @@ def parse_ntriples(text: str) -> Graph:
                     continue
                 except RdfError:
                     pass  # the line parser raises it at its position
-        stripped = line.strip(" \t\r")
+        stripped = line.strip(" \t")
         if stripped and not stripped.startswith("#"):
             _nt_parse_line(line, lineno, graph, cache)
     return graph
@@ -263,7 +259,7 @@ _TOKEN_RE = re.compile(
     r"""
       (?P<ws>[ \t\r\n]+|\#[^\n]*)
     | (?P<pname>(?:[A-Za-z][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_-]*)?)
-    | (?P<iriref><[^<>"\s]*>)
+    | (?P<iriref><[^<>" \t\r\n]*>)
     | (?P<punct>=>|&&|\|\||!=|<=|>=|[=<>!&{}().;,*])
     | (?P<string>"(?:[^"\\]|\\.)*")
     | (?P<dtsep>\^\^)

@@ -6,10 +6,12 @@ iteration.
 """
 
 import csv
+import datetime
 from fractions import Fraction
 from pathlib import Path
 
 from morekg import vocab
+from morekg.query import numeric_value
 from morekg.rdf import Graph, IRI, Literal, Triple
 from morekg.rules import Var
 
@@ -188,3 +190,69 @@ def materialize_naive(g: Graph, rs) -> Graph:
             if graph.update(additions):
                 changed = True
     return graph
+
+
+# The value order as two separate cascades, one for FILTER and one for
+# sorting, as ``morekg.query`` stated it before ``_value_key`` joined them.
+
+_STRING_DATATYPES = {vocab.XSD_STRING.value,
+                     "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"}
+
+
+def _date_value(term):
+    if isinstance(term, Literal) and term.datatype == vocab.XSD_DATE.value:
+        try:
+            return datetime.date.fromisoformat(term.lexical)
+        except ValueError:
+            return None
+    return None
+
+
+def reference_compare(op: str, a, b) -> bool:
+    """``FILTER(a op b)``: numbers, then dates, then string-typed literals
+    by lexical form; any other pair is a type error, which is false."""
+    if op in ("=", "!="):
+        na, nb = numeric_value(a), numeric_value(b)
+        if na is not None and nb is not None:
+            eq = na == nb
+        else:
+            eq = a == b
+        return eq if op == "=" else not eq
+
+    na, nb = numeric_value(a), numeric_value(b)
+    if na is not None and nb is not None:
+        av, bv = na, nb
+    else:
+        da, db = _date_value(a), _date_value(b)
+        if da is not None and db is not None:
+            av, bv = da, db
+        elif (isinstance(a, Literal) and isinstance(b, Literal)
+              and a.datatype in _STRING_DATATYPES and b.datatype in _STRING_DATATYPES):
+            av, bv = a.lexical, b.lexical
+        else:
+            return False
+    if op == "<":
+        return av < bv
+    if op == "<=":
+        return av <= bv
+    if op == ">":
+        return av > bv
+    return av >= bv
+
+
+def reference_sort_key(term) -> tuple:
+    """ORDER BY's key: unbound, numbers, dates, other literals, IRIs,
+    blank nodes."""
+    if term is None:
+        return (0, "")
+    num = numeric_value(term)
+    if num is not None:
+        return (1, num)
+    d = _date_value(term)
+    if d is not None:
+        return (2, d.isoformat())
+    if isinstance(term, Literal):
+        return (3, (term.lexical, term.datatype, term.lang or ""))
+    if isinstance(term, IRI):
+        return (4, term.value)
+    return (5, term.label)

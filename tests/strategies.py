@@ -125,3 +125,37 @@ def rules(draw):
             st.one_of(known, objects)), min_size=1, max_size=2)))
         out.append(Rule("r%d" % i, body, head))
     return RuleSet(out)
+
+
+# Terms for the value order: numbers of five datatypes whose lexicals
+# often denote equal values, valid and invalid dates, strings and
+# language strings that often share a lexical form, a custom datatype,
+# IRIs and blank nodes; each datatype also gets lexicals it cannot parse.
+_XSD = "http://www.w3.org/2001/XMLSchema#"
+_BAD_LEXICALS = ["", "x", "1.2.3", "--1"]
+_NUMBER_LEXICALS = {
+    "integer": ["0", "1", "-2", "10", "+7"],
+    "decimal": ["1.0", "0.5", "-2.50", "10.0"],
+    "double": ["1e0", "0.5", "-2", "1E1", "INF", "-INF", "NaN", "1e400"],
+    "float": ["1", "0.5E0", "-2.0"],
+    "gYear": ["2015", "2020", "-0044"],
+}
+_DATE_LEXICALS = ["2015-01-01", "2015-6-01", "2020-02-29", "2019-02-29",
+                  "20150101", "2015-01-01Z", "2016-01-01"]
+_STRING_LEXICALS = ["", "1", "2015-01-01", "a", "b", "A"]
+
+value_terms = st.one_of(
+    st.builds(lambda dt, lex: Literal(lex, _XSD + dt), st.sampled_from(sorted(_NUMBER_LEXICALS)),
+              st.sampled_from(_BAD_LEXICALS)),
+    *(st.builds(lambda lex, dt=dt: Literal(lex, _XSD + dt), st.sampled_from(lexicals))
+      for dt, lexicals in sorted(_NUMBER_LEXICALS.items())),
+    st.builds(lambda lex: Literal(lex, vocab.XSD_DATE.value),
+              st.sampled_from(_DATE_LEXICALS + _BAD_LEXICALS)),
+    st.builds(Literal, st.sampled_from(_STRING_LEXICALS)),
+    st.builds(lambda lex, lang: Literal(lex, lang=lang), st.sampled_from(_STRING_LEXICALS),
+              st.sampled_from(["en", "de"])),
+    st.builds(lambda lex: Literal(lex, "http://example.org/dt"),
+              st.sampled_from(_STRING_LEXICALS)),
+    st.builds(lambda local: IRI("http://example.org/" + local), st.sampled_from("abc")),
+    st.builds(BlankNode, st.sampled_from("ab")),
+)

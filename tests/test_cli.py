@@ -90,6 +90,18 @@ class TestBuild:
                             None))
 
 
+    def test_build_alias_to_an_invalid_iri_is_domain_error(self, bundle_dir,
+                                                          tmp_path, capsys):
+        table = tmp_path / "aliases.yaml"
+        table.write_text("%s: http://x/a>b\n" % vocab.OBI_HAS_SPECIFIED_OUTPUT.value,
+                         encoding="utf-8")
+        out = tmp_path / "aliased.nt"
+        assert main(["build", str(bundle_dir), "--aliases", str(table),
+                     "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestMaterializeCommand:
     def test_materialize_file(self, kg_path, tmp_path, capsys):
         out = tmp_path / "mat.nt"

@@ -102,6 +102,14 @@ class TestClosure:
             rdfs_closure(g)
         assert "example.org/A" in str(e.value) and "example.org/B" in str(e.value)
 
+    def test_cycle_path_ignores_a_self_loop(self):
+        a, b, c = (IRI("http://example.org/" + n) for n in "ABC")
+        g = Graph([Triple(a, vocab.RDFS_SUBCLASSOF, b), Triple(b, vocab.RDFS_SUBCLASSOF, c),
+                   Triple(c, vocab.RDFS_SUBCLASSOF, c), Triple(c, vocab.RDFS_SUBCLASSOF, a)])
+        with pytest.raises(SubclassCycleError) as e:
+            rdfs_closure(g)
+        assert e.value.cycle == [a, b, c, a]
+
 
 def test_apply_aliases_rewrites_iris():
     g = Graph()

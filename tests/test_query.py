@@ -1,7 +1,8 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from morekg import vocab
 from morekg.cq import CQ1_QUERY, CQ2_QUERY
@@ -15,8 +16,9 @@ from morekg.rdf import Graph, IRI, Literal
 from morekg.rules import Var, plan
 from morekg.serdes import term_to_ttl
 
-from oracles import cq1_average_by_age, cq2_items_in_range, reference_bgp_eval
-from strategies import graphs
+from oracles import (cq1_average_by_age, cq2_items_in_range, reference_bgp_eval,
+                     reference_compare, reference_sort_key)
+from strategies import graphs, value_terms
 
 EX = "http://example.org/"
 
@@ -91,6 +93,20 @@ class TestParser:
         with pytest.raises(QueryError, match="\\?z"):
             parse_query("SELECT ?x WHERE { ?x a more:Person . FILTER(?z > 1) }")
 
+    # each fails at the first use of the offending variable
+    @pytest.mark.parametrize("text,var", [
+        ("SELECT ?y WHERE { ?x a more:Person . }", "?y"),
+        ("SELECT ?x (COUNT(?y) AS ?n) WHERE { ?x a ?z . } GROUP BY ?x", "?y"),
+        ("SELECT ?x WHERE { ?x a more:Person . } GROUP BY ?x ?w", "?w"),
+        ("SELECT ?x WHERE { ?x a more:Person . FILTER(1 < ?z) }", "?z"),
+        ("SELECT ?x (COUNT(?y) AS ?n) WHERE { ?x more:hasAge ?y . }", "?x"),
+        ("SELECT ?x ?y WHERE { ?x more:hasAge ?y . } GROUP BY ?x", "?y"),
+    ])
+    def test_variable_error_reports_its_position(self, text, var):
+        with pytest.raises(QuerySyntaxError) as e:
+            parse_query("PREFIX ex: <http://example.org/>\n" + text)
+        assert (e.value.line, e.value.column) == (2, text.index(var) + 1)
+
 
 class TestFormatDecimal:
     @pytest.mark.parametrize("frac,places,expected", [
@@ -116,6 +132,34 @@ class TestNumericValue:
         assert numeric_value(Literal("hi")) is None
         assert numeric_value(IRI(EX + "x")) is None
         assert numeric_value(Literal("nope", vocab.XSD_DECIMAL.value)) is None
+
+
+_PAIRS = ("WHERE { ?s <http://example.org/v> ?a . ?s <http://example.org/v> ?b . %s }")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(value_terms, min_size=1, max_size=6))
+def test_value_order_agrees_with_reference(terms):
+    g = Graph()
+    for t in terms:
+        g.add(IRI(EX + "s"), IRI(EX + "v"), t)
+    objects = list(dict.fromkeys(terms))
+    pairs = [(a, b) for a in objects for b in objects]
+    for op in ("=", "!=", "<", "<=", ">", ">="):
+        table = evaluate(g, parse_query("SELECT ?a ?b " + _PAIRS % ("FILTER(?a %s ?b)" % op)))
+        assert Counter(table.rows) == Counter(p for p in pairs if reference_compare(op, *p)), op
+
+    def keys(row):
+        return tuple(map(reference_sort_key, row))
+
+    for direction in ("ASC", "DESC"):
+        table = evaluate(g, parse_query(
+            "SELECT ?a ?b " + _PAIRS % "" + " ORDER BY %s(?a)" % direction))
+        expected = sorted(pairs, key=keys)  # the canonical sort, then ORDER BY
+        expected.sort(key=lambda row: reference_sort_key(row[0]),
+                      reverse=(direction == "DESC"))
+        assert Counter(table.rows) == Counter(pairs)
+        assert list(map(keys, table.rows)) == list(map(keys, expected)), direction
 
 
 class TestEvaluate:

@@ -80,13 +80,24 @@ class TestTerms:
         assert EX_S.value == "http://example.org/s"
 
     @pytest.mark.parametrize("value", [
-        "http://example.org/a\u00a0b", "http://example.org/a\u2028b", "",
+        "http://example.org/a b", "http://example.org/a>b", "",
     ])
     def test_invalid_iri_is_not_cached(self, value):
         # an invalid term raises on every call, so none was interned
         for _ in range(2):
             with pytest.raises(RdfError):
                 IRI(value)
+
+    def test_iri_rejects_each_excluded_character(self):
+        for c in [chr(n) for n in range(0x21)] + list('<>"{}|^`\\'):
+            with pytest.raises(RdfError):
+                IRI("http://example.org/a%sb" % c)
+            with pytest.raises(RdfError):
+                Literal("x", "http://example.org/a%sb" % c)
+
+    @pytest.mark.parametrize("c", ["\u00a0", "\u2028", "\u3000", "~", "%", "#"])
+    def test_iri_allows_other_characters(self, c):
+        assert IRI("http://example.org/a%sb" % c).value == "http://example.org/a%sb" % c
 
     def test_invalid_literal_is_not_cached(self):
         for _ in range(2):

@@ -327,6 +327,19 @@ class TestRuleSyntax:
             parse_rules("r1: ?x a more:Person => ?y a more:Person .",
                         include_builtins=False)
 
+    # each fails at its offending token: the arrow after an empty body, an
+    # unbound head variable, a repeated rule name
+    @pytest.mark.parametrize("text,token", [
+        ("r1: => ?x a more:C .", "=>"),
+        ("r1: ?x a more:C => ?x more:p ?y .", "?y"),
+        ("r0: ?x a more:C => ?x a more:E .", "r0"),
+    ])
+    def test_validation_error_reports_its_position(self, text, token):
+        with pytest.raises(RuleSyntaxError) as e:
+            parse_rules("r0: ?x a more:C => ?x a more:D .\n" + text,
+                        include_builtins=False)
+        assert (e.value.line, e.value.column) == (2, text.index(token) + 1)
+
     def test_error_reports_line(self):
         with pytest.raises(RuleError, match="line 2"):
             parse_rules("r1: ?x a more:Person => ?x a more:Person .\n"

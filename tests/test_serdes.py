@@ -1,12 +1,13 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from morekg import vocab
-from morekg.query import QueryError, QuerySyntaxError, parse_query
+from morekg.query import QuerySyntaxError, parse_query
 from morekg.rdf import BlankNode, Graph, IRI, Literal, PrefixMap, Triple
-from morekg.rules import RuleError, RuleSyntaxError, parse_rules
+from morekg.rules import RuleSyntaxError, parse_rules
 from morekg.serdes import (ParseError, _nt_parse_line, parse_ntriples,
                            parse_turtle, write_ntriples, write_turtle)
 
@@ -230,6 +231,15 @@ def test_iri_escapes_decoded(parse):
                               Literal("x", "http://a/B"))]
 
 
+@pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle,
+                                   _query_patterns, _rule_patterns])
+def test_iri_with_a_non_ascii_space_parses(parse):
+    # U+00A0 is a ucschar, which IRIs allow
+    g = parse('<http://a/x\u00a0y> <http://e/p> "x"^^<http://a/\u00a0> .')
+    assert list(g) == [Triple(IRI("http://a/x\u00a0y"), IRI("http://e/p"),
+                              Literal("x", "http://a/\u00a0"))]
+
+
 @pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle])
 @pytest.mark.parametrize("text,column", BAD_TERMS)
 def test_invalid_term_reports_position(parse, text, column):
@@ -321,15 +331,12 @@ def test_mutated_input_parses_or_fails_with_position(parse, doc, error, data):
         parse(text)
     except error as e:
         assert e.line >= 1 and e.column >= 1
-    except (QueryError, RuleError) as e:
-        # well-formed, but a variable is unbound or a rule name repeats
-        assert type(e) in (QueryError, RuleError)
 
 
 # Canonical lines whose literals hold inner spaces, " ." and \", with a
 # language tag, a datatype and blank nodes, and some terms repeated; then
-# valid lines in other layouts: tabs, CRLF, leading blanks, a comment, and
-# a comment after the dot.
+# valid lines in other layouts: tabs, CRLF, leading blanks, a comment, a
+# comment after the dot, and two lines ended by a lone CR.
 NT_LAYOUTS = """\
 <http://e/s> <http://e/label> "grip strength . right hand ." .
 <http://e/s> <http://e/quote> "he said \\"hi .\\" and left" .
@@ -343,6 +350,7 @@ _:b1 <http://e/next> <http://e/s> .
 # a comment <http://e/s> <http://e/p> <http://e/o> .
 <http://e/t> <http://e/next> <http://e/s> .
 <http://e/s> <http://e/p> <http://e/o> . # note
+<http://e/u> <http://e/p> <http://e/o> .\r<http://e/u> <http://e/q> <http://e/o> .
 """
 
 # FUZZ_PIECES plus layout: tabs, CR, newlines and a spaced dot
@@ -359,15 +367,22 @@ def _outcome(parse, text):
 def _parse_lines_alone(text):
     """``text`` through the line parser alone, with no term cache."""
     graph = Graph()
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip(" \t\r")
+    for lineno, line in enumerate(re.split(r"\r\n?|\n", text), start=1):
+        stripped = line.strip(" \t")
         if stripped and not stripped.startswith("#"):
             _nt_parse_line(line, lineno, graph, {})
     return graph
 
 
 def test_ntriples_layouts_parse():
-    assert len(parse_ntriples(NT_LAYOUTS)) == 11
+    assert len(parse_ntriples(NT_LAYOUTS)) == 13
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r", "\r\n"])
+def test_ntriples_line_ends_count_lines(eol):
+    with pytest.raises(ParseError) as e:
+        parse_ntriples("<http://e/s> <http://e/p> <http://e/o> .%s<http://e/s> ." % eol)
+    assert (e.value.line, e.value.column) == (2, 14)
 
 
 @settings(max_examples=500, deadline=None)
