@@ -33,7 +33,14 @@ from .serdes import PositionedError, TokenStream, term_to_ttl
 
 
 class RuleError(Exception):
-    pass
+    """A malformed rule or rule set.  A fault of one rule carries that
+    rule and the part at fault: ``"name"`` for a repeated name, ``"body"``
+    for an empty body, or the unbound head ``Var``."""
+
+    def __init__(self, message: str, rule: Optional[Rule] = None, part=None):
+        super().__init__(message)
+        self.rule = rule
+        self.part = part
 
 
 class RuleSyntaxError(PositionedError, RuleError):
@@ -72,17 +79,13 @@ class Rule:
 
     def validate(self) -> None:
         if not self.body:
-            raise RuleError("rule %s: empty body" % self.name)
-        bound = set()
-        for p in self.body:
-            bound |= pattern_vars(p)
+            raise RuleError("rule %s: empty body" % self.name, self, "body")
+        bound = set().union(*map(pattern_vars, self.body))
         for p in self.head:
-            unbound = pattern_vars(p) - bound
-            if unbound:
-                raise RuleError(
-                    "rule %s: head variable(s) not bound in body: %s"
-                    % (self.name, ", ".join(sorted(unbound)))
-                )
+            for t in p:
+                if isinstance(t, Var) and t.name not in bound:
+                    raise RuleError("rule %s: head variable %s not bound in body"
+                                    % (self.name, t), self, t)
 
 
 @dataclass
@@ -90,10 +93,11 @@ class RuleSet:
     rules: list[Rule]
 
     def __post_init__(self):
-        names = [r.name for r in self.rules]
-        if len(names) != len(set(names)):
-            raise RuleError("duplicate rule names")
+        names = set()
         for r in self.rules:
+            if r.name in names:
+                raise RuleError("duplicate rule name %r" % r.name, r, "name")
+            names.add(r.name)
             r.validate()
 
     def __iter__(self):
@@ -237,8 +241,6 @@ def materialize(g: Graph, rs: RuleSet) -> Graph:
     joins once per body atom, that atom against the previous round's new
     triples and every other atom against the whole graph.
     """
-    for r in rs:
-        r.validate()
     full = g.copy()
     new: set[tuple] = set()
     for rule in rs:
@@ -262,34 +264,39 @@ class _RuleParser(TokenStream):
     error = RuleSyntaxError
     variable = Var
 
-    def rules(self) -> list[Rule]:
-        """The rules of the text.  An empty body, an unbound head variable
-        or a repeated rule name fails at the offending token; rules built
-        in Python get ``RuleSet``'s bare ``RuleError`` instead."""
-        rules: dict[str, Rule] = {}
+    def rule_set(self, builtins: list[Rule]) -> RuleSet:
+        """The rules of the text, after those ``builtins`` whose names it
+        does not use.  A fault ``RuleSet`` finds in a rule of the text is
+        raised at its token: the repeated name, the ``=>`` after an empty
+        body, or the unbound head variable."""
+        rules = []
+        at = {}  # id of a rule of the text -> (name offset, '=>' offset, head tokens)
         while self.peek()[0] is not None:
             kind, name, offset = self.next()
             if kind == "pname" and name.endswith(":") and name != ":":
                 name = name[:-1]  # "r1:" lexes as a prefixed name, local part empty
             elif kind not in ("word", "pname") or self.next()[:2] != ("pname", ":"):
                 self.err("expected a rule name and ':'", offset)
-            if name in rules:
-                self.err("duplicate rule name %r" % name, offset)
             body = self._patterns()
             arrow = self.peek()[2]
             self.expect_punct("=>")
-            if not body:
-                self.err("rule %s: empty body" % name, arrow)
-            bound = set().union(*map(pattern_vars, body))
             start = self.pos
             head = self._patterns()
-            for kind, value, offset in self.tokens[start:self.pos]:
-                if kind == "var" and value[1:] not in bound:
-                    self.err("rule %s: head variable %s not bound in body"
-                             % (name, value), offset)
+            rule = Rule(name=name, body=body, head=head)
+            at[id(rule)] = offset, arrow, self.tokens[start:self.pos]
             self.expect_punct(".")
-            rules[name] = Rule(name=name, body=body, head=head)
-        return list(rules.values())
+            rules.append(rule)
+        have = {r.name for r in rules}
+        try:
+            return RuleSet([r for r in builtins if r.name not in have] + rules)
+        except RuleError as e:
+            name_at, arrow, head = at[id(e.rule)]
+            if e.part == "name":
+                self.err(str(e), name_at)
+            if e.part == "body":
+                self.err(str(e), arrow)
+            self.err(str(e), next(o for k, v, o in head
+                                  if k == "var" and v[1:] == e.part.name))
 
     def _patterns(self) -> tuple[Pattern, ...]:
         """Triple patterns up to '=>' or '.', each optionally followed by '&'."""
@@ -302,11 +309,8 @@ class _RuleParser(TokenStream):
 
 def parse_rules(text: str, prefixes: Optional[PrefixMap] = None,
                 include_builtins: bool = True) -> RuleSet:
-    rules = _RuleParser(text, prefixes).rules()
-    if include_builtins:
-        have = {r.name for r in rules}
-        rules = [r for r in builtin_rules() if r.name not in have] + rules
-    return RuleSet(rules)
+    return _RuleParser(text, prefixes).rule_set(
+        builtin_rules() if include_builtins else [])
 
 
 def export_rules(rs: RuleSet, prefixes: Optional[PrefixMap] = None) -> str:

@@ -124,9 +124,6 @@ _NT_TERM_RE = re.compile(
 )
 
 
-_NT_EOL_RE = re.compile(r"\r\n?|\n")
-
-
 def _nt_term(m: re.Match) -> Term:
     iri, blank, lit, dt, lang = m.group("iri", "blank", "lit", "dt", "lang")
     if iri:
@@ -196,14 +193,17 @@ def _nt_parse_line(line: str, lineno: int, graph: Graph, cache: dict) -> None:
         raise ParseError(str(e), lineno, 1) from None
 
 
+def _nt_lines(text: str) -> list[str]:
+    """The lines of an N-Triples text; a line ends at LF, CR or CRLF."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_ntriples(text: str) -> Graph:
     graph = Graph()
     add = graph.add
     cache: dict = {}  # a term's exact text -> the term
     get = cache.get
-    # a line ends at LF, CR or CRLF; a text without CR splits at LF alone
-    lines = _NT_EOL_RE.split(text) if "\r" in text else text.split("\n")
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_nt_lines(text), start=1):
         # A canonical line, "<s> <p> <o> .", whose three texts are each
         # one term is added directly; any other line, valid or not, goes
         # to the line parser, which alone raises errors.

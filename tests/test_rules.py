@@ -27,18 +27,21 @@ class TestRuleValidation:
     def test_unbound_head_variable(self):
         r = Rule("bad", ((Var("x"), vocab.RDF_TYPE, Var("c")),),
                  ((Var("x"), vocab.RDF_TYPE, Var("d")),))
-        with pytest.raises(RuleError, match="d"):
+        with pytest.raises(RuleError, match="d") as e:
             r.validate()
+        assert (e.value.rule, e.value.part) == (r, Var("d"))
 
     def test_empty_body(self):
         r = Rule("bad", (), ((Var("x"), vocab.RDF_TYPE, Var("x")),))
-        with pytest.raises(RuleError, match="empty body"):
+        with pytest.raises(RuleError, match="empty body") as e:
             r.validate()
+        assert (e.value.rule, e.value.part) == (r, "body")
 
     def test_duplicate_names_rejected(self):
         r = builtin_shortcut_rule()
-        with pytest.raises(RuleError, match="duplicate"):
+        with pytest.raises(RuleError, match="duplicate") as e:
             RuleSet([r, r])
+        assert (e.value.rule, e.value.part) == (r, "name")
 
     def test_builtin_shortcut_shape(self):
         r = builtin_shortcut_rule()
@@ -333,6 +336,7 @@ class TestRuleSyntax:
         ("r1: => ?x a more:C .", "=>"),
         ("r1: ?x a more:C => ?x more:p ?y .", "?y"),
         ("r0: ?x a more:C => ?x a more:E .", "r0"),
+        ("r0: => ?x a more:E .", "r0"),
     ])
     def test_validation_error_reports_its_position(self, text, token):
         with pytest.raises(RuleSyntaxError) as e:

@@ -1,5 +1,4 @@
 import random
-import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +7,9 @@ from morekg import vocab
 from morekg.query import QuerySyntaxError, parse_query
 from morekg.rdf import BlankNode, Graph, IRI, Literal, PrefixMap, Triple
 from morekg.rules import RuleSyntaxError, parse_rules
-from morekg.serdes import (ParseError, _nt_parse_line, parse_ntriples,
-                           parse_turtle, write_ntriples, write_turtle)
+from morekg.serdes import (ParseError, _nt_lines, _nt_parse_line,
+                           parse_ntriples, parse_turtle, write_ntriples,
+                           write_turtle)
 
 from strategies import graphs
 
@@ -367,7 +367,7 @@ def _outcome(parse, text):
 def _parse_lines_alone(text):
     """``text`` through the line parser alone, with no term cache."""
     graph = Graph()
-    for lineno, line in enumerate(re.split(r"\r\n?|\n", text), start=1):
+    for lineno, line in enumerate(_nt_lines(text), start=1):
         stripped = line.strip(" \t")
         if stripped and not stripped.startswith("#"):
             _nt_parse_line(line, lineno, graph, {})
