@@ -24,7 +24,8 @@ WHERE {
         obi:has_specified_output ?datum ;
         obi:has_participant ?person .
   ?datum a iao:ScalarMeasurementDatum ;
-         obi:has_value_specification ?strengthValue .
+         obi:has_value_specification ?vs .
+  ?vs more:hasValue ?strengthValue .
   ?person more:hasAge ?age .
 }
 GROUP BY ?age

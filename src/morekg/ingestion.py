@@ -4,9 +4,10 @@ and emit the knowledge graph.
 Emission follows the plan/process/datum pattern: each result row yields
 an executed plan, a test process with an evaluant role for the
 participant, a scalar measurement datum, and a value specification that
-specifies the value of the participant's disposition.  Direct
-query-facing shortcuts (``more:hasAge``, the decimal object on
-``obi:has_value_specification``) are emitted alongside the full pattern.
+specifies the value of the participant's disposition.  A datum's value
+has one path, ``?datum obi:has_value_specification ?vs . ?vs
+more:hasValue ?value``.  The query-facing shortcut ``more:hasAge`` is
+emitted alongside the full pattern.
 """
 
 from __future__ import annotations
@@ -253,7 +254,6 @@ def emit_kg(b: StudyBundle, schema: OntologySchema) -> Graph:
         role = mint_iri(study_id, "role", local)
         datum = mint_iri(study_id, "datum", local)
         vspec = mint_iri(study_id, "valuespec", local)
-        value = Literal(r.value, item_def.datatype)
 
         g.add(plan, vocab.RDF_TYPE, vocab.IAO_PLAN)
         g.add(plan, vocab.BFO_CONCRETIZES, item_iri)
@@ -278,11 +278,10 @@ def emit_kg(b: StudyBundle, schema: OntologySchema) -> Graph:
         g.add(datum, vocab.RDF_TYPE, vocab.IAO_SCALAR_MEASUREMENT_DATUM)
         g.add(proc, vocab.OBI_HAS_SPECIFIED_OUTPUT, datum)
         g.add(datum, vocab.OBI_HAS_VALUE_SPECIFICATION, vspec)
-        g.add(datum, vocab.OBI_HAS_VALUE_SPECIFICATION, value)
         g.add(datum, part_of, study)
 
         g.add(vspec, vocab.RDF_TYPE, vocab.OBI_VALUE_SPECIFICATION)
-        g.add(vspec, vocab.MORE_HAS_VALUE, value)
+        g.add(vspec, vocab.MORE_HAS_VALUE, Literal(r.value, item_def.datatype))
         g.add(vspec, vocab.MORE_HAS_UNIT, Literal(item_def.unit))
         g.add(vspec, vocab.OBI_SPECIFIES_VALUE_OF, disp)
         g.add(vspec, part_of, study)

@@ -426,13 +426,10 @@ def _aggregate(func: str, k: Optional[int], rows: list[tuple], avg_places: int,
     values: list[tuple[Fraction, Term]] = []
     for r in rows:
         term = r[k]
-        if not isinstance(term, Literal):
-            # IRIs/blank nodes are not values; skip them
-            continue
         rank, num = key(term)
         if rank != 1:
-            warnings.warn("non-numeric literal %r in %s; group yields unbound"
-                          % (term.lexical, func))
+            warnings.warn("non-numeric value %r in %s; group yields unbound"
+                          % (render_term(term), func))
             return None
         values.append((num, term))
     if not values:

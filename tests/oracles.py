@@ -104,7 +104,7 @@ def count_expected_emission(bundle) -> int:
             n += 1
         n += 3 * len(bundle.items)  # disposition: type, inheres_in, partOfStudy
     for r in bundle.results:
-        n += 17  # plan(3) process(5) role(4) datum(5 incl. dual value object)
+        n += 16  # plan(3) process(5) role(4) datum(4)
         n += 5   # value spec: type, value, unit, specifies_value_of, partOfStudy
         if r.trial:
             n += 1

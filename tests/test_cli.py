@@ -157,7 +157,7 @@ class TestQueryCommand:
         qfile.write_text(CQ1_QUERY, encoding="utf-8")
         assert main(["query", str(kg_path), str(qfile), "--explain"]) == 0
         out = capsys.readouterr().out
-        assert len(out.strip().splitlines()) == 6
+        assert len(out.strip().splitlines()) == 7
 
     def test_role_view_hides_age(self, kg_path, tmp_path, capsys):
         qfile = tmp_path / "ages.rq"

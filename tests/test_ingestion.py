@@ -4,8 +4,10 @@ from morekg import vocab
 from morekg.bundle import (BundleError, ParticipantRecord, ResultRecord,
                            StudyBundle, StudyMetadata)
 from morekg.bundle import TestItemDef as ItemDef
+from morekg.fixtures import generate_fixture
 from morekg.ingestion import emit_kg, load_bundle, mint_iri, validate_bundle
 from morekg.ontology import build_schema
+from morekg.query import evaluate, parse_query, to_csv
 from morekg.rdf import IRI, Literal, Triple
 from morekg.serdes import write_ntriples
 
@@ -163,10 +165,22 @@ class TestEmitKg:
         vs = vspecs[0]
         assert Triple(vs, vocab.RDF_TYPE, vocab.OBI_VALUE_SPECIFICATION) in g
         assert Triple(vs, vocab.MORE_HAS_UNIT, Literal("kg")) in g
-        # query-facing dual: the datum also carries the plain decimal
+        # the value has one path: the datum's only value object is vs
         datums = [t.subject for t in g.match(None, vocab.OBI_HAS_VALUE_SPECIFICATION, vs)]
         assert len(datums) == 1
-        assert Triple(datums[0], vocab.OBI_HAS_VALUE_SPECIFICATION, value) in g
+        assert [t.object for t in g.match(datums[0], vocab.OBI_HAS_VALUE_SPECIFICATION)] \
+            == [vs]
+
+    def test_one_value_specification_per_datum(self, tmp_path):
+        generate_fixture(tmp_path, seed=42, participants=5, items=2)
+        b = load_bundle(tmp_path)
+        schema = build_schema(b.items)
+        g = emit_kg(b, schema)
+        g.update(schema.graph)
+        q = ("PREFIX obi: <http://purl.obolibrary.org/obo/OBI_> "
+             "SELECT (COUNT(?v) AS ?n) WHERE { ?d obi:has_value_specification ?v . }")
+        assert to_csv(evaluate(g, parse_query(q))) == "n\n10\n"
+        assert g.count(None, vocab.RDF_TYPE, vocab.IAO_SCALAR_MEASUREMENT_DATUM) == 10
 
     def test_participant_without_results(self, tmp_path):
         write_bundle(tmp_path, {"results.csv":
@@ -208,8 +222,7 @@ class TestEmitKg:
         for t in g.match(None, vocab.PATO_EXECUTES, None):
             assert g.count(t.subject, vocab.OBI_HAS_SPECIFIED_OUTPUT, None) == 1
         for t in g.match(None, vocab.OBI_HAS_SPECIFIED_OUTPUT, None):
-            vs_objs = [x.object for x in g.match(t.object, vocab.OBI_HAS_VALUE_SPECIFICATION)
-                       if isinstance(x.object, IRI)]
+            vs_objs = [x.object for x in g.match(t.object, vocab.OBI_HAS_VALUE_SPECIFICATION)]
             assert len(vs_objs) == 1
             assert g.count(vs_objs[0], vocab.OBI_SPECIFIES_VALUE_OF, None) == 1
 

@@ -40,7 +40,7 @@ def people_graph():
 class TestParser:
     def test_cq1_shape(self):
         q = parse_query(CQ1_QUERY)
-        assert len(q.where) == 6
+        assert len(q.where) == 7
         assert q.group_by == ["age"]
         assert q.order_by == [("age", "asc")]
         agg = q.projections[1]
@@ -231,8 +231,8 @@ class TestEvaluate:
         assert [(r[0].lexical, r[1].lexical) for r in t.rows] == \
             [("9", "2"), ("11", "1")]
 
-    def test_avg_skips_iri_bindings(self):
-        # mixed object values: aggregate over the numeric literals only
+    def test_avg_iri_binding_unbound_with_warning(self):
+        # an IRI is not a number: the group's AVG is unbound, not skipped
         g = Graph()
         d = IRI(EX + "datum")
         g.add(d, vocab.OBI_HAS_VALUE_SPECIFICATION, IRI(EX + "vs"))
@@ -240,8 +240,9 @@ class TestEvaluate:
               Literal("32.5", vocab.XSD_DECIMAL.value))
         q = ("PREFIX obi: <http://purl.obolibrary.org/obo/OBI_> "
              "SELECT (AVG(?v) AS ?m) WHERE { ?d obi:has_value_specification ?v . }")
-        t = evaluate(g, parse_query(q))
-        assert t.rows[0][0].lexical == "32.500000"
+        with pytest.warns(UserWarning, match="non-numeric value '%s'" % (EX + "vs")):
+            t = evaluate(g, parse_query(q))
+        assert t.rows == [(None,)]
 
     def test_avg_non_numeric_literal_unbound_with_warning(self):
         g = Graph()
@@ -316,7 +317,7 @@ class TestRendering:
     def test_explain_lists_all_patterns(self, fixture_graph):
         q = parse_query(CQ1_QUERY)
         described = explain(q, fixture_graph)
-        assert len(described.steps) == 6
+        assert len(described.steps) == 7
         assert "more:hasAge" in str(described)
 
         def show(t):
