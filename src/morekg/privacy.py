@@ -190,10 +190,28 @@ def annotate_schema(schema: OntologySchema, p: Policy) -> tuple[Graph, list[str]
     return out, warnings_
 
 
+def _entailed(g: Graph, targets) -> set:
+    """``targets`` plus every class or property of ``g`` below one of them
+    through ``rdfs:subClassOf`` or ``rdfs:subPropertyOf``, at any depth:
+    what an RDFS closure of ``g`` would type or relate as a target."""
+    out = set(targets)
+    todo = list(out)
+    while todo:
+        t = todo.pop()
+        for rel in (vocab.RDFS_SUBCLASSOF, vocab.RDFS_SUBPROPERTYOF):
+            for sub, _, _ in g.match(None, rel, t):
+                if sub not in out:
+                    out.add(sub)
+                    todo.append(sub)
+    return out
+
+
 def apply_policy(g: Graph, p: Policy, role_name: str) -> Graph:
-    """Build the role's filtered/generalized view; source unchanged."""
+    """Build the role's filtered/generalized view; source unchanged.
+    Subclasses and subproperties of a denied target are denied too, so
+    the view still passes audit after an RDFS closure."""
     role = p.role(role_name)
-    denied = p.denied_targets(role_name)
+    denied = _entailed(g, p.denied_targets(role_name))
     if not denied:
         return g.copy()
 
@@ -262,8 +280,9 @@ class AuditReport:
 
 
 def audit_view(view: Graph, p: Policy, role_name: str) -> AuditReport:
-    """List every triple in the view that the role's policy forbids."""
-    denied = p.denied_targets(role_name)
+    """List every triple in the view that the role's policy forbids,
+    reading denied targets as ``apply_policy`` does."""
+    denied = _entailed(view, p.denied_targets(role_name))
     report = AuditReport(role=role_name, checked=len(view))
     for t in view:
         if t.predicate in denied:

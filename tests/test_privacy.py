@@ -1,12 +1,14 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from morekg import vocab
+from morekg.bundle import TestItemDef as ItemDef
 from morekg.ontology import build_schema
-from morekg.privacy import (GeneralizationSpec, Policy, PolicyError, Role,
+from morekg.privacy import (LEVELS, GeneralizationSpec, Policy, PolicyError, Role,
                             annotate_schema, apply_policy, audit_view,
                             default_policy, load_policy, policy_from_dict)
 from morekg.rdf import Graph, IRI, Literal, Triple
+from morekg.rules import builtin_ruleset, materialize
 
 from strategies import graphs
 
@@ -205,6 +207,55 @@ class TestApplyPolicy:
         assert not audit_view(view, policy, "public")
         assert set(view) <= set(g) | {
             t for t in view if t.predicate == AGE_BAND}
+
+
+def _entailment_targets(schema_graph):
+    """The schema's classes and its declared properties, less those a
+    builtin rule derives: the rules re-derive such a predicate from the
+    allowed triples of its body, which no subclass or subproperty
+    closure of the denied targets removes."""
+    classes = set()
+    for t in schema_graph.match(None, vocab.RDFS_SUBCLASSOF, None):
+        classes |= {t.subject, t.object}
+    derived = {h[1] for r in builtin_ruleset() for h in r.head}
+    return sorted(classes | (set(vocab.DECLARED_PROPERTIES) - derived),
+                  key=lambda t: t.value)
+
+
+_SCHEMA_TARGETS = _entailment_targets(build_schema(
+    [ItemDef("handgrip", "Handgrip", "grip strength", "kg", vocab.XSD_DECIMAL.value),
+     ItemDef("shuttle_run", "Shuttle run", "speed", "s", vocab.XSD_DECIMAL.value)]
+).graph)
+
+
+class TestEntailment:
+    def test_denied_superclass_covers_subclass_instances(self, fixture_graph):
+        p = policy_from_dict({"annotations": {"more:TestProcess": "health"},
+                              "roles": {"r": {"allow": ["public"]}}})
+        view = apply_policy(fixture_graph, p, "r")
+        assert not list(view.match(None, vocab.RDF_TYPE, vocab.MORE_HANDGRIP_TEST_PROCESS))
+        assert not audit_view(materialize(view, builtin_ruleset()), p, "r")
+
+    def test_denied_superproperty_covers_subproperty(self):
+        sub = IRI(EX + "hasExactAge")
+        g = person_graph()
+        g.add(sub, vocab.RDFS_SUBPROPERTYOF, vocab.MORE_HAS_AGE)
+        g.add(IRI(EX + "p1"), sub, Literal("7", vocab.XSD_INTEGER.value))
+        view = apply_policy(g, default_policy(), "public")
+        assert not list(view.match(None, sub, None))
+        # the audit reads the subproperty as denied on the view it is given
+        report = audit_view(g, default_policy(), "public")
+        assert any(sub.value in v.reason for v in report.violations)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.sampled_from(_SCHEMA_TARGETS), st.sampled_from(LEVELS),
+                           max_size=6))
+    def test_view_audits_clean_after_materialize_property(self, fixture_graph,
+                                                          annotations):
+        p = Policy(annotations=annotations,
+                   roles={"r": Role("r", frozenset(["public"]))})
+        view = apply_policy(fixture_graph, p, "r")
+        assert not audit_view(materialize(view, builtin_ruleset()), p, "r")
 
 
 class TestAudit:
