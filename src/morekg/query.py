@@ -199,7 +199,7 @@ class _QueryParser(TokenStream):
 
         group_by: list[str] = []
         order_by: list[tuple[str, str]] = []
-        limit = offset_ = None
+        bounds: dict[str, int] = {}  # LIMIT and OFFSET
         while True:
             tok = self.peek()
             if self._is_kw(tok, "GROUP"):
@@ -235,18 +235,12 @@ class _QueryParser(TokenStream):
                         break
                 if not found:
                     self.err("ORDER BY requires at least one sort key", tok[2])
-            elif self._is_kw(tok, "LIMIT"):
+            elif tok[0] == "word" and tok[1].upper() in ("LIMIT", "OFFSET"):
                 self.next()
                 n = self.next()
-                if n[0] != "integer":
-                    self.err("expected integer after LIMIT", n[2])
-                limit = int(n[1])
-            elif self._is_kw(tok, "OFFSET"):
-                self.next()
-                n = self.next()
-                if n[0] != "integer":
-                    self.err("expected integer after OFFSET", n[2])
-                offset_ = int(n[1])
+                if n[0] != "integer" or not n[1].isdigit():  # no sign
+                    self.err("expected unsigned integer after %s" % tok[1].upper(), n[2])
+                bounds[tok[1].upper()] = int(n[1])
             elif tok[0] is None:
                 break
             else:
@@ -262,7 +256,7 @@ class _QueryParser(TokenStream):
         return QueryAst(prefixes=self.prefixes, projections=projections,
                         where=where, filters=filters, distinct=distinct,
                         group_by=group_by, order_by=order_by,
-                        limit=limit, offset=offset_)
+                        limit=bounds.get("LIMIT"), offset=bounds.get("OFFSET"))
 
     def _projections(self) -> list[Projection]:
         out: list[Projection] = []

@@ -198,6 +198,13 @@ class TestEvaluate:
         t = evaluate(people_graph(), parse_query(q))
         assert [r[1].lexical for r in t.rows] == ["9", "9"]
 
+    @pytest.mark.parametrize("clause", ["LIMIT -1", "OFFSET -1", "LIMIT +2"])
+    def test_signed_limit_offset_rejected(self, clause):
+        q = "SELECT ?s WHERE { ?s ?p ?o . } " + clause
+        with pytest.raises(QuerySyntaxError, match="unsigned integer") as e:
+            parse_query(q)
+        assert e.value.column == q.index(clause.split()[1]) + 1  # at the number
+
     def test_default_order_is_canonical(self):
         g1 = people_graph()
         ts = sorted(set(g1), key=repr, reverse=True)
