@@ -31,6 +31,7 @@ valued once per ``evaluate`` call.
 from __future__ import annotations
 
 import datetime
+import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,14 +53,20 @@ class QuerySyntaxError(PositionedError, QueryError):
     pass
 
 
-_NUMERIC_DATATYPES = {
-    vocab.XSD_INTEGER.value,
-    vocab.XSD_DECIMAL.value,
-    vocab.XSD_DOUBLE.value,
-    "http://www.w3.org/2001/XMLSchema#float",
-    "http://www.w3.org/2001/XMLSchema#long",
-    "http://www.w3.org/2001/XMLSchema#int",
-    "http://www.w3.org/2001/XMLSchema#gYear",
+# The XSD lexical forms of each numeric datatype family, in ASCII digits
+# only: ``Fraction`` and ``float`` also read "1/2", "1_000", " 5" and
+# non-ASCII digits.  INF and NaN are left out, as they have no Fraction.
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_DECIMAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+_DOUBLE_RE = re.compile(_DECIMAL + r"(?:[eE][+-]?[0-9]+)?")
+_NUMERIC_LEXICAL = {
+    vocab.XSD_INTEGER.value: _INTEGER_RE,
+    vocab.XSD + "long": _INTEGER_RE,
+    vocab.XSD + "int": _INTEGER_RE,
+    vocab.XSD_DECIMAL.value: re.compile(_DECIMAL),
+    vocab.XSD_DOUBLE.value: _DOUBLE_RE,
+    vocab.XSD + "float": _DOUBLE_RE,
+    vocab.XSD + "gYear": re.compile(r"-?[0-9]{4,}"),
 }
 
 _STRING_DATATYPES = {vocab.XSD_STRING.value, "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"}
@@ -68,13 +75,14 @@ _OPERATORS = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 def numeric_value(term) -> Optional[Fraction]:
-    if not isinstance(term, Literal) or term.datatype not in _NUMERIC_DATATYPES:
+    lexical = _NUMERIC_LEXICAL.get(term.datatype) if isinstance(term, Literal) else None
+    if lexical is None or not lexical.fullmatch(term.lexical):
         return None
-    try:
-        if term.datatype == vocab.XSD_DOUBLE.value or term.datatype.endswith("#float"):
-            return Fraction(float(term.lexical))
+    if lexical is not _DOUBLE_RE:
         return Fraction(term.lexical)
-    except (ValueError, ZeroDivisionError, OverflowError):  # INF has no Fraction
+    try:
+        return Fraction(float(term.lexical))
+    except OverflowError:  # 1e400 reads as inf, which has no Fraction
         return None
 
 

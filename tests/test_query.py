@@ -133,6 +133,19 @@ class TestNumericValue:
         assert numeric_value(IRI(EX + "x")) is None
         assert numeric_value(Literal("nope", vocab.XSD_DECIMAL.value)) is None
 
+    @pytest.mark.parametrize("lexical, datatype, value", [
+        ("1/2", vocab.XSD_DECIMAL, None),
+        ("1_000", vocab.XSD_INTEGER, None),
+        (" 5", vocab.XSD_INTEGER, None),
+        ("\u0661\u0662", vocab.XSD_INTEGER, None),  # Arabic-Indic 12
+        ("+5", vocab.XSD_INTEGER, 5),
+        ("-0.5", vocab.XSD_DECIMAL, Fraction(-1, 2)),
+        (".5", vocab.XSD_DECIMAL, Fraction(1, 2)),
+        ("1e3", vocab.XSD_DOUBLE, 1000),
+    ])
+    def test_xsd_lexical_forms_only(self, lexical, datatype, value):
+        assert numeric_value(Literal(lexical, datatype.value)) == value
+
 
 _PAIRS = ("WHERE { ?s <http://example.org/v> ?a . ?s <http://example.org/v> ?b . %s }")
 
