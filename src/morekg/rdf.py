@@ -56,6 +56,10 @@ _LITERALS: dict = {}
 # The one rule for the characters an IRI may not hold: space, the
 # controls and <>"{}|^`\ (the IRIREF production of Turtle and N-Triples).
 IRI_EXCLUDED = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+# The one rule for a language tag (the LANGTAG production of Turtle and
+# N-Triples), as a pattern the readers interpolate.
+LANGTAG = r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*"
+_LANGTAG_RE = re.compile(LANGTAG)
 
 
 def _new_term(cls, **fields):
@@ -123,6 +127,9 @@ class Literal(_Term):
         term = _LITERALS.get(key)
         if term is None:
             if lang is not None:
+                if not _LANGTAG_RE.fullmatch(lang):
+                    raise RdfError("language tag must be letters, then "
+                                   "hyphen-led letters or digits: %r" % lang)
                 if datatype is not None and datatype != RDF_LANG_STRING:
                     raise RdfError("language-tagged literal must use the langString datatype")
                 datatype = RDF_LANG_STRING

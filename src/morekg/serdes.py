@@ -27,8 +27,8 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .rdf import (IRI, IRI_EXCLUDED, BlankNode, Graph, Literal, PrefixMap, Term,
-                  RdfError)
+from .rdf import (IRI, IRI_EXCLUDED, LANGTAG, BlankNode, Graph, Literal, PrefixMap,
+                  RdfError, Term)
 from . import vocab
 
 
@@ -117,9 +117,9 @@ _NT_TERM_RE = re.compile(
           (?P<iri><[^<>" \t\r\n]*>)
         | (?P<blank>_:[A-Za-z0-9_][A-Za-z0-9_-]*)
         | (?P<lit>"(?:[^"\\]|\\.)*")
-          (?:\^\^(?P<dt><[^<>" \t\r\n]*>)|@(?P<lang>[a-zA-Z]+(?:-[a-zA-Z0-9]+)*))?)
+          (?:\^\^(?P<dt><[^<>" \t\r\n]*>)|@(?P<lang>%s))?)
       | (?P<dot>\.)
-    )""",
+    )""" % LANGTAG,
     re.X,
 )
 
@@ -264,13 +264,13 @@ _TOKEN_RE = re.compile(
     | (?P<string>"(?:[^"\\]|\\.)*")
     | (?P<dtsep>\^\^)
     | (?P<prefix_kw>@prefix\b)
-    | (?P<lang>@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)
+    | (?P<lang>@%s)
     | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
     | (?P<decimal>[+-]?[0-9]+\.[0-9]+)
     | (?P<integer>[+-]?[0-9]+)
     | (?P<blank>_:[A-Za-z0-9_][A-Za-z0-9_-]*)
     | (?P<word>[A-Za-z][A-Za-z0-9_-]*)
-    """,
+    """ % LANGTAG,
     re.X,
 )
 

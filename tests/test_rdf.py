@@ -38,6 +38,11 @@ class TestTerms:
         with pytest.raises(RdfError):
             Literal("hallo", vocab.XSD_INTEGER.value, lang="de")
 
+    @pytest.mark.parametrize("tag", ["", "en us", "1x", "en-", "-en", "de\n"])
+    def test_lang_literal_rejects_malformed_tag(self, tag):
+        with pytest.raises(RdfError, match="language tag"):
+            Literal("hallo", lang=tag)
+
     def test_iri_rejects_whitespace_and_empty(self):
         with pytest.raises(RdfError):
             IRI("http://example.org/a b")

@@ -137,6 +137,12 @@ class TestTurtle:
             '"x"^^ex:custom .')
         assert len(g) == 3
 
+    @pytest.mark.parametrize("tag", ["en", "de-CH", "en-GB-oxendict", "zh-Hant-1996", "X"])
+    def test_lang_tags_round_trip(self, tag):
+        g = Graph([Triple(IRI(EX + "s"), IRI(EX + "p"), Literal("hi", lang=tag))])
+        assert parse_ntriples(write_ntriples(g)) == g
+        assert parse_turtle(write_turtle(g)) == g
+
     def test_unknown_prefix_error(self):
         with pytest.raises(ParseError) as e:
             parse_turtle("zzz:a zzz:b zzz:c .")
