@@ -75,10 +75,10 @@ _OPERATORS = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 def numeric_value(term) -> Optional[Fraction]:
-    lexical = _NUMERIC_LEXICAL.get(term.datatype) if isinstance(term, Literal) else None
-    if lexical is None or not lexical.fullmatch(term.lexical):
+    form = _NUMERIC_LEXICAL.get(term.datatype) if isinstance(term, Literal) else None
+    if form is None or not form.fullmatch(term.lexical):
         return None
-    if lexical is not _DOUBLE_RE:
+    if form is not _DOUBLE_RE:
         return Fraction(term.lexical)
     try:
         return Fraction(float(term.lexical))

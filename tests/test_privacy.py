@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morekg import vocab
-from morekg.bundle import TestItemDef as ItemDef
 from morekg.ontology import build_schema
 from morekg.privacy import (LEVELS, GeneralizationSpec, Policy, PolicyError, Role,
                             annotate_schema, apply_policy, audit_view,
@@ -209,23 +208,17 @@ class TestApplyPolicy:
             t for t in view if t.predicate == AGE_BAND}
 
 
-def _entailment_targets(schema_graph):
-    """The schema's classes and its declared properties, less those a
-    builtin rule derives: the rules re-derive such a predicate from the
-    allowed triples of its body, which no subclass or subproperty
-    closure of the denied targets removes."""
+def _entailment_targets(g):
+    """The classes of ``g``'s schema and the declared properties, less
+    those a builtin rule derives: the rules re-derive such a predicate
+    from the allowed triples of its body, which no subclass or
+    subproperty closure of the denied targets removes."""
     classes = set()
-    for t in schema_graph.match(None, vocab.RDFS_SUBCLASSOF, None):
+    for t in g.match(None, vocab.RDFS_SUBCLASSOF, None):
         classes |= {t.subject, t.object}
     derived = {h[1] for r in builtin_ruleset() for h in r.head}
     return sorted(classes | (set(vocab.DECLARED_PROPERTIES) - derived),
                   key=lambda t: t.value)
-
-
-_SCHEMA_TARGETS = _entailment_targets(build_schema(
-    [ItemDef("handgrip", "Handgrip", "grip strength", "kg", vocab.XSD_DECIMAL.value),
-     ItemDef("shuttle_run", "Shuttle run", "speed", "s", vocab.XSD_DECIMAL.value)]
-).graph)
 
 
 class TestEntailment:
@@ -248,10 +241,11 @@ class TestEntailment:
         assert any(sub.value in v.reason for v in report.violations)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.dictionaries(st.sampled_from(_SCHEMA_TARGETS), st.sampled_from(LEVELS),
-                           max_size=6))
-    def test_view_audits_clean_after_materialize_property(self, fixture_graph,
-                                                          annotations):
+    @given(data=st.data())
+    def test_view_audits_clean_after_materialize_property(self, fixture_graph, data):
+        annotations = data.draw(st.dictionaries(
+            st.sampled_from(_entailment_targets(fixture_graph)), st.sampled_from(LEVELS),
+            max_size=6))
         p = Policy(annotations=annotations,
                    roles={"r": Role("r", frozenset(["public"]))})
         view = apply_policy(fixture_graph, p, "r")
