@@ -141,8 +141,6 @@ def cmd_audit(args) -> int:
 
 
 def cmd_schema(args) -> int:
-    if args.action != "export":
-        raise BundleError("unknown schema action %r" % args.action)
     if args.bundle_dir:
         items = load_bundle(args.bundle_dir, _load_config(args.config)).items
     else:
@@ -154,8 +152,6 @@ def cmd_schema(args) -> int:
 
 
 def cmd_rules(args) -> int:
-    if args.action != "export":
-        raise RuleError("unknown rules action %r" % args.action)
     text = export_rules(builtin_ruleset())
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")

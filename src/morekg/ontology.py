@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 from . import vocab
 from .bundle import BundleError, TestItemDef
 from .rdf import Graph, IRI, Literal
-from .rules import RuleSet, builtin_rules, materialize
+from .rules import RuleSet, builtin_ruleset, materialize
 
 
 class SubclassCycleError(Exception):
@@ -129,7 +129,7 @@ def rdfs_closure(g: Graph, schema: Optional[OntologySchema] = None) -> Graph:
         g = g.copy()
         g.update(schema.graph)
     _check_subclass_cycles(g)
-    rdfs = [r for r in builtin_rules() if r.name in _RDFS_RULES]
+    rdfs = [r for r in builtin_ruleset() if r.name in _RDFS_RULES]
     return materialize(g, RuleSet(rdfs))
 
 

@@ -40,7 +40,7 @@ from operator import eq, ge, gt, itemgetter, le, lt, ne
 from typing import Optional, Union
 
 from . import vocab
-from .rdf import Graph, IRI, Literal, PrefixMap, Term
+from .rdf import RDF_LANG_STRING, XSD_STRING, Graph, IRI, Literal, PrefixMap, Term
 from .rules import Var, join, pattern_vars, plan
 from .serdes import PositionedError, TokenStream, term_to_ttl
 
@@ -69,7 +69,7 @@ _NUMERIC_LEXICAL = {
     vocab.XSD + "gYear": re.compile(r"-?[0-9]{4,}"),
 }
 
-_STRING_DATATYPES = {vocab.XSD_STRING.value, "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"}
+_STRING_DATATYPES = {XSD_STRING, RDF_LANG_STRING}
 
 _OPERATORS = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 

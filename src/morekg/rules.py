@@ -18,7 +18,9 @@ instantiates rule heads from those slots.
 Rule files (``parse_rules``/``export_rules``) write one rule as
 ``name: s p o & s p o => s p o .``, with ``?variables`` and terms read
 and written as in Turtle by ``serdes``; a malformed file raises
-``RuleSyntaxError`` at a line and column.
+``RuleSyntaxError`` at a line and column.  The builtin rules are one
+text in that syntax, ``BUILTIN_RULES``, and ``builtin_ruleset`` reads it
+with the default prefixes, whatever prefixes a caller's rule file uses.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from . import vocab
 from .rdf import Graph, IRI, Literal, PrefixMap
 from .serdes import PositionedError, TokenStream, term_to_ttl
 
@@ -107,59 +108,28 @@ class RuleSet:
         return len(self.rules)
 
 
-def builtin_shortcut_rule() -> Rule:
-    """Item measures the disposition reached via its executed processes."""
-    proc, item, datum, vs, disp = (Var(n) for n in ("proc", "item", "datum", "vs", "disp"))
-    return Rule(
-        name="measures-disposition",
-        body=(
-            (proc, vocab.PATO_EXECUTES, item),
-            (proc, vocab.OBI_HAS_SPECIFIED_OUTPUT, datum),
-            (datum, vocab.OBI_HAS_VALUE_SPECIFICATION, vs),
-            (vs, vocab.OBI_SPECIFIES_VALUE_OF, disp),
-        ),
-        head=((item, vocab.MORE_MEASURES_DISPOSITION, disp),),
-    )
-
-
-def builtin_shortcut_rule_via_plan() -> Rule:
-    """Same head derived over the plan-mediated chain."""
-    plan, proc, item, datum, vs, disp = (
-        Var(n) for n in ("plan", "proc", "item", "datum", "vs", "disp")
-    )
-    return Rule(
-        name="measures-disposition-via-plan",
-        body=(
-            (plan, vocab.BFO_CONCRETIZES, item),
-            (proc, vocab.OBI_REALIZES, plan),
-            (proc, vocab.OBI_HAS_SPECIFIED_OUTPUT, datum),
-            (datum, vocab.OBI_HAS_VALUE_SPECIFICATION, vs),
-            (vs, vocab.OBI_SPECIFIES_VALUE_OF, disp),
-        ),
-        head=((item, vocab.MORE_MEASURES_DISPOSITION, disp),),
-    )
-
-
-def builtin_rules() -> list[Rule]:
-    c, d, e, x = Var("c"), Var("d"), Var("e"), Var("x")
-    return [
-        Rule(
-            name="subclass-transitivity",
-            body=((c, vocab.RDFS_SUBCLASSOF, d), (d, vocab.RDFS_SUBCLASSOF, e)),
-            head=((c, vocab.RDFS_SUBCLASSOF, e),),
-        ),
-        Rule(
-            name="type-propagation",
-            body=((x, vocab.RDF_TYPE, c), (c, vocab.RDFS_SUBCLASSOF, d)),
-            head=((x, vocab.RDF_TYPE, d),),
-        ),
-        builtin_shortcut_rule(),
-        builtin_shortcut_rule_via_plan(),
-    ]
+# ``measures-disposition`` and its ``-via-plan`` twin derive one shortcut,
+# an item's measured disposition, over the executed process and over the
+# plan that the process realizes.
+BUILTIN_RULES = """\
+subclass-transitivity: ?c rdfs:subClassOf ?d & ?d rdfs:subClassOf ?e
+    => ?c rdfs:subClassOf ?e .
+type-propagation: ?x rdf:type ?c & ?c rdfs:subClassOf ?d => ?x rdf:type ?d .
+measures-disposition:
+    ?proc pato:executes ?item & ?proc obi:has_specified_output ?datum
+    & ?datum obi:has_value_specification ?vs & ?vs obi:specifies_value_of ?disp
+    => ?item more:measures_disposition ?disp .
+measures-disposition-via-plan:
+    ?plan bfo:concretizes ?item & ?proc obi:realizes ?plan
+    & ?proc obi:has_specified_output ?datum
+    & ?datum obi:has_value_specification ?vs & ?vs obi:specifies_value_of ?disp
+    => ?item more:measures_disposition ?disp .
+"""
 
 
 def builtin_ruleset() -> RuleSet:
-    return RuleSet(builtin_rules())
+    """``BUILTIN_RULES``, read with ``PrefixMap.default()``."""
+    return _RuleParser(BUILTIN_RULES, PrefixMap.default()).rule_set([])
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +280,7 @@ class _RuleParser(TokenStream):
 def parse_rules(text: str, prefixes: Optional[PrefixMap] = None,
                 include_builtins: bool = True) -> RuleSet:
     return _RuleParser(text, prefixes).rule_set(
-        builtin_rules() if include_builtins else [])
+        builtin_ruleset().rules if include_builtins else [])
 
 
 def export_rules(rs: RuleSet, prefixes: Optional[PrefixMap] = None) -> str:

@@ -42,7 +42,6 @@ XSD_STRING = IRI(XSD + "string")
 XSD_INTEGER = IRI(XSD + "integer")
 XSD_DECIMAL = IRI(XSD + "decimal")
 XSD_DOUBLE = IRI(XSD + "double")
-XSD_BOOLEAN = IRI(XSD + "boolean")
 XSD_DATE = IRI(XSD + "date")
 
 # classes

@@ -46,9 +46,12 @@ class TestGenFixtureAndValidate:
         assert main(["validate", str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_unknown_subcommand_is_usage_error(self):
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate"], ["rules", "import"], ["schema", "import"],
+    ])
+    def test_unknown_subcommand_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as e:
-            main(["frobnicate"])
+            main(argv)
         assert e.value.code == 2
 
 
@@ -126,6 +129,15 @@ class TestMaterializeCommand:
                     if "/person/" in t.subject.value]
         assert mirrored
         assert len(g) > len(parse_file(kg_path))
+
+    def test_exported_rules_materialize_as_the_builtins(self, kg_path, tmp_path):
+        rules, mat, again = (tmp_path / n
+                             for n in ("builtin.rules", "mat.nt", "again.nt"))
+        assert main(["rules", "export", "-o", str(rules)]) == 0
+        assert main(["materialize", str(kg_path), "-o", str(mat)]) == 0
+        assert main(["materialize", str(kg_path), "--rules", str(rules),
+                     "--no-builtins", "-o", str(again)]) == 0
+        assert again.read_bytes() == mat.read_bytes()
 
 
 class TestQueryCommand:

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from morekg import vocab
-from morekg.rdf import BlankNode, Graph, IRI, Literal
+from morekg.rdf import BlankNode, Graph, IRI, Literal, PrefixMap
 from morekg.rdf import Triple
 from morekg.rules import (Rule, RuleError, RuleSet, RuleSyntaxError, Var,
-                          builtin_ruleset, builtin_rules, builtin_shortcut_rule,
-                          export_rules, join, materialize, parse_rules,
-                          plan)
+                          builtin_ruleset, export_rules, join, materialize,
+                          parse_rules, plan)
 
 from oracles import (as_dicts, materialize_naive, naive_shortcut_inferences,
                      reference_bgp_eval, reference_join)
@@ -21,6 +20,10 @@ EX = "http://example.org/"
 
 def iri(local):
     return IRI(EX + local)
+
+
+def builtin(name):
+    return next(r for r in builtin_ruleset() if r.name == name)
 
 
 class TestRuleValidation:
@@ -38,23 +41,32 @@ class TestRuleValidation:
         assert (e.value.rule, e.value.part) == (r, "body")
 
     def test_duplicate_names_rejected(self):
-        r = builtin_shortcut_rule()
+        r = builtin("measures-disposition")
         with pytest.raises(RuleError, match="duplicate") as e:
             RuleSet([r, r])
         assert (e.value.rule, e.value.part) == (r, "name")
 
-    def test_builtin_shortcut_shape(self):
-        r = builtin_shortcut_rule()
-        assert len(r.body) == 4
-        assert [p[1] for p in r.body] == [
-            vocab.PATO_EXECUTES, vocab.OBI_HAS_SPECIFIED_OUTPUT,
+    # each reaches the disposition from the item: directly over the executed
+    # process, or over the plan that concretizes the item
+    @pytest.mark.parametrize("name,reach", [
+        ("measures-disposition", [vocab.PATO_EXECUTES]),
+        ("measures-disposition-via-plan",
+         [vocab.BFO_CONCRETIZES, vocab.OBI_REALIZES]),
+    ])
+    def test_builtin_shortcut_shape(self, name, reach):
+        r = builtin(name)
+        assert [p[1] for p in r.body] == reach + [
+            vocab.OBI_HAS_SPECIFIED_OUTPUT,
             vocab.OBI_HAS_VALUE_SPECIFICATION, vocab.OBI_SPECIFIES_VALUE_OF]
         assert r.head == ((r.body[0][2], vocab.MORE_MEASURES_DISPOSITION,
-                           r.body[3][2]),)
+                           r.body[-1][2]),)
 
     def test_builtins_all_valid(self):
-        for r in builtin_rules():
-            r.validate()
+        names = ["subclass-transitivity", "type-propagation",
+                 "measures-disposition", "measures-disposition-via-plan"]
+        for name in names:
+            builtin(name).validate()
+        assert [r.name for r in builtin_ruleset()] == names
 
 
 class TestMatchPattern:
@@ -303,6 +315,13 @@ class TestRuleSyntax:
         names = {r.name for r in rs}
         assert "partof-trans" in names
         assert "measures-disposition" in names
+
+    def test_builtins_ignore_the_callers_prefixes(self):
+        m = PrefixMap.default()
+        m.register("more", EX)
+        rs = parse_rules("r1: ?x more:p ?y => ?y more:p ?x .", prefixes=m)
+        assert rs.rules[:-1] == builtin_ruleset().rules
+        assert rs.rules[-1].body[0][1] == iri("p")
 
     def test_custom_rule_overrides_builtin_of_same_name(self):
         text = ("measures-disposition: ?i a more:TestItem "
