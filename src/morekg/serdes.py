@@ -18,6 +18,12 @@ must match the term grammar whole.  Every other line, and a canonical one
 whose texts do not all resolve, goes to the full line parser, which
 accepts any valid layout and is the only source of positioned errors.
 
+Turtle has two readers too.  While the text keeps ``write_turtle``'s
+layout, each line is split at its first spaces and at ``", "``, and a text
+not yet cached in this parse must be exactly one ``TokenStream.term``.
+From the first statement that will not split, the token parser reads on
+to the end; it alone raises positioned errors.
+
 Canonical output is byte-deterministic: a pure function of the triple
 set, independent of insertion order.
 """
@@ -261,7 +267,7 @@ _TOKEN_RE = re.compile(
     | (?P<pname>(?:[A-Za-z][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_-]*)?)
     | (?P<iriref><[^<>" \t\r\n]*>)
     | (?P<punct>=>|&&|\|\||!=|<=|>=|[=<>!&{}().;,*])
-    | (?P<string>"(?:[^"\\]|\\.)*")
+    | (?P<string>"(?:[^"\\\r\n]|\\.)*")
     | (?P<dtsep>\^\^)
     | (?P<prefix_kw>@prefix\b)
     | (?P<lang>@%s)
@@ -286,13 +292,14 @@ class TokenStream:
     error = ParseError
     variable = None
 
-    def __init__(self, text: str, prefixes: Optional[PrefixMap] = None):
+    def __init__(self, text: str, prefixes: Optional[PrefixMap] = None,
+                 start: int = 0):
         self.text = text
         self.prefixes = PrefixMap.default() if prefixes is None else prefixes
         self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []  # (kind, value, offset)
-        end = 0
-        for m in _TOKEN_RE.finditer(text):
+        end = start  # offsets, and so error positions, are in the whole text
+        for m in _TOKEN_RE.finditer(text, start):
             if m.start() != end:
                 break
             end = m.end()
@@ -386,8 +393,8 @@ class TokenStream:
 # Turtle subset
 
 class _TurtleParser(TokenStream):
-    def parse(self) -> Graph:
-        graph = Graph()
+    def parse(self, graph: Optional[Graph] = None) -> Graph:
+        graph = Graph() if graph is None else graph
         while self.peek()[0] is not None:
             if self.peek()[0] == "prefix_kw":
                 self.pos += 1
@@ -415,8 +422,61 @@ class _TurtleParser(TokenStream):
                 break
 
 
+def _ttl_new_term(text: str, prefixes: PrefixMap, cache: dict,
+                  verb: bool = False) -> Term:
+    """The term ``text`` spells, now stored in ``cache`` under it; raises
+    ``RdfError`` unless ``text`` is exactly one valid term."""
+    ts = TokenStream(text, prefixes)
+    term = ts.term(verb=verb)
+    # the tokens fill the text unless a blank or comment was skipped
+    if ts.peek()[0] is not None or "".join(tok[1] for tok in ts.tokens) != text:
+        raise RdfError("not exactly one term: %r" % text)
+    cache[text] = term
+    return term
+
+
+def _ttl_read_canonical(text: str, graph: Graph, prefixes: PrefixMap) -> int:
+    """Add the statements of ``text`` to ``graph`` while they keep
+    ``write_turtle``'s layout: ``@prefix`` lines, which the token parser
+    reads, then per subject ``S P O, O ;`` and ``    P O .`` lines.  Returns
+    the offset of the first statement that does not, or the text's length."""
+    nouns, verbs = {}, {}  # exact text -> term; a verb ``a`` is rdf:type
+    get, vget, add = nouns.get, verbs.get, graph.add
+    header, subject, end = True, None, -1  # subject: set within a statement
+    for line in text.split("\n"):
+        pos, end = end + 1, end + 1 + len(line)
+        try:
+            if subject is None:
+                start = pos
+                if not line:
+                    continue
+                if header and line.startswith("@prefix "):
+                    _TurtleParser(line, prefixes).parse(graph)
+                    continue
+                header = False  # from here on, terms are cached
+                s, _, line = line.partition(" ")
+                subject = get(s) or _ttl_new_term(s, prefixes, nouns)
+            elif line[:4] == "    ":
+                line = line[4:]
+            else:
+                return start
+            p, _, line = line.partition(" ")
+            predicate = vget(p) or _ttl_new_term(p, prefixes, verbs, verb=True)
+            if line[-2:] not in (" ;", " ."):
+                return start
+            for o in line[:-2].split(", "):
+                add(subject, predicate, get(o) or _ttl_new_term(o, prefixes, nouns))
+        except RdfError:
+            return start
+        if line[-1] == ".":
+            subject = None
+    return start if subject is not None else len(text)
+
+
 def parse_turtle(text: str) -> Graph:
-    return _TurtleParser(text).parse()
+    graph, prefixes = Graph(), PrefixMap.default()
+    start = _ttl_read_canonical(text, graph, prefixes)
+    return _TurtleParser(text, prefixes, start).parse(graph)
 
 
 _SAFE_LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*\Z")

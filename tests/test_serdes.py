@@ -8,8 +8,8 @@ from morekg.query import QuerySyntaxError, parse_query
 from morekg.rdf import BlankNode, Graph, IRI, Literal, PrefixMap, Triple
 from morekg.rules import RuleSyntaxError, parse_rules
 from morekg.serdes import (ParseError, _nt_lines, _nt_parse_line,
-                           parse_ntriples, parse_turtle, write_ntriples,
-                           write_turtle)
+                           _ttl_read_canonical, _TurtleParser, parse_ntriples,
+                           parse_turtle, write_ntriples, write_turtle)
 
 from strategies import graphs
 
@@ -188,8 +188,8 @@ class TestTurtle:
 # above U+10FFFF and a lone surrogate; in IRIs, escapes that encode a
 # space or a character IRIs exclude, a non-\u escape and a short one; in
 # a datatype IRI, an escape that encodes a space, and an empty one; raw
-# characters that IRIs exclude, in each position and in a datatype IRI.
-# Each must fail at the position of the term's first character.
+# characters that IRIs exclude, in each position and in a datatype IRI;
+# a raw line feed inside a short string.  Each must fail at the position of the term's first character.
 BAD_TERMS = [
     ('<> <http://e/p> <http://e/o> .', 1),
     ('<http://e/s> <http://e/p> "a\\qb" .', 27),
@@ -214,6 +214,7 @@ BAD_TERMS = [
     ('<http://e/s> <http://e/p> <http://e/a\x00b> .', 27),
     ('<http://e/s> <http://e/p> <http://e/a\x01b> .', 27),
     ('<http://e/s> <http://e/p> "x"^^<http://e/a{b> .', 27),
+    ('<http://e/s> <http://e/p> "a\nb" .', 27),
 ]
 
 
@@ -396,6 +397,81 @@ def test_ntriples_line_ends_count_lines(eol):
 def test_canonical_fast_path_equals_line_parser(data):
     text = data.draw(mutated(NT_LAYOUTS, NT_FUZZ_PIECES))
     assert _outcome(parse_ntriples, text) == _outcome(_parse_lines_alone, text)
+
+
+# Statements in write_turtle's layout whose literals hold " ;", " ." and
+# \", with a language tag, a pname datatype, blank nodes, ``a`` and a bare
+# integer, and some terms repeated; then what the layout has no place for:
+# a literal holding ", ", a comment line, a second @prefix and a CRLF line.
+TTL_LAYOUTS = """\
+@prefix ex: <http://example.org/> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+
+_:b1 ex:next ex:s .
+ex:s a ex:Test ;
+    ex:label "Handkraft rechts"@de-AT, "grip strength ; right hand ." ;
+    ex:note "he said \\"hi .\\" and left", "ends ;" ;
+    ex:value "31.5"^^xsd:decimal, 7 .
+ex:t ex:next _:b1, ex:s ;
+    ex:label "grip strength ; right hand ." .
+ex:u ex:label "grip strength, right hand" .
+# a comment ex:s ex:p ex:o .
+@prefix e: <http://e/> .
+e:v a ex:Test ;\r
+    ex:value 7 .
+"""
+
+# FUZZ_PIECES plus layout: tabs, CR, newlines and the layout's separators
+TTL_FUZZ_PIECES = FUZZ_PIECES + ["\t", "\r", "\n", ", ", " ;"]
+
+
+def test_turtle_layouts_parse():
+    g = parse_turtle(TTL_LAYOUTS)
+    assert len(g) == 14
+    assert g == _TurtleParser(TTL_LAYOUTS).parse()
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_canonical_turtle_equals_token_parser(data):
+    text = data.draw(mutated(TTL_LAYOUTS, TTL_FUZZ_PIECES))
+    assert (_outcome(parse_turtle, text)
+            == _outcome(lambda t: _TurtleParser(t).parse(), text))
+
+
+def _canonical_turtle(last):
+    """A document in write_turtle's layout, up to and without ``last``, and
+    the document with ``last`` as its last statement."""
+    g = Graph(t for t in _fuzz_graph() if ", " not in getattr(t.object, "lexical", ""))
+    head = write_turtle(g, PrefixMap({"ex": EX}))
+    return head, head + last + "\n"
+
+
+# Last statements that the line reader hands to the token parser: a literal
+# holding ", ", and a later @prefix that rebinds a prefix whose names the
+# reader has already read.
+@pytest.mark.parametrize("last", [
+    'ex:t ex:label "x" ;\n    ex:label "grip strength, right hand", "y" .',
+    '@prefix ex: <http://e/> .\nex:s ex:next _:b1 .',
+])
+def test_token_parser_resumes_at_the_statement_it_cannot_split(last):
+    head, text = _canonical_turtle(last)
+    assert _ttl_read_canonical(text, Graph(), PrefixMap.default()) == len(head)
+    assert parse_turtle(text) == _TurtleParser(text).parse()
+
+
+# An invalid term on the last line, and ``a`` read as a predicate and then
+# found as an object: (last statement, message, line after the head, column).
+@pytest.mark.parametrize("last,message,line,column", [
+    ('ex:t ex:label "x" ;\n    ex:p "a\\qb" .', "unknown escape sequence", 2, 10),
+    ('ex:t a ex:T ;\n    ex:next a .', "expected object, got 'a'", 2, 13),
+])
+def test_invalid_term_on_the_last_line_raises_there(last, message, line, column):
+    head, text = _canonical_turtle(last)
+    with pytest.raises(ParseError) as e:
+        parse_turtle(text)
+    assert str(e.value).startswith(message)
+    assert (e.value.line, e.value.column) == (head.count("\n") + line, column)
 
 
 def test_many_seeded_random_graphs_round_trip():
