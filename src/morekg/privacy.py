@@ -19,6 +19,7 @@ from . import vocab
 from .ontology import OntologySchema
 from .query import numeric_value
 from .rdf import Graph, IRI, Literal, PrefixMap, RdfError, Triple
+from .serdes import term_to_nt
 
 LEVELS = ("identifying", "health", "public")
 
@@ -209,31 +210,24 @@ def _entailed(g: Graph, targets) -> set:
 def apply_policy(g: Graph, p: Policy, role_name: str) -> Graph:
     """Build the role's filtered/generalized view; source unchanged.
     Subclasses and subproperties of a denied target are denied too, so
-    the view still passes audit after an RDFS closure."""
+    the view still passes audit after an RDFS closure.  The view is the
+    source's indexes filtered by ``Graph.without``, plus the band
+    triples of the generalized predicates."""
     role = p.role(role_name)
     denied = _entailed(g, p.denied_targets(role_name))
-    if not denied:
-        return g.copy()
-
     # instances of denied classes lose their entire star
-    removed_nodes: set = set()
-    for cls in denied:
-        for t in g.match(None, vocab.RDF_TYPE, cls):
-            removed_nodes.add(t.subject)
-
-    view = Graph()
-    for t in g:
-        s, pr, o = t
-        if s in removed_nodes or o in removed_nodes:
+    removed = {s for cls in denied for s, _, _ in g.match(None, vocab.RDF_TYPE, cls)}
+    view = g.without(removed, denied)
+    for pr, spec in role.generalizations.items():
+        if pr not in denied:
             continue
-        if pr in denied:
-            spec = role.generalizations.get(pr)
-            if spec is not None:
-                label = spec.band_label(o)
-                if label is not None:
-                    view.add(s, IRI(pr.value + "Band"), Literal(label))
-            continue
-        view.insert(t)
+        band = IRI(pr.value + "Band")
+        for s, _, o in g.match(None, pr, None):
+            if s in removed:
+                continue
+            label = spec.band_label(o)  # None unless a number, so never a node
+            if label is not None:
+                view.add(s, band, Literal(label))
     return view
 
 
@@ -258,7 +252,6 @@ class AuditReport:
     def to_text(self) -> str:
         lines = ["audit: role=%s checked=%d violations=%d"
                  % (self.role, self.checked, len(self.violations))]
-        from .serdes import term_to_nt
         for v in self.violations:
             lines.append("VIOLATION %s %s %s : %s" % (
                 term_to_nt(v.triple.subject), term_to_nt(v.triple.predicate),
@@ -268,7 +261,6 @@ class AuditReport:
     def to_csv(self) -> str:
         import csv
         import io
-        from .serdes import term_to_nt
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["subject", "predicate", "object", "reason"])
@@ -281,17 +273,18 @@ class AuditReport:
 
 def audit_view(view: Graph, p: Policy, role_name: str) -> AuditReport:
     """List every triple in the view that the role's policy forbids,
-    reading denied targets as ``apply_policy`` does."""
+    reading denied targets as ``apply_policy`` does.  Violations are
+    sorted by their N-Triples text, then by reason, whatever the order
+    the view was built in."""
     denied = _entailed(view, p.denied_targets(role_name))
-    report = AuditReport(role=role_name, checked=len(view))
-    for t in view:
-        if t.predicate in denied:
-            report.violations.append(AuditViolation(
-                t, "denied predicate %s" % t.predicate.value))
-        if t.predicate == vocab.RDF_TYPE and t.object in denied:
-            report.violations.append(AuditViolation(
-                t, "instance of denied class %s" % t.object.value))
-    return report
+    violations = []
+    for target in denied:
+        violations += [AuditViolation(t, "denied predicate %s" % target.value)
+                       for t in view.match(None, target, None)]
+        violations += [AuditViolation(t, "instance of denied class %s" % target.value)
+                       for t in view.match(None, vocab.RDF_TYPE, target)]
+    violations.sort(key=lambda v: (" ".join(map(term_to_nt, v.triple)), v.reason))
+    return AuditReport(role=role_name, violations=violations, checked=len(view))
 
 
 def default_policy() -> Policy:

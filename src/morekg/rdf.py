@@ -15,13 +15,18 @@ of one predicate and object) is the term itself while it holds one term,
 and a ``set`` from the second term on.  Most leaves of a KG hold one
 term, so this saves a container the garbage collector would walk for
 nearly every triple.  ``Graph`` has no remove, so a ``set`` never shrinks
-back: each leaf has one form for its content, and equal graphs have
+back, and ``Graph.without`` writes each leaf it keeps in the form of what
+it keeps: each leaf has one form for its content, and equal graphs have
 equal indexes.  Only ``Graph`` reads the leaves, through ``_leaf_terms``
 or a ``type(leaf) is set`` test.
 
-``Graph.extend`` is the one walk over the indexes: it extends rows,
-tuples of terms indexed by slot, by the triples that match one pattern.
+Three methods walk the indexes.  ``Graph.extend`` extends rows, tuples
+of terms indexed by slot, by the triples that match one pattern;
 ``rules.join`` chains it atom by atom, and ``match`` is one row of it.
+``Graph.stars`` yields each subject with its predicates and their
+objects, which the writers read.  ``Graph.without`` filters both indexes
+into a subgraph, leaf by leaf; role views are built with it, and
+``copy`` is ``without`` with nothing dropped.
 """
 
 from __future__ import annotations
@@ -182,12 +187,39 @@ def _leaf_terms(leaf) -> set | tuple:
 
 
 _NO_ENTRIES = MappingProxyType({})  # read-only stand-in for a missing index key
+_NOTHING: frozenset = frozenset()
 
 
-def _copy_index(index: dict) -> dict:
-    # bare leaves are interned, immutable terms and can be shared
-    return {k: {k2: v.copy() if type(v) is set else v for k2, v in inner.items()}
-            for k, inner in index.items()}
+def _filter_index(index: dict, keys, inner_keys, terms) -> tuple[dict, int]:
+    """A new ``index`` without the outer keys in ``keys``, the inner keys
+    in ``inner_keys`` and the leaf terms in ``terms``, and the number of
+    leaf terms it keeps.  Each leaf keeps its one form, and no inner dict
+    is left empty; bare leaves are interned terms and are shared."""
+    out: dict = {}
+    n = 0
+    for k, inner in index.items():
+        if k in keys:
+            continue
+        kept = {}
+        for k2, leaf in inner.items():
+            if k2 in inner_keys:
+                continue
+            if type(leaf) is set:
+                leaf = leaf - terms
+                size = len(leaf)
+                if size > 1:
+                    n += size - 1  # the one term per leaf is counted below
+                elif size:
+                    leaf, = leaf
+                else:
+                    continue
+            elif leaf in terms:
+                continue
+            kept[k2] = leaf
+        if kept:
+            out[k] = kept
+            n += len(kept)
+    return out, n
 
 
 class Graph:
@@ -262,10 +294,6 @@ class Graph:
         self._len += 1
         return True
 
-    def insert(self, t: Triple) -> bool:
-        s, p, o = t
-        return self.add(s, p, o)
-
     def update(self, triples) -> int:
         """Insert many triples; returns the number actually added."""
         add = self.add
@@ -277,15 +305,27 @@ class Graph:
 
     def copy(self) -> "Graph":
         """Independent copy, built from the indexes without re-inserting."""
+        return self.without()
+
+    def without(self, nodes=_NOTHING, predicates=_NOTHING) -> "Graph":
+        """The subgraph of every triple that has no node of ``nodes`` as
+        its subject or object and no predicate in ``predicates``: SPO and
+        POS filtered in one pass each, without re-inserting.  ``nodes``
+        and ``predicates`` are sets."""
         g = Graph()
-        g._len = self._len
-        g._spo = _copy_index(self._spo)
-        g._pos = _copy_index(self._pos)
+        g._spo, g._len = _filter_index(self._spo, nodes, predicates, nodes)
+        g._pos, _ = _filter_index(self._pos, predicates, nodes, nodes)
         return g
+
+    def stars(self) -> Iterator[tuple[Term, list[tuple[Term, set | tuple]]]]:
+        """Each subject with its ``(predicate, objects)`` pairs, read from
+        SPO; the objects are a container of terms not to be mutated."""
+        for s, po in self._spo.items():
+            yield s, [(p, _leaf_terms(objs)) for p, objs in po.items()]
 
     def extend(self, step: tuple, rows: list[tuple]) -> list[tuple]:
         """Each row of ``rows`` extended by every triple of the graph that
-        matches ``step``; the one walk over the indexes.
+        matches ``step``; the one index walk of joins and ``match``.
 
         ``step`` gives, for s, p and o, the index of the row term that
         the position must equal, or None where the position is free.

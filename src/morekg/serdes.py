@@ -245,8 +245,9 @@ class _TermTexts(dict):
 def write_ntriples(g: Graph) -> str:
     """``g`` as canonical N-Triples: one line per triple, sorted."""
     nt = _TermTexts(term_to_nt)
+    lines = ["%s %s %s .\n" % (nt[s], nt[p], nt[o])
+             for s, pairs in g.stars() for p, objs in pairs for o in objs]
     # no line is a prefix of another, so the newline leaves the order as is
-    lines = ["%s %s %s .\n" % (nt[s], nt[p], nt[o]) for s, p, o in g]
     lines.sort()
     return "".join(lines)
 
@@ -504,18 +505,20 @@ def write_turtle(g: Graph, prefixes: Optional[PrefixMap] = None) -> str:
     lines = ["@prefix %s: <%s> ." % (p, ns) for p, ns in sorted(pm.items())]
     lines.append("")
 
-    by_subject: dict = {}
-    for s, p, o in g:
-        by_subject.setdefault(s, {}).setdefault(p, []).append(o)
-
-    for s in sorted(by_subject, key=render):
-        preds = by_subject[s]
+    # a term's text is rendered once per star; distinct terms render to
+    # distinct texts, so sorting (text, part) pairs sorts by text alone
+    statements = []
+    for s, pairs in g.stars():
         parts = []
-        for p in sorted(preds, key=render):
-            objs = sorted(preds[p], key=render)
-            pstr = "a" if p == vocab.RDF_TYPE else render(p)
-            parts.append("%s %s" % (pstr, ", ".join(map(render, objs))))
-        lines.append("%s %s ." % (render(s), " ;\n    ".join(parts)))
+        for p, objs in pairs:
+            ptext = render(p)
+            otexts = sorted(map(render, objs))
+            parts.append((ptext, "%s %s" % ("a" if p == vocab.RDF_TYPE else ptext,
+                                            ", ".join(otexts))))
+        parts.sort()
+        statements.append((render(s), " ;\n    ".join([part for _, part in parts])))
+    statements.sort()
+    lines += ["%s %s ." % st for st in statements]
     return "".join(line + "\n" for line in lines)
 
 

@@ -11,9 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from morekg import vocab
+from morekg.privacy import AuditViolation, _entailed
 from morekg.query import numeric_value
-from morekg.rdf import Graph, IRI, Literal, Triple
-from morekg.rules import Var
+from morekg.rdf import Graph, IRI, Literal, PrefixMap, Triple
+from morekg.rules import Var, join
+from morekg.serdes import term_to_nt, term_to_ttl
 
 
 def cq1_average_by_age(bundle_dir) -> dict[int, Fraction]:
@@ -256,3 +258,98 @@ def reference_sort_key(term) -> tuple:
     if isinstance(term, IRI):
         return (4, term.value)
     return (5, term.label)
+
+
+# The canonical writers and the role view as they were before they read
+# the indexes: one line or one triple at a time, over ``iter(graph)``.
+
+def reference_write_ntriples(g: Graph) -> str:
+    """One N-Triples line per triple, the lines sorted."""
+    return "".join(sorted("%s %s %s .\n" % (term_to_nt(s), term_to_nt(p), term_to_nt(o))
+                          for s, p, o in g))
+
+
+def reference_write_turtle(g: Graph, prefixes=None) -> str:
+    """Triples grouped into a subject -> predicate -> objects copy, each
+    level sorted by the terms' Turtle texts."""
+    pm = PrefixMap.default() if prefixes is None else prefixes
+
+    def render(term):
+        return term_to_ttl(term, pm)
+
+    lines = ["@prefix %s: <%s> ." % (p, ns) for p, ns in sorted(pm.items())]
+    lines.append("")
+    by_subject: dict = {}
+    for s, p, o in g:
+        by_subject.setdefault(s, {}).setdefault(p, []).append(o)
+    for s in sorted(by_subject, key=render):
+        preds = by_subject[s]
+        parts = []
+        for p in sorted(preds, key=render):
+            objs = sorted(preds[p], key=render)
+            pstr = "a" if p == vocab.RDF_TYPE else render(p)
+            parts.append("%s %s" % (pstr, ", ".join(map(render, objs))))
+        lines.append("%s %s ." % (render(s), " ;\n    ".join(parts)))
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_apply_policy(g: Graph, p, role_name: str) -> list[Triple]:
+    """The role's view as a list of triples: each triple of ``g`` kept,
+    dropped or replaced by its band triple in turn."""
+    role = p.role(role_name)
+    denied = _entailed(g, p.denied_targets(role_name))
+    removed = {t.subject for cls in denied for t in g if t[1:] == (vocab.RDF_TYPE, cls)}
+    out = []
+    for t in g:
+        s, pr, o = t
+        if s in removed or o in removed:
+            continue
+        if pr in denied:
+            spec = role.generalizations.get(pr)
+            if spec is not None:
+                label = spec.band_label(o)
+                if label is not None:
+                    out.append(Triple(s, IRI(pr.value + "Band"), Literal(label)))
+            continue
+        out.append(t)
+    return out
+
+
+def reference_audit_violations(view: Graph, p, role_name: str) -> list:
+    """Every violation found by one scan of the view, in scan order."""
+    denied = _entailed(view, p.denied_targets(role_name))
+    out = []
+    for t in view:
+        if t.predicate in denied:
+            out.append(AuditViolation(t, "denied predicate %s" % t.predicate.value))
+        if t.predicate == vocab.RDF_TYPE and t.object in denied:
+            out.append(AuditViolation(t, "instance of denied class %s" % t.object.value))
+    return out
+
+
+def shapes(s, p, o):
+    """The seven patterns ``match`` answers for one triple's terms."""
+    return [(s, None, None), (None, p, None), (None, None, o),
+            (s, p, None), (s, None, o), (None, p, o), (s, p, o)]
+
+
+def check_against_scan(g: Graph, expected: set, absent=()) -> None:
+    """Every read of ``g`` agrees with a scan of the set ``expected``: all
+    seven ``match`` shapes, ``count`` and a one-atom ``join`` over patterns
+    built from the triples of ``expected`` and ``absent``, plus ``in``,
+    the objects of each subject and predicate, and ``len``."""
+    assert len(g) == len(expected)
+    assert set(g) == expected
+    for t in list(expected) + list(absent):
+        assert (t in g) == (t in expected)
+        assert {x.object for x in g.match(t.subject, t.predicate)} == {
+            x.object for x in expected if x[:2] == t[:2]}
+        for pattern in shapes(*t):
+            scan = {x for x in expected
+                    if all(q is None or q is v for q, v in zip(pattern, x))}
+            assert set(g.match(*pattern)) == scan, pattern
+            assert g.count(*pattern) == len(scan), pattern
+            atom = tuple(Var(n) if q is None else q for n, q in zip("spo", pattern))
+            joined = {Triple(*(b.get(n, q) for n, q in zip("spo", pattern)))
+                      for b in as_dicts(join([g], [atom]))}
+            assert joined == scan, pattern

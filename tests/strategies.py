@@ -2,6 +2,7 @@
 
 from hypothesis import strategies as st
 
+from morekg.privacy import LEVELS, GeneralizationSpec, Policy, Role
 from morekg.rdf import BlankNode, Graph, IRI, Literal, Triple
 from morekg.rules import Rule, RuleSet, Var
 from morekg import vocab
@@ -159,3 +160,51 @@ value_terms = st.one_of(
     st.builds(lambda local: IRI("http://example.org/" + local), st.sampled_from("abc")),
     st.builds(BlankNode, st.sampled_from("ab")),
 )
+
+
+# Graphs and policies for role views: instances typed with a small class
+# hierarchy, properties with subproperties (one of them the band predicate
+# of another, so a band triple can meet one already there), integer,
+# decimal and string values, and one role that denies at least one level
+# and bands some denied properties.  Terms are few, so that leaves hold
+# several terms, denied classes have instances and banded properties
+# have values: a view both drops and bands in most examples.
+_view_nodes = [IRI("http://example.org/n%d" % i) for i in range(4)]
+_view_classes = [IRI("http://example.org/C%d" % i) for i in range(2)]
+_p0 = IRI("http://example.org/p0")
+_view_properties = [_p0, IRI("http://example.org/p1"), IRI(_p0.value + "Band")]
+_view_values = [Literal("7", vocab.XSD_INTEGER.value), Literal("12.5", vocab.XSD_DECIMAL.value),
+                Literal("x")]
+view_triples = st.one_of(
+    st.builds(Triple, st.sampled_from(_view_nodes), st.just(vocab.RDF_TYPE),
+              st.sampled_from(_view_classes)),
+    st.builds(Triple, st.sampled_from(_view_classes), st.just(vocab.RDFS_SUBCLASSOF),
+              st.sampled_from(_view_classes)),
+    st.builds(Triple, st.sampled_from(_view_properties), st.just(vocab.RDFS_SUBPROPERTYOF),
+              st.sampled_from(_view_properties)),
+    st.builds(Triple, st.sampled_from(_view_nodes), st.sampled_from(_view_properties),
+              st.sampled_from(_view_nodes + _view_values)),
+    st.builds(Triple, st.sampled_from(_view_nodes), st.sampled_from(_view_properties),
+              st.sampled_from(_view_nodes + _view_values)),
+)
+
+
+@st.composite
+def view_graphs(draw, max_size=40):
+    return Graph(draw(st.lists(view_triples, min_size=10, max_size=max_size)))
+
+
+@st.composite
+def view_policies(draw):
+    """A policy with one role, ``r``."""
+    targets = _view_classes + _view_properties + [vocab.RDF_TYPE]
+    annotations = draw(st.dictionaries(st.sampled_from(targets), st.sampled_from(LEVELS),
+                                       min_size=1, max_size=5))
+    properties = sorted((t for t in annotations if t in _view_properties),
+                        key=lambda t: t.value)
+    generalizations = draw(st.dictionaries(
+        st.sampled_from(properties) if properties else st.nothing(),
+        st.builds(GeneralizationSpec, st.integers(1, 10))))
+    allowed = draw(st.frozensets(st.sampled_from(LEVELS), max_size=2))
+    return Policy(annotations=annotations,
+                  roles={"r": Role("r", allowed, generalizations)})

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,8 +10,11 @@ from morekg.privacy import (LEVELS, GeneralizationSpec, Policy, PolicyError, Rol
                             default_policy, load_policy, policy_from_dict)
 from morekg.rdf import Graph, IRI, Literal, Triple
 from morekg.rules import builtin_ruleset, materialize
+from morekg.serdes import parse_turtle, term_to_nt, write_turtle
 
-from strategies import graphs
+from oracles import (check_against_scan, reference_apply_policy,
+                     reference_audit_violations)
+from strategies import graphs, view_graphs, view_policies
 
 EX = "http://example.org/"
 AGE_BAND = IRI(vocab.MORE_HAS_AGE.value + "Band")
@@ -208,6 +213,28 @@ class TestApplyPolicy:
             t for t in view if t.predicate == AGE_BAND}
 
 
+class TestViewEqualsReference:
+    """A view is the source's indexes filtered, plus band triples; it must
+    equal the view built one triple at a time, leaf forms included, and
+    answer every read as a scan of that view would."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(view_graphs(), view_policies())
+    def test_property(self, g, policy):
+        source = set(g)
+        view = apply_policy(g, policy, "r")
+        reference = Graph(reference_apply_policy(g, policy, "r"))
+        # __eq__ compares SPO; POS leaves must be in their one form too
+        assert view == reference and view._pos == reference._pos
+        check_against_scan(view, set(reference), source - set(reference))
+        assert set(g) == source
+
+    @pytest.mark.parametrize("role", ["public", "researcher"])
+    def test_fixture(self, fixture_graph, role):
+        view = apply_policy(fixture_graph, default_policy(), role)
+        assert view == Graph(reference_apply_policy(fixture_graph, default_policy(), role))
+
+
 def _entailment_targets(g):
     """The classes of ``g``'s schema and the declared properties, less
     those a builtin rule derives: the rules re-derive such a predicate
@@ -272,6 +299,45 @@ class TestAudit:
         report = audit_view(person_graph(), default_policy(), "public")
         assert report.to_text().startswith("audit: role=public")
         assert report.to_csv().splitlines()[0] == "subject,predicate,object,reason"
+
+
+def _violations(report):
+    return [(v.triple, v.reason) for v in report.violations]
+
+
+class TestAuditOrder:
+    """Violations come sorted by their N-Triples text, then by reason, so
+    the report does not depend on how the view was built or read."""
+
+    POLICY = policy_from_dict({
+        "annotations": {"more:hasAge": "identifying", "more:hasBmi": "health",
+                        "more:Person": "identifying"},
+        "roles": {"public": {"allow": ["public"]}},
+    })
+
+    def test_same_order_whatever_the_insertion_order_or_layout(self, fixture_graph):
+        ts = list(fixture_graph)
+        graphs_ = [Graph(ts), Graph(reversed(ts)),
+                   parse_turtle(write_turtle(fixture_graph))]
+        reports = [audit_view(g, self.POLICY, "public") for g in graphs_]
+        assert len(reports[0]) > 0
+        assert _violations(reports[0]) == _violations(reports[1]) == _violations(reports[2])
+        assert reports[0].to_text() == reports[1].to_text() == reports[2].to_text()
+
+    def test_sorted_by_ntriples_text_then_reason(self, fixture_graph):
+        keys = [(" ".join(map(term_to_nt, v.triple)), v.reason)
+                for v in audit_view(fixture_graph, self.POLICY, "public").violations]
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("name", ["fixture_graph", "fixture_materialized"])
+    def test_multiset_equals_scan(self, request, name):
+        g = request.getfixturevalue(name)
+        for policy, role in ((self.POLICY, "public"), (default_policy(), "public"),
+                             (default_policy(), "researcher")):
+            report = audit_view(g, policy, role)
+            scan = reference_audit_violations(g, policy, role)
+            assert Counter(_violations(report)) == Counter((v.triple, v.reason) for v in scan)
+            assert report.checked == len(g)
 
 
 class TestAnnotateSchema:

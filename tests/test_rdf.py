@@ -9,21 +9,14 @@ from morekg.rdf import (XSD_STRING, BlankNode, Graph, IRI, Literal,
                         MalformedTripleError, PrefixMap, RdfError, Triple,
                         UnresolvedPrefixError)
 from morekg import vocab
-from morekg.rules import Var, join
 
-from oracles import as_dicts
-from strategies import graphs, triples
+from oracles import check_against_scan, shapes
+from strategies import graphs, rule_graphs, triples
 
 EX_S = IRI("http://example.org/s")
 EX_P = IRI("http://example.org/p")
 EX_O = IRI("http://example.org/o")
 DECIMAL_ONE_FIVE = Literal("1.5", vocab.XSD_DECIMAL.value)
-
-
-def _shapes(s, p, o):
-    """The seven patterns ``match`` answers for one triple's terms."""
-    return [(s, None, None), (None, p, None), (None, None, o),
-            (s, p, None), (s, None, o), (None, p, o), (s, p, o)]
 
 
 class TestTerms:
@@ -131,14 +124,14 @@ class TestTerms:
 
 
 class TestGraph:
-    def test_insert_twice_returns_false_and_keeps_size(self):
+    def test_add_twice_returns_false_and_keeps_size(self):
         g = Graph()
         t = Triple(EX_S, EX_P, DECIMAL_ONE_FIVE)
-        assert g.insert(t) is True
-        assert g.insert(t) is False
+        assert g.add(*t) is True
+        assert g.add(*t) is False
         assert len(g) == 1
 
-    def test_insert_decimal_literal(self):
+    def test_add_decimal_literal(self):
         g = Graph()
         assert g.add(EX_S, EX_P, Literal("1", vocab.XSD_DECIMAL.value))
         assert len(g) == 1
@@ -146,12 +139,12 @@ class TestGraph:
     def test_literal_subject_rejected(self):
         g = Graph()
         with pytest.raises(MalformedTripleError):
-            g.insert(Triple(Literal("x"), EX_P, EX_O))
+            g.add(Literal("x"), EX_P, EX_O)
 
     def test_non_iri_predicate_rejected(self):
         g = Graph()
         with pytest.raises(MalformedTripleError):
-            g.insert(Triple(EX_S, Literal("p"), EX_O))
+            g.add(EX_S, Literal("p"), EX_O)
 
     def test_match_empty_graph(self):
         assert list(Graph().match()) == []
@@ -180,7 +173,7 @@ class TestGraph:
             extras += [Triple(s, p, extra.object), Triple(extra.subject, p, o),
                        Triple(s, extra.predicate, o)]
         patterns = [shape for t in list(all_triples)[:5] + extras
-                    for shape in _shapes(*t)]
+                    for shape in shapes(*t)]
 
         def check(h):
             for pattern in patterns:
@@ -200,7 +193,7 @@ class TestGraph:
     def test_cardinality_is_distinct_count(self, ts):
         g = Graph()
         for t in ts:
-            g.insert(t)
+            g.add(*t)
         assert len(g) == len(set(ts))
 
 
@@ -213,25 +206,7 @@ ABSENT_TRIPLES = [Triple(EX_S, IRI("http://example.org/absent"), EX_O),
 
 
 def _check_against_scan(g, expected):
-    """Every read of ``g`` agrees with a scan of the set ``expected``: all
-    seven ``match`` shapes, ``count`` and a one-atom ``join`` over patterns
-    built from present and absent triples, plus ``in``, the objects of
-    each subject and predicate, and ``len``."""
-    assert len(g) == len(expected)
-    assert set(g) == expected
-    for t in list(expected) + ABSENT_TRIPLES:
-        assert (t in g) == (t in expected)
-        assert {x.object for x in g.match(t.subject, t.predicate)} == {
-            x.object for x in expected if x[:2] == t[:2]}
-        for pattern in _shapes(*t):
-            scan = {x for x in expected
-                    if all(q is None or q is v for q, v in zip(pattern, x))}
-            assert set(g.match(*pattern)) == scan, pattern
-            assert g.count(*pattern) == len(scan), pattern
-            atom = tuple(Var(n) if q is None else q for n, q in zip("spo", pattern))
-            joined = {Triple(*(b.get(n, q) for n, q in zip("spo", pattern)))
-                      for b in as_dicts(join([g], [atom]))}
-            assert joined == scan, pattern
+    check_against_scan(g, expected, ABSENT_TRIPLES)
 
 
 class TestLeaves:
@@ -277,6 +252,54 @@ class TestLeaves:
             assert g == first and g.copy() == first
         assert Graph(ts[1:]) != first
         assert Graph(ts[1:] + [Triple(EX_S3, EX_P, EX_O)]) != first
+
+    def test_without_leaves_each_leaf_in_its_one_form(self):
+        source = {Triple(EX_S, EX_P, EX_O), Triple(EX_S, EX_P, EX_O2),
+                  Triple(EX_S2, EX_P, EX_O), Triple(EX_S3, EX_P, EX_O),
+                  Triple(EX_S3, EX_P2, EX_O3), Triple(EX_S2, EX_P2, EX_O2)}
+        g = Graph(source)
+        cases = [
+            (set(), set()),             # a copy
+            ({EX_O2}, set()),           # an (s, p) set leaf becomes bare
+            ({EX_S3}, set()),           # a (p, o) set of three keeps two
+            ({EX_S2, EX_S3}, set()),    # ... and of one becomes bare
+            (set(), {EX_P}),            # inner dicts left empty go
+            ({EX_S2, EX_O2}, {EX_P2}),
+            ({EX_S, EX_S2, EX_S3}, set()),  # nothing left
+        ]
+        for nodes, predicates in cases:
+            kept = {t for t in source if t.predicate not in predicates
+                    and t.subject not in nodes and t.object not in nodes}
+            view, expected = g.without(nodes, predicates), Graph(kept)
+            assert view == expected and view._pos == expected._pos, (nodes, predicates)
+            assert all(inner for index in (view._spo, view._pos) for inner in index.values())
+            _check_against_scan(view, kept)
+        # the subgraph's leaves are its own
+        view = g.without({EX_S3}, set())
+        view.update([Triple(EX_S, EX_P, EX_O3), Triple(EX_S3, EX_P, EX_O)])
+        _check_against_scan(g, source)
+
+    @given(rule_graphs(), st.data())
+    def test_without_property(self, g, data):
+        ts = sorted(g, key=repr)
+        nodes = data.draw(st.sets(st.sampled_from(
+            sorted({x for t in ts for x in (t.subject, t.object)}, key=repr))))
+        predicates = data.draw(st.sets(st.sampled_from(
+            sorted({t.predicate for t in ts}, key=repr))))
+        kept = {t for t in ts if t.predicate not in predicates
+                and t.subject not in nodes and t.object not in nodes}
+        view, expected = g.without(nodes, predicates), Graph(kept)
+        assert view == expected and view._pos == expected._pos
+        _check_against_scan(view, kept)
+        assert set(g) == set(ts)
+
+    @given(rule_graphs())
+    def test_stars_hold_each_subject_once_and_every_triple(self, g):
+        subjects = [s for s, _ in g.stars()]
+        assert len(subjects) == len(set(subjects))
+        star_triples = [(s, p, o) for s, pairs in g.stars() for p, objs in pairs
+                        for o in objs]
+        assert len(star_triples) == len(g) and set(star_triples) == set(g)
 
     def test_distinct_pairs_hold_no_set_leaf(self):
         def set_leaf_sizes(index):

@@ -11,6 +11,7 @@ from morekg.serdes import (ParseError, _nt_lines, _nt_parse_line,
                            _ttl_read_canonical, _TurtleParser, parse_ntriples,
                            parse_turtle, write_ntriples, write_turtle)
 
+from oracles import reference_write_ntriples, reference_write_turtle
 from strategies import graphs
 
 EX = "http://example.org/"
@@ -101,6 +102,26 @@ class TestNTriples:
     @given(graphs())
     def test_round_trip_property(self, g):
         assert parse_ntriples(write_ntriples(g)) == g
+
+
+class TestWritersEqualReferences:
+    """The writers read the indexes; their output must be byte for byte
+    that of writing one triple at a time, so a changed sort order or
+    layout fails here, where round trips and determinism would not."""
+
+    @settings(max_examples=80)
+    @given(graphs())
+    def test_property(self, g):
+        assert write_ntriples(g) == reference_write_ntriples(g)
+        assert write_turtle(g) == reference_write_turtle(g)
+        pm = PrefixMap({"ex": EX, "more": vocab.MORE})
+        assert write_turtle(g, pm) == reference_write_turtle(g, pm)
+
+    @pytest.mark.parametrize("name", ["fixture_graph", "fixture_materialized"])
+    def test_fixture(self, request, name):
+        g = request.getfixturevalue(name)
+        assert write_ntriples(g) == reference_write_ntriples(g)
+        assert write_turtle(g) == reference_write_turtle(g)
 
 
 class TestTurtle:
