@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import vocab
+from .rdf import iri_value
 
 
 class BundleError(Exception):
@@ -60,7 +61,7 @@ class TestItemDef:
     label: str
     disposition_label: str
     unit: str
-    datatype: str = vocab.XSD_DECIMAL.value
+    datatype: str = iri_value(vocab.XSD_DECIMAL)
 
     @property
     def item_iri_local(self) -> str:

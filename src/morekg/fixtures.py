@@ -12,16 +12,17 @@ from pathlib import Path
 
 from .bundle import TestItemDef
 from . import vocab
+from .rdf import iri_value
 
 BUILTIN_ITEMS = [
     TestItemDef("handgrip", "Handgrip", "grip strength", "kg",
-                vocab.XSD_DECIMAL.value),
+                iri_value(vocab.XSD_DECIMAL)),
     TestItemDef("shuttle_run", "Shuttle Run Test", "aerobic endurance",
-                "ml/kg/min", vocab.XSD_DECIMAL.value),
+                "ml/kg/min", iri_value(vocab.XSD_DECIMAL)),
     TestItemDef("sit_and_reach", "Sit & Reach", "flexibility", "cm",
-                vocab.XSD_DECIMAL.value),
+                iri_value(vocab.XSD_DECIMAL)),
     TestItemDef("twenty_meter_dash", "20 meter Dash", "sprint speed", "s",
-                vocab.XSD_DECIMAL.value),
+                iri_value(vocab.XSD_DECIMAL)),
 ]
 
 _VALUE_RANGES = {

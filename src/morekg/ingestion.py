@@ -30,7 +30,7 @@ from .bundle import (
     ValidationReport,
 )
 from .ontology import OntologySchema
-from .rdf import Graph, IRI, Literal
+from .rdf import Graph, IRI, Literal, Term, iri_value
 
 
 _COMPONENT_RE = re.compile(r"[A-Za-z0-9_.~-]+\Z")
@@ -43,7 +43,7 @@ REQUIRED_HEADERS = {
 }
 
 
-def mint_iri(study_id: str, kind: str, local: str) -> IRI:
+def mint_iri(study_id: str, kind: str, local: str) -> Term:
     """Deterministic entity IRI under the knowledge-graph namespace."""
     for name, component in (("study", study_id), ("kind", kind), ("local", local)):
         if not component:
@@ -143,7 +143,7 @@ def load_bundle(dir_path, config: Optional[IngestConfig] = None) -> StudyBundle:
             label=_req(row, "label", ipath, i),
             disposition_label=_req(row, "disposition_label", ipath, i),
             unit=_req(row, "unit", ipath, i),
-            datatype=_opt(row, "datatype") or vocab.XSD_DECIMAL.value,
+            datatype=_opt(row, "datatype") or iri_value(vocab.XSD_DECIMAL),
         ))
 
     rpath = base / config.results_file
@@ -211,25 +211,25 @@ def emit_kg(b: StudyBundle, schema: OntologySchema) -> Graph:
     g.add(study, vocab.MORE_HAS_TITLE, Literal(b.metadata.title))
     for year in b.metadata.years:
         g.add(study, vocab.MORE_CONDUCTED_IN_YEAR,
-              Literal(str(year), vocab.XSD_INTEGER.value))
+              Literal(str(year), iri_value(vocab.XSD_INTEGER)))
     if b.metadata.doi:
         g.add(study, vocab.MORE_HAS_DOI, Literal(b.metadata.doi))
 
     for item in b.items:
         g.add(schema.item_iri(item.key), part_of, study)
 
-    persons: dict[str, IRI] = {}
-    dispositions: dict[tuple[str, str], IRI] = {}
+    persons: dict[str, Term] = {}
+    dispositions: dict[tuple[str, str], Term] = {}
     for p in b.participants:
         person = mint_iri(study_id, "person", p.participant_id)
         persons[p.participant_id] = person
         g.add(person, vocab.RDF_TYPE, vocab.MORE_PERSON)
-        g.add(person, vocab.MORE_HAS_AGE, Literal(str(p.age), vocab.XSD_INTEGER.value))
+        g.add(person, vocab.MORE_HAS_AGE, Literal(str(p.age), iri_value(vocab.XSD_INTEGER)))
         if p.sex:
             g.add(person, vocab.MORE_HAS_SEX, Literal(p.sex))
-        g.add(person, vocab.MORE_HAS_HEIGHT, Literal(p.height_cm, vocab.XSD_DECIMAL.value))
-        g.add(person, vocab.MORE_HAS_WEIGHT, Literal(p.weight_kg, vocab.XSD_DECIMAL.value))
-        g.add(person, vocab.MORE_HAS_BMI, Literal(p.bmi, vocab.XSD_DECIMAL.value))
+        g.add(person, vocab.MORE_HAS_HEIGHT, Literal(p.height_cm, iri_value(vocab.XSD_DECIMAL)))
+        g.add(person, vocab.MORE_HAS_WEIGHT, Literal(p.weight_kg, iri_value(vocab.XSD_DECIMAL)))
+        g.add(person, vocab.MORE_HAS_BMI, Literal(p.bmi, iri_value(vocab.XSD_DECIMAL)))
         g.add(person, part_of, study)
         for item in b.items:
             disp = mint_iri(study_id, "disposition",
@@ -268,7 +268,7 @@ def emit_kg(b: StudyBundle, schema: OntologySchema) -> Graph:
             g.add(proc, vocab.MORE_HAS_TRIAL, Literal(r.trial))
         if r.session_date:
             g.add(proc, vocab.MORE_HAS_SESSION_DATE,
-                  Literal(r.session_date, vocab.XSD_DATE.value))
+                  Literal(r.session_date, iri_value(vocab.XSD_DATE)))
 
         g.add(role, vocab.RDF_TYPE, vocab.OBI_EVALUANT_ROLE)
         g.add(person, vocab.OBI_HAS_ROLE, role)

@@ -9,21 +9,21 @@ from typing import Optional, Sequence
 
 from . import vocab
 from .bundle import BundleError, TestItemDef
-from .rdf import Graph, IRI, Literal
+from .rdf import Graph, IRI, Literal, Term, iri_value, is_iri
 from .rules import RuleSet, builtin_ruleset, materialize
 
 
 class SubclassCycleError(Exception):
-    def __init__(self, cycle: list[IRI]):
+    def __init__(self, cycle: list[Term]):
         super().__init__(
-            "subclass cycle: " + " -> ".join(c.value for c in cycle)
+            "subclass cycle: " + " -> ".join(map(iri_value, cycle))
         )
         self.cycle = cycle
 
 
 @dataclass(frozen=True)
 class DispositionKind:
-    iri: IRI
+    iri: Term
     label: str
     unit: str
     datatype: str
@@ -35,10 +35,10 @@ class OntologySchema:
     items: dict[str, TestItemDef]
     annotations: Graph = field(default_factory=Graph)  # filled by the privacy layer
 
-    def item_iri(self, key: str) -> IRI:
+    def item_iri(self, key: str) -> Term:
         return IRI(vocab.MORE + self.items[key].item_iri_local)
 
-    def process_class(self, key: str) -> IRI:
+    def process_class(self, key: str) -> Term:
         return IRI(vocab.MORE + self.items[key].process_class_local)
 
     def disposition_kind(self, key: str) -> DispositionKind:
@@ -139,8 +139,8 @@ def apply_aliases(g: Graph, aliases: dict[str, str]) -> Graph:
         return g
 
     def swap(term):
-        if isinstance(term, IRI) and term.value in aliases:
-            return IRI(aliases[term.value])
+        if is_iri(term) and iri_value(term) in aliases:
+            return IRI(aliases[iri_value(term)])
         return term
 
     out = Graph()

@@ -18,8 +18,7 @@ import yaml
 from . import vocab
 from .ontology import OntologySchema
 from .query import numeric_value
-from .rdf import Graph, IRI, Literal, PrefixMap, RdfError, Triple
-from .serdes import term_to_nt
+from .rdf import Graph, IRI, Literal, PrefixMap, RdfError, Term, Triple, iri_value, is_iri
 
 LEVELS = ("identifying", "health", "public")
 
@@ -49,7 +48,7 @@ class GeneralizationSpec:
 class Role:
     name: str
     allowed: frozenset[str]
-    generalizations: dict[IRI, GeneralizationSpec] = field(default_factory=dict)
+    generalizations: dict[Term, GeneralizationSpec] = field(default_factory=dict)
 
     @property
     def denied(self) -> frozenset[str]:
@@ -58,7 +57,7 @@ class Role:
 
 @dataclass
 class Policy:
-    annotations: dict[IRI, str]
+    annotations: dict[Term, str]
     roles: dict[str, Role]
     provenance: str = ""
 
@@ -70,7 +69,7 @@ class Policy:
                 if target not in self.annotations:
                     raise PolicyError(
                         "generalization target %s carries no sensitivity annotation"
-                        % target.value)
+                        % iri_value(target))
 
     def role(self, name: str) -> Role:
         try:
@@ -78,12 +77,12 @@ class Policy:
         except KeyError:
             raise PolicyError("unknown role %r" % name) from None
 
-    def denied_targets(self, role_name: str) -> set[IRI]:
+    def denied_targets(self, role_name: str) -> set[Term]:
         role = self.role(role_name)
         return {t for t, level in self.annotations.items() if level in role.denied}
 
 
-def _expand_target(key, pm: PrefixMap) -> IRI:
+def _expand_target(key, pm: PrefixMap) -> Term:
     if not isinstance(key, str):
         raise PolicyError("target must be an IRI or CURIE string, got %r" % (key,))
     if key.startswith("<") and key.endswith(">"):
@@ -111,7 +110,7 @@ def policy_from_dict(data: dict, prefixes: Optional[PrefixMap] = None) -> Policy
         pm.register(prefix, ns)
 
     try:
-        annotations: dict[IRI, str] = {}
+        annotations: dict[Term, str] = {}
         for key, level in _section(data.get("annotations"), "annotations").items():
             try:
                 target = _expand_target(key, pm)
@@ -119,7 +118,7 @@ def policy_from_dict(data: dict, prefixes: Optional[PrefixMap] = None) -> Policy
                 raise PolicyError("annotations: %s" % e) from None
             if level not in LEVELS:
                 raise PolicyError("unknown sensitivity level %r for %s"
-                                  % (level, target.value))
+                                  % (level, iri_value(target)))
             annotations[target] = level
 
         roles: dict[str, Role] = {}
@@ -179,12 +178,12 @@ def annotate_schema(schema: OntologySchema, p: Policy) -> tuple[Graph, list[str]
     for s, pr, o in schema.graph:
         known.add(s)
         known.add(pr)
-        if isinstance(o, IRI):
+        if is_iri(o):
             known.add(o)
-    for target, level in sorted(p.annotations.items(), key=lambda kv: kv[0].value):
+    for target, level in sorted(p.annotations.items(), key=lambda kv: iri_value(kv[0])):
         if target not in known:
             warnings_.append("annotation target not in schema vocabulary: %s"
-                             % target.value)
+                             % iri_value(target))
         out.add(target, vocab.MORE_SENSITIVITY_LEVEL, Literal(level))
     schema.annotations = Graph(
         out.match(None, vocab.MORE_SENSITIVITY_LEVEL, None))
@@ -221,7 +220,7 @@ def apply_policy(g: Graph, p: Policy, role_name: str) -> Graph:
     for pr, spec in role.generalizations.items():
         if pr not in denied:
             continue
-        band = IRI(pr.value + "Band")
+        band = IRI(iri_value(pr) + "Band")
         for s, _, o in g.match(None, pr, None):
             if s in removed:
                 continue
@@ -253,9 +252,7 @@ class AuditReport:
         lines = ["audit: role=%s checked=%d violations=%d"
                  % (self.role, self.checked, len(self.violations))]
         for v in self.violations:
-            lines.append("VIOLATION %s %s %s : %s" % (
-                term_to_nt(v.triple.subject), term_to_nt(v.triple.predicate),
-                term_to_nt(v.triple.object), v.reason))
+            lines.append("VIOLATION %s %s %s : %s" % (*v.triple, v.reason))
         return "".join(line + "\n" for line in lines)
 
     def to_csv(self) -> str:
@@ -265,9 +262,7 @@ class AuditReport:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["subject", "predicate", "object", "reason"])
         for v in self.violations:
-            writer.writerow([term_to_nt(v.triple.subject),
-                             term_to_nt(v.triple.predicate),
-                             term_to_nt(v.triple.object), v.reason])
+            writer.writerow([*v.triple, v.reason])
         return buf.getvalue()
 
 
@@ -279,11 +274,12 @@ def audit_view(view: Graph, p: Policy, role_name: str) -> AuditReport:
     denied = _entailed(view, p.denied_targets(role_name))
     violations = []
     for target in denied:
-        violations += [AuditViolation(t, "denied predicate %s" % target.value)
+        violations += [AuditViolation(t, "denied predicate %s" % iri_value(target))
                        for t in view.match(None, target, None)]
-        violations += [AuditViolation(t, "instance of denied class %s" % target.value)
+        violations += [AuditViolation(t, "instance of denied class %s"
+                                      % iri_value(target))
                        for t in view.match(None, vocab.RDF_TYPE, target)]
-    violations.sort(key=lambda v: (" ".join(map(term_to_nt, v.triple)), v.reason))
+    violations.sort(key=lambda v: (" ".join(v.triple), v.reason))
     return AuditReport(role=role_name, violations=violations, checked=len(view))
 
 

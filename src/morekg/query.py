@@ -22,10 +22,11 @@ sort and aggregates, after SPARQL 1.1's ORDER BY and operator mapping
 (sections 15.1 and 17.3).  Its ranks are: unbound, numbers, valid
 ``xsd:date``s, other literals by lexical form, datatype and language,
 IRIs, blank nodes.  ``=`` and ``!=`` compare two numbers by value and
-other terms by identity.  ``<``, ``<=``, ``>`` and ``>=`` compare two
-numbers, two dates, or two string-typed literals by lexical form; any
-other pair is a type error, and the comparison is false.  Each term is
-valued once per ``evaluate`` call.
+other terms as RDF terms (SPARQL's sameTerm: equal texts).  ``<``,
+``<=``, ``>`` and ``>=`` compare two numbers, two dates, or two
+string-typed literals by lexical form; any other pair is a type error,
+and the comparison is false.  Each term is valued once per ``evaluate``
+call.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from operator import eq, ge, gt, itemgetter, le, lt, ne
 from typing import Optional, Union
 
 from . import vocab
-from .rdf import RDF_LANG_STRING, XSD_STRING, Graph, IRI, Literal, PrefixMap, Term
+from .rdf import (RDF_LANG_STRING, XSD_STRING, Graph, Literal, PrefixMap, Term, iri_value,
+                  is_iri, literal_parts)
 from .rules import Var, join, pattern_vars, plan
 from .serdes import PositionedError, TokenStream, term_to_ttl
 
@@ -60,52 +62,61 @@ _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _DECIMAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
 _DOUBLE_RE = re.compile(_DECIMAL + r"(?:[eE][+-]?[0-9]+)?")
 _NUMERIC_LEXICAL = {
-    vocab.XSD_INTEGER.value: _INTEGER_RE,
+    vocab.XSD + "integer": _INTEGER_RE,
     vocab.XSD + "long": _INTEGER_RE,
     vocab.XSD + "int": _INTEGER_RE,
-    vocab.XSD_DECIMAL.value: re.compile(_DECIMAL),
-    vocab.XSD_DOUBLE.value: _DOUBLE_RE,
+    vocab.XSD + "decimal": re.compile(_DECIMAL),
+    vocab.XSD + "double": _DOUBLE_RE,
     vocab.XSD + "float": _DOUBLE_RE,
     vocab.XSD + "gYear": re.compile(r"-?[0-9]{4,}"),
 }
 
 _STRING_DATATYPES = {XSD_STRING, RDF_LANG_STRING}
+_XSD_DATE = iri_value(vocab.XSD_DATE)
+_XSD_INTEGER = iri_value(vocab.XSD_INTEGER)
+_XSD_DECIMAL = iri_value(vocab.XSD_DECIMAL)
 
 _OPERATORS = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
-def numeric_value(term) -> Optional[Fraction]:
-    form = _NUMERIC_LEXICAL.get(term.datatype) if isinstance(term, Literal) else None
-    if form is None or not form.fullmatch(term.lexical):
+def _number(lexical: str, datatype: str) -> Optional[Fraction]:
+    form = _NUMERIC_LEXICAL.get(datatype)
+    if form is None or not form.fullmatch(lexical):
         return None
     if form is not _DOUBLE_RE:
-        return Fraction(term.lexical)
+        return Fraction(lexical)
     try:
-        return Fraction(float(term.lexical))
+        return Fraction(float(lexical))
     except OverflowError:  # 1e400 reads as inf, which has no Fraction
         return None
+
+
+def numeric_value(term) -> Optional[Fraction]:
+    parts = literal_parts(term)
+    return None if parts is None else _number(parts[0], parts[1])
 
 
 def _value_key(term) -> tuple:
     """``(rank, value)``: the one place that says what a term's value is
     and how it orders.  Ranks: 0 unbound, 1 numbers, 2 valid ``xsd:date``s,
     3 other literals as ``(lexical, datatype, lang)``, 4 IRIs, 5 blank
-    nodes; values compare only within a rank."""
+    nodes (as ``_:label``, which orders as the label); values compare
+    only within a rank."""
     if term is None:
         return (0, "")
-    num = numeric_value(term)
+    parts = literal_parts(term)
+    if parts is None:
+        return (4, iri_value(term)) if is_iri(term) else (5, term)
+    lexical, datatype, lang = parts
+    num = _number(lexical, datatype)
     if num is not None:
         return (1, num)
-    if isinstance(term, Literal):
-        if term.datatype == vocab.XSD_DATE.value:
-            try:
-                return (2, datetime.date.fromisoformat(term.lexical))
-            except ValueError:
-                pass
-        return (3, (term.lexical, term.datatype, term.lang or ""))
-    if isinstance(term, IRI):
-        return (4, term.value)
-    return (5, term.label)
+    if datatype == _XSD_DATE:
+        try:
+            return (2, datetime.date.fromisoformat(lexical))
+        except ValueError:
+            pass
+    return (3, (lexical, datatype, lang or ""))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +410,7 @@ def _row_test(expr: FilterExpr, slot: dict, key):
         if ra == rb == 1 or (ra == rb == 2 and ordering):
             return cmp(va, vb)  # two numbers, or two dates ordered
         if not ordering:
-            return cmp(a, b)  # other terms are equal if identical
+            return cmp(a, b)  # other terms are equal if they are the same term
         # two string-typed literals order by lexical form alone
         return (ra == rb == 3 and va[1] in _STRING_DATATYPES
                 and vb[1] in _STRING_DATATYPES and cmp(va[0], vb[0]))
@@ -423,7 +434,7 @@ def _aggregate(func: str, k: Optional[int], rows: list[tuple], avg_places: int,
     """``func`` over the terms at slot ``k`` of ``rows``, numbers read by
     ``key``; COUNT counts rows."""
     if func == "COUNT":
-        return Literal(str(len(rows)), vocab.XSD_INTEGER.value)
+        return Literal(str(len(rows)), _XSD_INTEGER)
 
     values: list[tuple[Fraction, Term]] = []
     for r in rows:
@@ -443,11 +454,10 @@ def _aggregate(func: str, k: Optional[int], rows: list[tuple], avg_places: int,
     total = sum(v[0] for v in values)
     if func == "SUM":
         if total.denominator == 1:
-            return Literal(str(total.numerator), vocab.XSD_INTEGER.value)
-        return Literal(format_decimal(total, avg_places), vocab.XSD_DECIMAL.value)
+            return Literal(str(total.numerator), _XSD_INTEGER)
+        return Literal(format_decimal(total, avg_places), _XSD_DECIMAL)
     # AVG
-    return Literal(format_decimal(total / len(values), avg_places),
-                   vocab.XSD_DECIMAL.value)
+    return Literal(format_decimal(total / len(values), avg_places), _XSD_DECIMAL)
 
 
 def evaluate(g: Graph, q: QueryAst, avg_places: int = 6) -> SolutionTable:
@@ -520,13 +530,14 @@ def explain(q: QueryAst, g: Graph) -> PlanDescription:
 # Result rendering
 
 def render_term(term) -> str:
+    """A CSV or text cell: a literal's lexical form, an IRI without its
+    brackets, a blank node as ``_:label``, and unbound as empty."""
     if term is None:
         return ""
-    if isinstance(term, Literal):
-        return term.lexical
-    if isinstance(term, IRI):
-        return term.value
-    return "_:%s" % term.label
+    if is_iri(term):
+        return iri_value(term)
+    parts = literal_parts(term)
+    return term if parts is None else parts[0]
 
 
 def to_csv(table: SolutionTable) -> str:

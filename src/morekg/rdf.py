@@ -1,8 +1,16 @@
-"""Core RDF term model and an indexed in-memory triple store.
+"""Core RDF terms and an indexed in-memory triple store.
 
-Terms are interned: constructing an ``IRI``, ``BlankNode`` or ``Literal``
-from the same arguments returns the same immutable object, so terms
-compare and hash by identity.  The intern tables live for the process.
+A term is a ``str``: its canonical N-Triples text (W3C RDF 1.1
+N-Triples), ``<iri>``, ``_:label``, ``"lex"``, ``"lex"@lang`` or
+``"lex"^^<datatype>``.  Each term has one text, so two terms are the
+same term iff their texts are equal: terms compare with ``==``, never
+``is``, and a canonical writer joins the texts as they are.  ``IRI``,
+``BlankNode`` and ``Literal`` check their arguments and build the text;
+``is_iri``, ``is_literal``, ``iri_value`` and ``literal_parts`` read it
+back.  No other module reads a term's characters.  Nothing is interned:
+a parse shares each term among its triples through its own cache, and a
+term lives as long as a graph or row holds it.
+
 The graph keeps two nested-dict indexes, SPO and POS; SPO also answers
 membership.  A pattern is answered by lookups alone unless it binds the
 object but not the predicate; then the object is looked up under each
@@ -14,11 +22,12 @@ An index leaf (the objects of one subject and predicate, or the subjects
 of one predicate and object) is the term itself while it holds one term,
 and a ``set`` from the second term on.  Most leaves of a KG hold one
 term, so this saves a container the garbage collector would walk for
-nearly every triple.  ``Graph`` has no remove, so a ``set`` never shrinks
-back, and ``Graph.without`` writes each leaf it keeps in the form of what
-it keeps: each leaf has one form for its content, and equal graphs have
-equal indexes.  Only ``Graph`` reads the leaves, through ``_leaf_terms``
-or a ``type(leaf) is set`` test.
+nearly every triple; a dict whose keys and values are all ``str`` is not
+tracked by the collector at all.  ``Graph`` has no remove, so a ``set``
+never shrinks back, and ``Graph.without`` writes each leaf it keeps in
+the form of what it keeps: each leaf has one form for its content, and
+equal graphs have equal indexes.  Only ``Graph`` reads the leaves,
+through ``_leaf_terms`` or a ``type(leaf) is set`` test.
 
 Three methods walk the indexes.  ``Graph.extend`` extends rows, tuples
 of terms indexed by slot, by the triples that match one pattern;
@@ -52,12 +61,6 @@ class UnresolvedPrefixError(RdfError):
     pass
 
 
-# Intern tables: constructor arguments -> the one term they build.  Only
-# valid terms are stored, so each distinct term is checked once; storing
-# with ``setdefault`` keeps one instance when two threads miss at once.
-_IRIS: dict = {}
-_BLANKS: dict = {}
-_LITERALS: dict = {}
 # The one rule for the characters an IRI may not hold: space, the
 # controls and <>"{}|^`\ (the IRIREF production of Turtle and N-Triples).
 IRI_EXCLUDED = re.compile(r'[\x00-\x20<>"{}|^`\\]')
@@ -66,103 +69,124 @@ IRI_EXCLUDED = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 LANGTAG = r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*"
 _LANGTAG_RE = re.compile(LANGTAG)
 
+# ---------------------------------------------------------------------------
+# String and IRI escapes: N-Triples escapes only these five characters in
+# a literal's lexical form, and reads the numeric escapes too.
 
-def _new_term(cls, **fields):
-    term = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(term, name, value)
-    return term
-
-
-class _Term:
-    """Interned, immutable; equality and hashing are by identity."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    def __delattr__(self, name):
-        raise AttributeError("%s is immutable" % type(self).__name__)
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPE_RE = re.compile(r'[\\"\n\r\t]')
+_UNESCAPE_RE = re.compile(r"\\(u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8}|.)")
+_IRI_ESCAPE_RE = re.compile(r"\\(u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8})?")
 
 
-class IRI(_Term):
-    __slots__ = ("value",)
-
-    def __new__(cls, value: str):
-        term = _IRIS.get(value)
-        if term is None:
-            if not value or IRI_EXCLUDED.search(value):
-                raise RdfError("IRI must be non-empty and hold no space, control "
-                               "or any of <>\"{}|^`\\: %r" % value)
-            term = _IRIS.setdefault(value, _new_term(cls, value=value))
-        return term
-
-    def __reduce__(self):
-        return IRI, (self.value,)
-
-    def __repr__(self):
-        return "IRI(%r)" % self.value
+def escape_string(s: str) -> str:
+    return _ESCAPE_RE.sub(lambda m: _ESCAPES[m.group(0)], s)
 
 
-class BlankNode(_Term):
-    __slots__ = ("label",)
-
-    def __new__(cls, label: str):
-        term = _BLANKS.get(label)
-        if term is None:
-            if not label:
-                raise RdfError("blank node label must be non-empty")
-            term = _BLANKS.setdefault(label, _new_term(cls, label=label))
-        return term
-
-    def __reduce__(self):
-        return BlankNode, (self.label,)
-
-    def __repr__(self):
-        return "BlankNode(%r)" % self.label
+def _uchar(e: str) -> str:
+    """The character of a ``uXXXX``/``UXXXXXXXX`` escape body."""
+    code = int(e[1:], 16)
+    if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+        raise RdfError("\\%s is not a Unicode scalar value" % e)
+    return chr(code)
 
 
-class Literal(_Term):
-    __slots__ = ("lexical", "datatype", "lang")
-
-    def __new__(cls, lexical: str, datatype: Optional[str] = None,
-                lang: Optional[str] = None):
-        key = (lexical, datatype, lang)
-        term = _LITERALS.get(key)
-        if term is None:
-            if lang is not None:
-                if not _LANGTAG_RE.fullmatch(lang):
-                    raise RdfError("language tag must be letters, then "
-                                   "hyphen-led letters or digits: %r" % lang)
-                if datatype is not None and datatype != RDF_LANG_STRING:
-                    raise RdfError("language-tagged literal must use the langString datatype")
-                datatype = RDF_LANG_STRING
-            elif datatype is None:
-                datatype = XSD_STRING
-            elif not datatype or IRI_EXCLUDED.search(datatype):
-                raise RdfError("datatype IRI must be non-empty and hold no space, "
-                               "control or any of <>\"{}|^`\\: %r" % datatype)
-            # the normalized key makes Literal("x") and
-            # Literal("x", XSD_STRING) one object
-            norm = (lexical, datatype, lang)
-            term = _LITERALS.get(norm)
-            if term is None:
-                term = _LITERALS.setdefault(norm, _new_term(
-                    cls, lexical=lexical, datatype=datatype, lang=lang))
-            _LITERALS[key] = term
-        return term
-
-    def __reduce__(self):
-        return Literal, (self.lexical, self.datatype, self.lang)
-
-    def __repr__(self):
-        if self.lang:
-            return "Literal(%r, lang=%r)" % (self.lexical, self.lang)
-        return "Literal(%r, %r)" % (self.lexical, self.datatype)
+def unescape_string(s: str) -> str:
+    def repl(m):
+        e = m.group(1)
+        if e == "u" or e == "U":
+            raise RdfError("\\%s escape needs %d hex digits" % (e, 4 if e == "u" else 8))
+        if len(e) > 1:
+            return _uchar(e)
+        try:
+            return {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}[e]
+        except KeyError:
+            raise RdfError("unknown escape sequence \\%s" % e) from None
+    return _UNESCAPE_RE.sub(repl, s) if "\\" in s else s
 
 
-Term = IRI | BlankNode | Literal
+def unescape_iri(s: str) -> str:
+    """Decode the ``\\u``/``\\U`` escapes of an IRI reference's text.
+
+    Those are the only escapes an IRI reference allows.  The decoded IRI
+    may not hold a character ``IRI_EXCLUDED`` names, raw or escaped.
+    """
+    def repl(m):
+        if m.group(1) is None:
+            raise RdfError("IRI escape must be \\uXXXX or \\UXXXXXXXX")
+        return _uchar(m.group(1))
+    iri = _IRI_ESCAPE_RE.sub(repl, s) if "\\" in s else s
+    bad = IRI_EXCLUDED.search(iri)
+    if bad:
+        raise RdfError("IRIs may not contain %r" % bad.group())
+    return iri
+
+
+# ---------------------------------------------------------------------------
+# Terms
+
+Term = str  # the term's canonical N-Triples text
+
+
+def IRI(value: str) -> Term:
+    if not value or IRI_EXCLUDED.search(value):
+        raise RdfError("IRI must be non-empty and hold no space, control "
+                       "or any of <>\"{}|^`\\: %r" % value)
+    return "<%s>" % value
+
+
+def BlankNode(label: str) -> Term:
+    if not label:
+        raise RdfError("blank node label must be non-empty")
+    return "_:" + label
+
+
+def Literal(lexical: str, datatype: Optional[str] = None,
+            lang: Optional[str] = None) -> Term:
+    """A literal; ``datatype`` is a bare IRI, ``xsd:string`` when neither
+    it nor ``lang`` is given, and ``rdf:langString`` with ``lang``."""
+    if lang is not None:
+        if not _LANGTAG_RE.fullmatch(lang):
+            raise RdfError("language tag must be letters, then "
+                           "hyphen-led letters or digits: %r" % lang)
+        if datatype is not None and datatype != RDF_LANG_STRING:
+            raise RdfError("language-tagged literal must use the langString datatype")
+        return '"%s"@%s' % (escape_string(lexical), lang)
+    if datatype is None or datatype == XSD_STRING:
+        return '"%s"' % escape_string(lexical)
+    if not datatype or IRI_EXCLUDED.search(datatype):
+        raise RdfError("datatype IRI must be non-empty and hold no space, "
+                       "control or any of <>\"{}|^`\\: %r" % datatype)
+    return '"%s"^^<%s>' % (escape_string(lexical), datatype)
+
+
+def is_iri(t: Term) -> bool:
+    return t[:1] == "<"
+
+
+def is_literal(t: Term) -> bool:
+    return t[:1] == '"'
+
+
+def iri_value(t: Term) -> str:
+    """The IRI an IRI term names, without its angle brackets."""
+    return t[1:-1]
+
+
+def literal_parts(t: Term) -> Optional[tuple[str, str, Optional[str]]]:
+    """A literal term's ``(lexical, datatype, lang)``, ``lang`` None unless
+    the datatype is ``rdf:langString``; None for an IRI or blank node."""
+    if t[:1] != '"':
+        return None
+    end = t.rindex('"')  # a datatype IRI or language tag holds no '"'
+    lexical = t[1:end]
+    if "\\" in lexical:
+        lexical = unescape_string(lexical)
+    if end + 1 == len(t):
+        return lexical, XSD_STRING, None
+    if t[end + 1] == "@":
+        return lexical, RDF_LANG_STRING, t[end + 2:]
+    return lexical, t[end + 4:-1], None
 
 
 class Triple(NamedTuple):
@@ -173,7 +197,7 @@ class Triple(NamedTuple):
 
 def _reject_triple(s: Term, p: Term, o: Term) -> None:
     t = Triple(s, p, o)
-    if isinstance(s, Literal):
+    if is_literal(s):
         raise MalformedTripleError("triple subject may not be a literal: %r" % (t,))
     raise MalformedTripleError("triple predicate must be an IRI: %r" % (t,))
 
@@ -194,7 +218,7 @@ def _filter_index(index: dict, keys, inner_keys, terms) -> tuple[dict, int]:
     """A new ``index`` without the outer keys in ``keys``, the inner keys
     in ``inner_keys`` and the leaf terms in ``terms``, and the number of
     leaf terms it keeps.  Each leaf keeps its one form, and no inner dict
-    is left empty; bare leaves are interned terms and are shared."""
+    is left empty; bare leaves are terms and are shared."""
     out: dict = {}
     n = 0
     for k, inner in index.items():
@@ -263,7 +287,7 @@ class Graph:
 
     def add(self, s: Term, p: Term, o: Term) -> bool:
         """Add a triple; returns True iff it was not already present."""
-        if isinstance(s, Literal) or not isinstance(p, IRI):
+        if s[:1] == '"' or p[:1] != "<":
             _reject_triple(s, p, o)
         po = self._spo.get(s)
         if po is None:
@@ -276,7 +300,7 @@ class Graph:
                 if o in objs:
                     return False
                 objs.add(o)
-            elif objs is o:
+            elif objs == o:
                 return False
             else:
                 po[p] = {objs, o}
@@ -340,7 +364,7 @@ class Graph:
             for b in rows:
                 objs = spo.get(b[si], _NO_ENTRIES).get(b[pi])
                 o = b[oi]
-                if objs is o or (type(objs) is set and o in objs):
+                if objs == o or (type(objs) is set and o in objs):
                     add(b)
         elif si is not None and pi is not None:  # (s, p, ?)
             for b in rows:
@@ -350,7 +374,7 @@ class Graph:
             for b in rows:
                 o = b[oi]
                 for p, objs in spo.get(b[si], _NO_ENTRIES).items():
-                    if objs is o or (type(objs) is set and o in objs):
+                    if objs == o or (type(objs) is set and o in objs):
                         add(b + (p,))
         elif pi is not None and oi is not None:  # (?, p, o)
             for b in rows:
@@ -428,7 +452,7 @@ class PrefixMap:
     def __contains__(self, prefix: str) -> bool:
         return prefix in self._map
 
-    def expand(self, curie: str) -> IRI:
+    def expand(self, curie: str) -> Term:
         prefix, sep, local = curie.partition(":")
         if not sep:
             raise UnresolvedPrefixError("not a CURIE: %r" % curie)
@@ -437,14 +461,15 @@ class PrefixMap:
             raise UnresolvedPrefixError("unknown prefix %r in %r" % (prefix, curie))
         return IRI(ns + local)
 
-    def compact(self, iri: IRI) -> str:
-        """Longest-namespace-match CURIE, or the IRI in angle brackets."""
+    def compact(self, iri: Term) -> str:
+        """Longest-namespace-match CURIE, or the IRI term itself."""
+        value = iri_value(iri)
         best = None
         best_ns = ""
         for prefix, ns in self._map.items():
-            if iri.value.startswith(ns) and len(ns) > len(best_ns):
+            if value.startswith(ns) and len(ns) > len(best_ns):
                 best = prefix
                 best_ns = ns
         if best is None:
-            return "<%s>" % iri.value
-        return "%s:%s" % (best, iri.value[len(best_ns):])
+            return iri
+        return "%s:%s" % (best, value[len(best_ns):])

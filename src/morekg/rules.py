@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .rdf import Graph, IRI, Literal, PrefixMap
+from .rdf import Graph, PrefixMap, is_iri, is_literal
 from .serdes import PositionedError, TokenStream, term_to_ttl
 
 
@@ -181,7 +181,7 @@ def join(graphs: Sequence[Graph], body: Sequence[Pattern]) -> tuple[dict, list[t
             if k is None:  # a new term, appended at ``width``
                 k = slots.setdefault(t, width)
                 if k != width:  # a repeat of a variable new in this atom
-                    rows = [r for r in rows if r[k] is r[width]]
+                    rows = [r for r in rows if r[k] == r[width]]
                 width += 1
     return slots, rows
 
@@ -198,7 +198,7 @@ def _derive(full: Graph, graphs: list[Graph], rule: Rule, out: set[tuple]) -> No
         for row in rows:
             t = get(extra + row)
             s, p, _ = t
-            if isinstance(s, Literal) or not isinstance(p, IRI):
+            if is_literal(s) or not is_iri(p):
                 continue  # unrepresentable instantiation
             if t not in full:
                 out.add(t)

@@ -11,12 +11,16 @@ builds their terms with one method, so an IRI, prefixed name or literal
 reads the same in all three; ``term_to_ttl`` writes terms back in that
 syntax.
 
-N-Triples has two readers over one cache from a term's exact text to the
-term.  A line in canonical form, ``<s> <p> <o> .``, is split at its first
-two spaces and its three texts looked up; a text seen for the first time
-must match the term grammar whole.  Every other line, and a canonical one
-whose texts do not all resolve, goes to the full line parser, which
-accepts any valid layout and is the only source of positioned errors.
+A term is its canonical N-Triples text (see ``rdf``), so ``write_ntriples``
+sorts and joins the lines of the terms as they are.  N-Triples has two
+readers over one per-parse cache from a term's text as written to the
+term; the two texts differ only where the written one has an escape the
+canonical form does not use or spells out ``^^xsd:string``.  A line in
+canonical form, ``<s> <p> <o> .``, is split at its first two spaces and
+its three texts looked up; a text seen for the first time must match the
+term grammar whole.  Every other line, and a canonical one whose texts
+do not all resolve, goes to the full line parser, which accepts any
+valid layout and is the only source of positioned errors.
 
 Turtle has two readers too.  While the text keeps ``write_turtle``'s
 layout, each line is split at its first spaces and at ``", "``, and a text
@@ -30,11 +34,12 @@ set, independent of insertion order.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Optional
 
-from .rdf import (IRI, IRI_EXCLUDED, LANGTAG, BlankNode, Graph, Literal, PrefixMap,
-                  RdfError, Term)
+from .rdf import (IRI, LANGTAG, BlankNode, Graph, Literal, PrefixMap, RdfError, Term,
+                  is_iri, iri_value, unescape_iri, unescape_string)
 from . import vocab
 
 
@@ -49,67 +54,6 @@ class PositionedError(Exception):
 
 class ParseError(PositionedError, RdfError):
     pass
-
-
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-_ESCAPE_RE = re.compile(r'[\\"\n\r\t]')
-_UNESCAPE_RE = re.compile(r"\\(u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8}|.)")
-_IRI_ESCAPE_RE = re.compile(r"\\(u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8})?")
-
-
-def escape_string(s: str) -> str:
-    return _ESCAPE_RE.sub(lambda m: _ESCAPES[m.group(0)], s)
-
-
-def _uchar(e: str) -> str:
-    """The character of a ``uXXXX``/``UXXXXXXXX`` escape body."""
-    code = int(e[1:], 16)
-    if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-        raise RdfError("\\%s is not a Unicode scalar value" % e)
-    return chr(code)
-
-
-def unescape_string(s: str) -> str:
-    def repl(m):
-        e = m.group(1)
-        if e == "u" or e == "U":
-            raise RdfError("\\%s escape needs %d hex digits" % (e, 4 if e == "u" else 8))
-        if len(e) > 1:
-            return _uchar(e)
-        try:
-            return {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}[e]
-        except KeyError:
-            raise RdfError("unknown escape sequence \\%s" % e) from None
-    return _UNESCAPE_RE.sub(repl, s) if "\\" in s else s
-
-
-def unescape_iri(s: str) -> str:
-    """Decode the ``\\u``/``\\U`` escapes of an IRI reference's text.
-
-    Those are the only escapes an IRI reference allows.  The decoded IRI
-    may not hold a character ``rdf.IRI_EXCLUDED`` names, raw or escaped.
-    """
-    def repl(m):
-        if m.group(1) is None:
-            raise RdfError("IRI escape must be \\uXXXX or \\UXXXXXXXX")
-        return _uchar(m.group(1))
-    iri = _IRI_ESCAPE_RE.sub(repl, s) if "\\" in s else s
-    bad = IRI_EXCLUDED.search(iri)
-    if bad:
-        raise RdfError("IRIs may not contain %r" % bad.group())
-    return iri
-
-
-def term_to_nt(term: Term) -> str:
-    if isinstance(term, IRI):
-        return "<%s>" % term.value
-    if isinstance(term, BlankNode):
-        return "_:%s" % term.label
-    if term.lang:
-        return '"%s"@%s' % (escape_string(term.lexical), term.lang)
-    if term.datatype == vocab.XSD_STRING.value:
-        return '"%s"' % escape_string(term.lexical)
-    return '"%s"^^<%s>' % (escape_string(term.lexical), term.datatype)
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +175,9 @@ def parse_ntriples(text: str) -> Graph:
     return graph
 
 
-class _TermTexts(dict):
-    """Term -> its text as ``write`` spells it, written on first lookup."""
-
-    def __init__(self, write):
-        self.write = write
-
-    def __missing__(self, term):
-        text = self[term] = self.write(term)
-        return text
-
-
 def write_ntriples(g: Graph) -> str:
     """``g`` as canonical N-Triples: one line per triple, sorted."""
-    nt = _TermTexts(term_to_nt)
-    lines = ["%s %s %s .\n" % (nt[s], nt[p], nt[o])
+    lines = ["%s %s %s .\n" % (s, p, o)
              for s, pairs in g.stars() for p, objs in pairs for o in objs]
     # no line is a prefix of another, so the newline leaves the order as is
     lines.sort()
@@ -373,14 +305,14 @@ class TokenStream:
                 if dkind == "iriref":
                     return Literal(lex, unescape_iri(dt[1:-1]))
                 if dkind == "pname":
-                    return Literal(lex, self.prefixes.expand(dt).value)
+                    return Literal(lex, iri_value(self.prefixes.expand(dt)))
                 raise RdfError("expected datatype IRI, got %r" % (dt or "end of input"))
             if kind == "blank":
                 return BlankNode(value[2:])
             if kind == "integer":
-                return Literal(value, vocab.XSD_INTEGER.value)
+                return Literal(value, iri_value(vocab.XSD_INTEGER))
             if kind == "decimal":
-                return Literal(value, vocab.XSD_DECIMAL.value)
+                return Literal(value, iri_value(vocab.XSD_DECIMAL))
         except RdfError as e:
             self.err(str(e), offset)
         if kind == "var" and self.variable is not None:
@@ -487,25 +419,24 @@ _SAFE_PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 def term_to_ttl(term: Term, pm: PrefixMap) -> str:
     """A term as Turtle, query and rule text spell it: an IRI as a CURIE
     where that lexes back to the same IRI, anything else as N-Triples."""
-    if isinstance(term, IRI):
+    if is_iri(term):
         curie = pm.compact(term)
         prefix, _, local = curie.partition(":")
-        if not (_SAFE_PREFIX_RE.match(prefix)
+        if (_SAFE_PREFIX_RE.match(prefix)
                 and (local == "" or _SAFE_LOCAL_RE.match(local))):
-            return "<%s>" % term.value
-        return curie
-    return term_to_nt(term)
+            return curie
+    return term
 
 
 def write_turtle(g: Graph, prefixes: Optional[PrefixMap] = None) -> str:
     """``g`` as canonical Turtle: subjects, predicates and objects sorted,
     IRIs written as CURIEs of ``prefixes`` (default: the project's)."""
     pm = PrefixMap.default() if prefixes is None else prefixes
-    render = _TermTexts(lambda term: term_to_ttl(term, pm)).__getitem__
+    render = functools.cache(lambda term: term_to_ttl(term, pm))
     lines = ["@prefix %s: <%s> ." % (p, ns) for p, ns in sorted(pm.items())]
     lines.append("")
 
-    # a term's text is rendered once per star; distinct terms render to
+    # each term is rendered once per call; distinct terms render to
     # distinct texts, so sorting (text, part) pairs sorts by text alone
     statements = []
     for s, pairs in g.stars():

@@ -3,7 +3,7 @@
 from hypothesis import strategies as st
 
 from morekg.privacy import LEVELS, GeneralizationSpec, Policy, Role
-from morekg.rdf import BlankNode, Graph, IRI, Literal, Triple
+from morekg.rdf import BlankNode, Graph, IRI, Literal, Triple, iri_value
 from morekg.rules import Rule, RuleSet, Var
 from morekg import vocab
 
@@ -16,10 +16,10 @@ prefixed_iris = st.builds(lambda local: IRI(vocab.MORE + local), _LOCAL)
 blanks = st.builds(BlankNode, _LOCAL)
 
 _datatypes = st.sampled_from([
-    vocab.XSD_STRING.value,
-    vocab.XSD_INTEGER.value,
-    vocab.XSD_DECIMAL.value,
-    vocab.XSD_DATE.value,
+    iri_value(vocab.XSD_STRING),
+    iri_value(vocab.XSD_INTEGER),
+    iri_value(vocab.XSD_DECIMAL),
+    iri_value(vocab.XSD_DATE),
     "http://example.org/custom",
 ])
 
@@ -150,7 +150,7 @@ value_terms = st.one_of(
               st.sampled_from(_BAD_LEXICALS)),
     *(st.builds(lambda lex, dt=dt: Literal(lex, _XSD + dt), st.sampled_from(lexicals))
       for dt, lexicals in sorted(_NUMBER_LEXICALS.items())),
-    st.builds(lambda lex: Literal(lex, vocab.XSD_DATE.value),
+    st.builds(lambda lex: Literal(lex, iri_value(vocab.XSD_DATE)),
               st.sampled_from(_DATE_LEXICALS + _BAD_LEXICALS)),
     st.builds(Literal, st.sampled_from(_STRING_LEXICALS)),
     st.builds(lambda lex, lang: Literal(lex, lang=lang), st.sampled_from(_STRING_LEXICALS),
@@ -172,8 +172,9 @@ value_terms = st.one_of(
 _view_nodes = [IRI("http://example.org/n%d" % i) for i in range(4)]
 _view_classes = [IRI("http://example.org/C%d" % i) for i in range(2)]
 _p0 = IRI("http://example.org/p0")
-_view_properties = [_p0, IRI("http://example.org/p1"), IRI(_p0.value + "Band")]
-_view_values = [Literal("7", vocab.XSD_INTEGER.value), Literal("12.5", vocab.XSD_DECIMAL.value),
+_view_properties = [_p0, IRI("http://example.org/p1"), IRI(iri_value(_p0) + "Band")]
+_view_values = [Literal("7", iri_value(vocab.XSD_INTEGER)),
+                Literal("12.5", iri_value(vocab.XSD_DECIMAL)),
                 Literal("x")]
 view_triples = st.one_of(
     st.builds(Triple, st.sampled_from(_view_nodes), st.just(vocab.RDF_TYPE),
@@ -201,7 +202,7 @@ def view_policies(draw):
     annotations = draw(st.dictionaries(st.sampled_from(targets), st.sampled_from(LEVELS),
                                        min_size=1, max_size=5))
     properties = sorted((t for t in annotations if t in _view_properties),
-                        key=lambda t: t.value)
+                        key=iri_value)
     generalizations = draw(st.dictionaries(
         st.sampled_from(properties) if properties else st.nothing(),
         st.builds(GeneralizationSpec, st.integers(1, 10))))

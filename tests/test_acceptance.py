@@ -17,13 +17,13 @@ from morekg.ingestion import emit_kg, load_bundle
 from morekg.ontology import build_schema, rdfs_closure
 from morekg.privacy import apply_policy, audit_view, default_policy, policy_from_dict
 from morekg.query import evaluate, parse_query, to_csv
-from morekg.rdf import Graph, IRI, Literal
+from morekg.rdf import Graph, IRI, Literal, iri_value, literal_parts
 from morekg.rules import builtin_ruleset, materialize
 from morekg.serdes import (parse_ntriples, parse_turtle, write_ntriples,
                            write_turtle)
 
-from oracles import (cq1_average_by_age, cq2_items_in_range,
-                     materialize_naive, naive_shortcut_inferences)
+from graph_oracles import materialize_naive, naive_shortcut_inferences
+from oracles import cq1_average_by_age, cq2_items_in_range
 
 TOLERANCE = Fraction(1, 10**9)
 
@@ -48,7 +48,7 @@ def test_criterion_1_cq1_fidelity(fixture_dir, fixture_materialized, capsys):
     start = time.perf_counter()
     table = evaluate(fixture_materialized, parse_query(CQ1_QUERY), avg_places=12)
     elapsed = time.perf_counter() - start
-    got = {int(r[0].lexical): Fraction(r[1].lexical) for r in table.rows}
+    got = {int(literal_parts(r[0])[0]): Fraction(literal_parts(r[1])[0]) for r in table.rows}
     ok = (set(got) == set(oracle)
           and all(abs(got[a] - oracle[a]) < TOLERANCE for a in oracle)
           and elapsed < 1.0)
@@ -67,7 +67,7 @@ def test_criterion_2_cq2_fidelity(tmp_path, fixture_bundle, fixture_graph, capsy
     start = time.perf_counter()
     table = evaluate(g, parse_query(CQ2_QUERY))
     elapsed = time.perf_counter() - start
-    got = {r[0].value.rsplit("#", 1)[1] for r in table.rows}
+    got = {iri_value(r[0]).rsplit("#", 1)[1] for r in table.rows}
     expected = {vocab.camel_case(k)
                 for k in cq2_items_in_range([fixture_bundle] + extra)}
     ok = got == expected and elapsed < 1.0
@@ -114,7 +114,7 @@ def test_criterion_4_shortcut_materialization(tmp_path, fixture_graph, capsys):
 def test_criterion_5_round_trip(fixture_graph, capsys):
     rng = random.Random(20260823)
     terms = ([IRI("http://example.org/n%d" % i) for i in range(15)]
-             + [Literal("%d.%d" % (i, i), vocab.XSD_DECIMAL.value) for i in range(5)]
+             + [Literal("%d.%d" % (i, i), iri_value(vocab.XSD_DECIMAL)) for i in range(5)]
              + [Literal("text %d" % i) for i in range(3)]
              + [Literal("hallo", lang="de")])
     ok = True

@@ -3,6 +3,7 @@ import pytest
 from morekg import vocab
 from morekg.cli import main
 from morekg.cq import CQ1_QUERY, CQ2_QUERY
+from morekg.rdf import iri_value
 from morekg.serdes import parse_file
 
 AGE_QUERY = ("PREFIX more: <https://w3id.org/more#>\n"
@@ -81,7 +82,7 @@ class TestBuild:
     def test_build_with_aliases(self, bundle_dir, tmp_path):
         table = tmp_path / "aliases.yaml"
         table.write_text("%s: http://purl.obolibrary.org/obo/OBI_0000299\n"
-                         % vocab.OBI_HAS_SPECIFIED_OUTPUT.value,
+                         % iri_value(vocab.OBI_HAS_SPECIFIED_OUTPUT),
                          encoding="utf-8")
         out = tmp_path / "aliased.nt"
         assert main(["build", str(bundle_dir), "--aliases", str(table),
@@ -96,7 +97,7 @@ class TestBuild:
     def test_build_alias_to_an_invalid_iri_is_domain_error(self, bundle_dir,
                                                           tmp_path, capsys):
         table = tmp_path / "aliases.yaml"
-        table.write_text("%s: http://x/a>b\n" % vocab.OBI_HAS_SPECIFIED_OUTPUT.value,
+        table.write_text("%s: http://x/a>b\n" % iri_value(vocab.OBI_HAS_SPECIFIED_OUTPUT),
                          encoding="utf-8")
         out = tmp_path / "aliased.nt"
         assert main(["build", str(bundle_dir), "--aliases", str(table),
@@ -126,7 +127,7 @@ class TestMaterializeCommand:
                      "--no-builtins", "-o", str(out)]) == 0
         g = parse_file(out)
         mirrored = [t for t in g.match(None, vocab.BFO_INHERES_IN, None)
-                    if "/person/" in t.subject.value]
+                    if "/person/" in iri_value(t.subject)]
         assert mirrored
         assert len(g) > len(parse_file(kg_path))
 

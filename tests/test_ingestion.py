@@ -8,7 +8,7 @@ from morekg.fixtures import generate_fixture
 from morekg.ingestion import emit_kg, load_bundle, mint_iri, validate_bundle
 from morekg.ontology import build_schema
 from morekg.query import evaluate, parse_query, to_csv
-from morekg.rdf import IRI, Literal, Triple
+from morekg.rdf import IRI, Literal, Triple, iri_value, is_iri, literal_parts
 from morekg.serdes import write_ntriples
 
 from oracles import count_expected_emission
@@ -142,9 +142,9 @@ class TestMintIri:
             mint_iri("st01", "", "p007")
 
     def test_all_minted_iris_distinct(self, fixture_graph):
-        subjects = {t.subject.value for t in fixture_graph
-                    if isinstance(t.subject, IRI)
-                    and t.subject.value.startswith("https://w3id.org/more/kg/")}
+        subjects = {iri_value(t.subject) for t in fixture_graph
+                    if is_iri(t.subject)
+                    and iri_value(t.subject).startswith("https://w3id.org/more/kg/")}
         kinds = {s.split("/")[6] for s in subjects}
         assert {"study", "person", "disposition", "plan", "process", "role",
                 "datum", "valuespec"} <= kinds
@@ -159,7 +159,7 @@ class TestEmitKg:
         b = load_bundle(write_bundle(tmp_path))
         schema = build_schema(b.items)
         g = emit_kg(b, schema)
-        value = Literal("32.5", vocab.XSD_DECIMAL.value)
+        value = Literal("32.5", iri_value(vocab.XSD_DECIMAL))
         vspecs = [t.subject for t in g.match(None, vocab.MORE_HAS_VALUE, value)]
         assert len(vspecs) == 1
         vs = vspecs[0]
@@ -189,7 +189,7 @@ class TestEmitKg:
         g = emit_kg(b, build_schema(b.items))
         assert len(list(g.match(None, vocab.RDF_TYPE, vocab.MORE_PERSON))) == 1
         assert next(g.match(None, vocab.MORE_HAS_AGE, None)).object == \
-            Literal("9", vocab.XSD_INTEGER.value)
+            Literal("9", iri_value(vocab.XSD_INTEGER))
         assert not list(g.match(None, vocab.OBI_HAS_SPECIFIED_OUTPUT, None))
 
     def test_triple_count_matches_walking_oracle(self, fixture_bundle, fixture_schema):
@@ -209,7 +209,7 @@ class TestEmitKg:
                                 "p001,handgrip,30.0,2018-06-12,right\n"})
         b = load_bundle(tmp_path)
         g = emit_kg(b, build_schema(b.items))
-        trials = {t.object.lexical for t in g.match(None, vocab.MORE_HAS_TRIAL, None)}
+        trials = {literal_parts(t.object)[0] for t in g.match(None, vocab.MORE_HAS_TRIAL, None)}
         assert trials == {"left", "right"}
         # separate processes, one shared disposition
         procs = list(g.match(None, vocab.PATO_EXECUTES, None))
@@ -240,19 +240,19 @@ class TestEmitKg:
     def test_everything_linked_to_study(self, fixture_graph, fixture_bundle):
         study = mint_iri(fixture_bundle.metadata.id, "study", fixture_bundle.metadata.id)
         minted = {t.subject for t in fixture_graph
-                  if isinstance(t.subject, IRI)
-                  and t.subject.value.startswith("https://w3id.org/more/kg/")
+                  if is_iri(t.subject)
+                  and iri_value(t.subject).startswith("https://w3id.org/more/kg/")
                   and t.subject != study}
         for node in minted:
             assert Triple(node, vocab.MORE_PART_OF_STUDY, study) in fixture_graph
 
     def test_years_emitted(self, fixture_graph, fixture_bundle):
-        years = {int(t.object.lexical) for t in
+        years = {int(literal_parts(t.object)[0]) for t in
                  fixture_graph.match(None, vocab.MORE_CONDUCTED_IN_YEAR, None)}
         assert years == set(fixture_bundle.metadata.years)
 
     def test_only_pseudonymous_ids_in_iris(self, fixture_graph, fixture_bundle):
         pids = {p.participant_id for p in fixture_bundle.participants}
         for t in fixture_graph:
-            if isinstance(t.subject, IRI) and "/person/" in t.subject.value:
-                assert t.subject.value.rsplit("/", 1)[1] in pids
+            if is_iri(t.subject) and "/person/" in iri_value(t.subject):
+                assert iri_value(t.subject).rsplit("/", 1)[1] in pids

@@ -7,7 +7,7 @@ from morekg.ontology import (SubclassCycleError, apply_aliases, build_schema,
                              rdfs_closure)
 from morekg.rdf import Graph, IRI, Triple
 
-from oracles import naive_rdfs_fixpoint
+from graph_oracles import naive_rdfs_fixpoint
 
 HANDGRIP = ItemDef("handgrip", "Handgrip", "grip strength", "kg")
 SHUTTLE = ItemDef("shuttle_run", "Shuttle Run Test", "aerobic endurance",

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import pickle
 
@@ -7,29 +6,39 @@ from hypothesis import given, strategies as st
 
 from morekg.rdf import (XSD_STRING, BlankNode, Graph, IRI, Literal,
                         MalformedTripleError, PrefixMap, RdfError, Triple,
-                        UnresolvedPrefixError)
+                        UnresolvedPrefixError, iri_value, is_iri, is_literal,
+                        literal_parts)
 from morekg import vocab
+from morekg.rules import Var, join
+from morekg.serdes import write_ntriples, write_turtle
 
-from oracles import check_against_scan, shapes
+from graph_oracles import as_dicts, check_against_scan, reference_join, shapes
 from strategies import graphs, rule_graphs, triples
 
 EX_S = IRI("http://example.org/s")
 EX_P = IRI("http://example.org/p")
 EX_O = IRI("http://example.org/o")
-DECIMAL_ONE_FIVE = Literal("1.5", vocab.XSD_DECIMAL.value)
+DECIMAL_ONE_FIVE = Literal("1.5", iri_value(vocab.XSD_DECIMAL))
 
 
 class TestTerms:
+    def test_terms_are_their_canonical_ntriples_text(self):
+        assert IRI("http://example.org/x") == "<http://example.org/x>"
+        assert BlankNode("b1") == "_:b1"
+        assert Literal("a\"b\\c\nd") == '"a\\"b\\\\c\\nd"'
+        assert Literal("hallo", lang="de") == '"hallo"@de'
+        assert DECIMAL_ONE_FIVE == '"1.5"^^<http://www.w3.org/2001/XMLSchema#decimal>'
+
     def test_plain_literal_defaults_to_xsd_string(self):
-        assert Literal("hi").datatype == vocab.XSD_STRING.value
+        assert literal_parts(Literal("hi")) == ("hi", XSD_STRING, None)
 
     def test_lang_literal_uses_langstring(self):
-        lit = Literal("hallo", lang="de")
-        assert lit.datatype == "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
+        assert literal_parts(Literal("hallo", lang="de")) == (
+            "hallo", "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString", "de")
 
     def test_lang_literal_rejects_other_datatype(self):
         with pytest.raises(RdfError):
-            Literal("hallo", vocab.XSD_INTEGER.value, lang="de")
+            Literal("hallo", iri_value(vocab.XSD_INTEGER), lang="de")
 
     @pytest.mark.parametrize("tag", ["", "en us", "1x", "en-", "-en", "de\n"])
     def test_lang_literal_rejects_malformed_tag(self, tag):
@@ -44,47 +53,15 @@ class TestTerms:
 
     @pytest.mark.parametrize("datatype", ["", "http://example.org/a b"])
     def test_literal_datatype_rejects_whitespace_and_empty(self, datatype):
-        for _ in range(2):  # and is not cached
-            with pytest.raises(RdfError):
-                Literal("x", datatype)
+        with pytest.raises(RdfError):
+            Literal("x", datatype)
 
     def test_term_equality_is_type_aware(self):
         assert IRI("http://example.org/x") != Literal("http://example.org/x")
 
-    def test_same_arguments_give_the_same_object(self):
-        assert IRI("http://example.org/x") is IRI("http://example.org/x")
-        assert BlankNode("b1") is BlankNode("b1")
-        assert Literal("1.5", vocab.XSD_DECIMAL.value) is DECIMAL_ONE_FIVE
-        assert Literal("hallo", lang="de") is Literal("hallo", lang="de")
-
-    def test_plain_and_xsd_string_literal_are_one_object(self):
-        assert Literal("x") is Literal("x", XSD_STRING)
-        assert Literal("y", XSD_STRING) is Literal("y")
-
-    @pytest.mark.parametrize("term", [
-        EX_S, BlankNode("b1"), Literal("x"), DECIMAL_ONE_FIVE,
-        Literal("hallo", lang="de"),
-    ])
-    def test_copy_and_pickle_return_the_interned_term(self, term):
-        assert copy.copy(term) is term
-        assert copy.deepcopy(term) is term
-        assert pickle.loads(pickle.dumps(term)) is term
-
-    def test_terms_are_immutable(self):
-        with pytest.raises(AttributeError):
-            EX_S.value = "http://example.org/other"
-        with pytest.raises(AttributeError):
-            DECIMAL_ONE_FIVE.lexical = "2"
-        assert EX_S.value == "http://example.org/s"
-
-    @pytest.mark.parametrize("value", [
-        "http://example.org/a b", "http://example.org/a>b", "",
-    ])
-    def test_invalid_iri_is_not_cached(self, value):
-        # an invalid term raises on every call, so none was interned
-        for _ in range(2):
-            with pytest.raises(RdfError):
-                IRI(value)
+    def test_plain_and_xsd_string_literal_are_one_term(self):
+        assert Literal("x") == Literal("x", XSD_STRING)
+        assert Literal("y", XSD_STRING) == Literal("y")
 
     def test_iri_rejects_each_excluded_character(self):
         for c in [chr(n) for n in range(0x21)] + list('<>"{}|^`\\'):
@@ -95,30 +72,27 @@ class TestTerms:
 
     @pytest.mark.parametrize("c", ["\u00a0", "\u2028", "\u3000", "~", "%", "#"])
     def test_iri_allows_other_characters(self, c):
-        assert IRI("http://example.org/a%sb" % c).value == "http://example.org/a%sb" % c
+        assert iri_value(IRI("http://example.org/a%sb" % c)) == "http://example.org/a%sb" % c
 
-    def test_invalid_literal_is_not_cached(self):
-        for _ in range(2):
-            with pytest.raises(RdfError):
-                Literal("hallo", vocab.XSD_INTEGER.value, lang="de")
+    def test_kind_readers(self):
+        assert [(is_iri(t), is_literal(t)) for t in (EX_S, BlankNode("b"), Literal("<x>"))] \
+            == [(True, False), (False, False), (False, True)]
+        assert literal_parts(EX_S) is None and literal_parts(BlankNode("b")) is None
 
     @given(triples)
-    def test_rebuilt_terms_are_identical(self, t):
-        # a term rebuilt from its fields, copied or unpickled is the same
-        # object, so equality and hashing by identity agree with value
-        # equality
+    def test_rebuilt_terms_are_equal(self, t):
+        # a term rebuilt from what the readers give back, or unpickled,
+        # equals the original
         def rebuild(term):
-            if isinstance(term, IRI):
-                return IRI(term.value)
-            if isinstance(term, BlankNode):
-                return BlankNode(term.label)
-            if term.lang is not None:
-                return Literal(term.lexical, lang=term.lang)
-            return Literal(term.lexical, term.datatype)
+            if is_iri(term):
+                return IRI(iri_value(term))
+            if not is_literal(term):
+                return BlankNode(term[2:])
+            lexical, datatype, lang = literal_parts(term)
+            return Literal(lexical, datatype, lang)
 
         for term in t:
-            assert rebuild(term) is term
-            assert pickle.loads(pickle.dumps(term)) is term
+            assert rebuild(term) == term
         assert pickle.loads(pickle.dumps(t)) == t
         assert Triple(*map(rebuild, t)) in Graph([t])
 
@@ -133,7 +107,7 @@ class TestGraph:
 
     def test_add_decimal_literal(self):
         g = Graph()
-        assert g.add(EX_S, EX_P, Literal("1", vocab.XSD_DECIMAL.value))
+        assert g.add(EX_S, EX_P, Literal("1", iri_value(vocab.XSD_DECIMAL)))
         assert len(g) == 1
 
     def test_literal_subject_rejected(self):
@@ -158,7 +132,7 @@ class TestGraph:
     def test_match_study_individuals(self, fixture_graph, fixture_bundle):
         studies = list(fixture_graph.match(None, vocab.RDF_TYPE, vocab.MORE_STUDY))
         assert len(studies) == 1  # one study row in the bundle CSV
-        assert fixture_bundle.metadata.id in studies[0].subject.value
+        assert fixture_bundle.metadata.id in iri_value(studies[0].subject)
 
     @given(graphs(), triples)
     def test_index_coherence(self, g, extra):
@@ -319,6 +293,64 @@ class TestLeaves:
         g.add(IRI("http://example.org/s0"), IRI("http://example.org/p0"),
               IRI("http://example.org/o1"))
         assert set_leaf_sizes(g._spo) == set_leaf_sizes(g._pos) == [2]
+
+
+def _fresh(term):
+    """An equal term that is a different object, as a second parse of the
+    same text gives."""
+    out = "".join(list(term))
+    assert out == term and out is not term
+    return out
+
+
+class TestEqualNotIdenticalTerms:
+    """Terms are compared by value: every read and write of the store must
+    treat an equal term from elsewhere as the term itself."""
+
+    @given(graphs())
+    def test_add_of_an_equal_triple_is_a_duplicate(self, g):
+        for t in list(g):
+            before = g.copy()
+            assert g.add(*map(_fresh, t)) is False
+            assert len(g) == len(before)
+            # the leaves stay bare where they were
+            assert g == before and g._pos == before._pos
+
+    @given(graphs())
+    def test_reads_with_equal_terms_agree(self, g):
+        for t in g:
+            fresh = Triple(*map(_fresh, t))
+            assert fresh in g
+            for pattern, fresh_pattern in zip(shapes(*t), shapes(*fresh)):
+                assert set(g.match(*fresh_pattern)) == set(g.match(*pattern))
+                assert g.count(*fresh_pattern) == g.count(*pattern)
+                step = tuple(None if x is None else i for i, x in enumerate(pattern))
+                assert (g.extend(step, [fresh_pattern]) == g.extend(step, [pattern]))
+
+    @given(graphs())
+    def test_join_of_a_repeated_variable_matches_equal_terms(self, g):
+        # each subject is also the object of its own triple, as an equal
+        # term that is another object
+        loops = Graph((s, p, _fresh(s)) for s, p, _ in g)
+        x = Var("x")
+        for p in {t.predicate for t in g}:
+            body = [(x, _fresh(p), x)]
+            got = as_dicts(join([loops], body))
+            want = reference_join([loops], body)
+            assert sorted(d["x"] for d in got) == sorted(d["x"] for d in want)
+            assert len(got) == loops.count(None, p, None)
+
+    @given(graphs(), st.data())
+    def test_without_and_writers_with_equal_terms_agree(self, g, data):
+        terms = sorted({x for t in g for x in t})
+        nodes = data.draw(st.sets(st.sampled_from(terms))) if terms else set()
+        predicates = {t.predicate for t in g if data.draw(st.booleans())}
+        assert (g.without({_fresh(n) for n in nodes}, {_fresh(p) for p in predicates})
+                == g.without(nodes, predicates))
+        copy = Graph(Triple(*map(_fresh, t)) for t in g)
+        assert copy == g
+        assert write_ntriples(copy) == write_ntriples(g)
+        assert write_turtle(copy) == write_turtle(g)
 
 
 class TestPrefixMap:

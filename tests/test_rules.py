@@ -4,14 +4,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from morekg import vocab
-from morekg.rdf import BlankNode, Graph, IRI, Literal, PrefixMap
-from morekg.rdf import Triple
+from morekg.rdf import BlankNode, Graph, IRI, Literal, PrefixMap, Triple, iri_value
 from morekg.rules import (Rule, RuleError, RuleSet, RuleSyntaxError, Var,
                           builtin_ruleset, export_rules, join, materialize,
                           parse_rules, plan)
 
-from oracles import (as_dicts, materialize_naive, naive_shortcut_inferences,
-                     reference_bgp_eval, reference_join)
+from graph_oracles import (as_dicts, materialize_naive, naive_shortcut_inferences,
+                           reference_bgp_eval, reference_join)
 from strategies import (ABSENT, graphs, one_graph_joins, rule_bodies,
                         rule_graphs, rules, two_graph_joins)
 
@@ -337,8 +336,8 @@ class TestRuleSyntax:
             include_builtins=False)
         body = rs.rules[0].body
         assert body[0][1] == vocab.RDF_TYPE
-        assert body[1][2] == Literal("9", vocab.XSD_INTEGER.value)
-        assert rs.rules[0].head[0][2] == Literal("16.5", vocab.XSD_DECIMAL.value)
+        assert body[1][2] == Literal("9", iri_value(vocab.XSD_INTEGER))
+        assert rs.rules[0].head[0][2] == Literal("16.5", iri_value(vocab.XSD_DECIMAL))
 
     def test_missing_arrow(self):
         with pytest.raises(RuleError, match="=>"):
