@@ -2,7 +2,7 @@
 BFO-grounded RDF knowledge graph, with rule materialization, a SPARQL
 subset, and privacy-filtered graph views."""
 
-from .rdf import BlankNode, Graph, IRI, Literal, PrefixMap, Term, Triple
+from .rdf import BlankNode, Graph, IRI, Literal, PrefixMap, Term
 
 __version__ = "0.1.0"
 
@@ -13,6 +13,5 @@ __all__ = [
     "Literal",
     "PrefixMap",
     "Term",
-    "Triple",
     "__version__",
 ]

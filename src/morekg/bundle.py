@@ -63,21 +63,6 @@ class TestItemDef:
     unit: str
     datatype: str = iri_value(vocab.XSD_DECIMAL)
 
-    @property
-    def item_iri_local(self) -> str:
-        return vocab.camel_case(self.key)
-
-    @property
-    def process_class_local(self) -> str:
-        return vocab.camel_case(self.key) + "TestProcess"
-
-    @property
-    def disposition_kind_local(self) -> str:
-        local = vocab.camel_case(self.disposition_label)
-        if not local.endswith("Disposition"):
-            local += "Disposition"
-        return local
-
 
 @dataclass(frozen=True)
 class ResultRecord:

@@ -69,7 +69,8 @@ class CqSummary:
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.results)
+        """True iff there is a case and every case passed."""
+        return bool(self.results) and all(r.passed for r in self.results)
 
     def to_text(self) -> str:
         lines = []
@@ -87,6 +88,8 @@ class CqSummary:
 
 def discover_cases(cases_dir) -> list[CqCase]:
     base = Path(cases_dir)
+    if not base.is_dir():
+        raise NotADirectoryError("no cases directory %s" % base)
     cases = []
     for query_path in sorted(base.glob("*.rq")):
         name = query_path.stem

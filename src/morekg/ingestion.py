@@ -215,8 +215,9 @@ def emit_kg(b: StudyBundle, schema: OntologySchema) -> Graph:
     if b.metadata.doi:
         g.add(study, vocab.MORE_HAS_DOI, Literal(b.metadata.doi))
 
+    item_iris = schema.item_iris
     for item in b.items:
-        g.add(schema.item_iri(item.key), part_of, study)
+        g.add(item_iris[item.key], part_of, study)
 
     persons: dict[str, Term] = {}
     dispositions: dict[tuple[str, str], Term] = {}
@@ -235,17 +236,17 @@ def emit_kg(b: StudyBundle, schema: OntologySchema) -> Graph:
             disp = mint_iri(study_id, "disposition",
                             "%s_%s" % (p.participant_id, item.key))
             dispositions[(p.participant_id, item.key)] = disp
-            g.add(disp, vocab.RDF_TYPE, schema.disposition_kind(item.key).iri)
+            g.add(disp, vocab.RDF_TYPE, schema.disposition_kinds[item.key])
             g.add(disp, vocab.BFO_INHERES_IN, person)
             g.add(disp, part_of, study)
 
+    units = {key: Literal(item.unit) for key, item in schema.items.items()}
     counters: dict[tuple[str, str], int] = {}
     for r in b.results:
         n = counters.get((r.participant_id, r.item), 0) + 1
         counters[(r.participant_id, r.item)] = n
         local = "%s_%s_%d" % (r.participant_id, r.item, n)
-        item_def = schema.items[r.item]
-        item_iri = schema.item_iri(r.item)
+        item_iri = item_iris[r.item]
         person = persons[r.participant_id]
         disp = dispositions[(r.participant_id, r.item)]
 
@@ -259,7 +260,7 @@ def emit_kg(b: StudyBundle, schema: OntologySchema) -> Graph:
         g.add(plan, vocab.BFO_CONCRETIZES, item_iri)
         g.add(plan, part_of, study)
 
-        g.add(proc, vocab.RDF_TYPE, schema.process_class(r.item))
+        g.add(proc, vocab.RDF_TYPE, schema.process_classes[r.item])
         g.add(proc, vocab.OBI_REALIZES, plan)
         g.add(proc, vocab.PATO_EXECUTES, item_iri)
         g.add(proc, vocab.OBI_HAS_PARTICIPANT, person)
@@ -281,8 +282,8 @@ def emit_kg(b: StudyBundle, schema: OntologySchema) -> Graph:
         g.add(datum, part_of, study)
 
         g.add(vspec, vocab.RDF_TYPE, vocab.OBI_VALUE_SPECIFICATION)
-        g.add(vspec, vocab.MORE_HAS_VALUE, Literal(r.value, item_def.datatype))
-        g.add(vspec, vocab.MORE_HAS_UNIT, Literal(item_def.unit))
+        g.add(vspec, vocab.MORE_HAS_VALUE, Literal(r.value, schema.items[r.item].datatype))
+        g.add(vspec, vocab.MORE_HAS_UNIT, units[r.item])
         g.add(vspec, vocab.OBI_SPECIFIES_VALUE_OF, disp)
         g.add(vspec, part_of, study)
 

@@ -4,7 +4,7 @@ rules)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import vocab
@@ -21,34 +21,16 @@ class SubclassCycleError(Exception):
         self.cycle = cycle
 
 
-@dataclass(frozen=True)
-class DispositionKind:
-    iri: Term
-    label: str
-    unit: str
-    datatype: str
-
-
 @dataclass
 class OntologySchema:
+    """The schema graph and, per item key, the item's definition and its
+    three terms: the test-item individual, its process class and its
+    disposition kind."""
     graph: Graph
     items: dict[str, TestItemDef]
-    annotations: Graph = field(default_factory=Graph)  # filled by the privacy layer
-
-    def item_iri(self, key: str) -> Term:
-        return IRI(vocab.MORE + self.items[key].item_iri_local)
-
-    def process_class(self, key: str) -> Term:
-        return IRI(vocab.MORE + self.items[key].process_class_local)
-
-    def disposition_kind(self, key: str) -> DispositionKind:
-        item = self.items[key]
-        return DispositionKind(
-            iri=IRI(vocab.MORE + item.disposition_kind_local),
-            label=item.disposition_label,
-            unit=item.unit,
-            datatype=item.datatype,
-        )
+    item_iris: dict[str, Term]
+    process_classes: dict[str, Term]
+    disposition_kinds: dict[str, Term]
 
 
 _FIXED_SUBCLASS_AXIOMS = (
@@ -77,15 +59,19 @@ def build_schema(item_registry: Sequence[TestItemDef]) -> OntologySchema:
     for prop in vocab.DECLARED_PROPERTIES:
         g.add(prop, vocab.RDF_TYPE, vocab.RDF_PROPERTY)
 
-    schema = OntologySchema(graph=g, items=items)
+    schema = OntologySchema(g, items, {}, {}, {})
     for key, item in items.items():
-        item_iri = schema.item_iri(key)
-        proc_cls = schema.process_class(key)
-        kind = schema.disposition_kind(key)
+        name = vocab.camel_case(key)
+        kind = vocab.camel_case(item.disposition_label)
+        if not kind.endswith("Disposition"):
+            kind += "Disposition"
+        item_iri = schema.item_iris[key] = IRI(vocab.MORE + name)
+        proc_cls = schema.process_classes[key] = IRI(vocab.MORE + name + "TestProcess")
+        kind_iri = schema.disposition_kinds[key] = IRI(vocab.MORE + kind)
         g.add(proc_cls, vocab.RDFS_SUBCLASSOF, vocab.MORE_TEST_PROCESS)
         g.add(item_iri, vocab.RDF_TYPE, vocab.MORE_TEST_ITEM)
         g.add(item_iri, vocab.RDFS_LABEL, Literal(item.label))
-        g.add(kind.iri, vocab.RDFS_SUBCLASSOF, vocab.BFO_DISPOSITION)
+        g.add(kind_iri, vocab.RDFS_SUBCLASSOF, vocab.BFO_DISPOSITION)
 
     _check_subclass_cycles(g)
     return schema
@@ -95,9 +81,9 @@ def _check_subclass_cycles(g: Graph) -> None:
     """Raise ``SubclassCycleError`` on a ``rdfs:subClassOf`` cycle through
     two or more classes, naming it from its first class round to it."""
     direct: dict = {}
-    for t in g.match(None, vocab.RDFS_SUBCLASSOF, None):
-        if t.subject != t.object:
-            direct.setdefault(t.subject, []).append(t.object)
+    for s, _, o in g.match(None, vocab.RDFS_SUBCLASSOF, None):
+        if s != o:
+            direct.setdefault(s, []).append(o)
 
     done: set = set()
     path: list = []

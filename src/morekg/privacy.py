@@ -18,7 +18,7 @@ import yaml
 from . import vocab
 from .ontology import OntologySchema
 from .query import numeric_value
-from .rdf import Graph, IRI, Literal, PrefixMap, RdfError, Term, Triple, iri_value, is_iri
+from .rdf import Graph, IRI, Literal, PrefixMap, RdfError, Term, iri_value, is_iri
 
 LEVELS = ("identifying", "health", "public")
 
@@ -185,8 +185,6 @@ def annotate_schema(schema: OntologySchema, p: Policy) -> tuple[Graph, list[str]
             warnings_.append("annotation target not in schema vocabulary: %s"
                              % iri_value(target))
         out.add(target, vocab.MORE_SENSITIVITY_LEVEL, Literal(level))
-    schema.annotations = Graph(
-        out.match(None, vocab.MORE_SENSITIVITY_LEVEL, None))
     return out, warnings_
 
 
@@ -232,7 +230,7 @@ def apply_policy(g: Graph, p: Policy, role_name: str) -> Graph:
 
 @dataclass
 class AuditViolation:
-    triple: Triple
+    triple: tuple[Term, Term, Term]
     reason: str
 
 

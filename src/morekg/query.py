@@ -461,6 +461,8 @@ def _aggregate(func: str, k: Optional[int], rows: list[tuple], avg_places: int,
 
 
 def evaluate(g: Graph, q: QueryAst, avg_places: int = 6) -> SolutionTable:
+    if avg_places < 0:
+        raise QueryError("decimal places must be 0 or more, got %d" % avg_places)
     key = cache(_value_key)  # each term is valued once per call
     slots, solutions = join([g] * len(q.where), q.where)
     # a basic graph pattern binds every WHERE variable in every row

@@ -9,7 +9,8 @@ same term iff their texts are equal: terms compare with ``==``, never
 ``is_iri``, ``is_literal``, ``iri_value`` and ``literal_parts`` read it
 back.  No other module reads a term's characters.  Nothing is interned:
 a parse shares each term among its triples through its own cache, and a
-term lives as long as a graph or row holds it.
+term lives as long as a graph or row holds it.  A triple is a plain
+``(s, p, o)`` tuple of terms.
 
 The graph keeps two nested-dict indexes, SPO and POS; SPO also answers
 membership.  A pattern is answered by lookups alone unless it binds the
@@ -43,7 +44,7 @@ from __future__ import annotations
 import re
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 RDF_LANG_STRING = "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
@@ -189,14 +190,8 @@ def literal_parts(t: Term) -> Optional[tuple[str, str, Optional[str]]]:
     return lexical, t[end + 4:-1], None
 
 
-class Triple(NamedTuple):
-    subject: Term
-    predicate: Term
-    object: Term
-
-
 def _reject_triple(s: Term, p: Term, o: Term) -> None:
-    t = Triple(s, p, o)
+    t = (s, p, o)
     if is_literal(s):
         raise MalformedTripleError("triple subject may not be a literal: %r" % (t,))
     raise MalformedTripleError("triple predicate must be an IRI: %r" % (t,))
@@ -267,17 +262,16 @@ class Graph:
     def __len__(self):
         return self._len
 
-    def __iter__(self) -> Iterator[Triple]:
-        new = tuple.__new__  # skips the namedtuple's Python-level __new__
+    def __iter__(self) -> Iterator[tuple[Term, Term, Term]]:
         for s, po in self._spo.items():
             for p, objs in po.items():
                 if type(objs) is set:
                     for o in objs:
-                        yield new(Triple, (s, p, o))
+                        yield s, p, o
                 else:
-                    yield new(Triple, (s, p, objs))
+                    yield s, p, objs
 
-    def __contains__(self, t: Triple) -> bool:
+    def __contains__(self, t: tuple[Term, Term, Term]) -> bool:
         s, p, o = t
         return o in _leaf_terms(self._spo.get(s, {}).get(p))
 
@@ -403,16 +397,14 @@ class Graph:
         return out
 
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
-              o: Optional[Term] = None) -> Iterator[Triple]:
-        """Yield triples agreeing with every bound position: ``extend`` of
+              o: Optional[Term] = None) -> Iterator[tuple[Term, Term, Term]]:
+        """The triples agreeing with every bound position: ``extend`` of
         the one row ``(s, p, o)``, whose free positions follow it."""
         pattern = (s, p, o)
         step = tuple(None if t is None else i for i, t in enumerate(pattern))
         free = iter(range(3, 6))
         get = itemgetter(*(next(free) if i is None else i for i in step))
-        new = tuple.__new__
-        for row in self.extend(step, [pattern]):
-            yield new(Triple, get(row))
+        return map(get, self.extend(step, [pattern]))
 
     def count(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> int:
@@ -443,14 +435,8 @@ class PrefixMap:
     def register(self, prefix: str, namespace: str) -> None:
         self._map[prefix] = namespace
 
-    def namespace(self, prefix: str) -> Optional[str]:
-        return self._map.get(prefix)
-
     def items(self):
         return self._map.items()
-
-    def __contains__(self, prefix: str) -> bool:
-        return prefix in self._map
 
     def expand(self, curie: str) -> Term:
         prefix, sep, local = curie.partition(":")

@@ -269,7 +269,7 @@ class _RuleParser(TokenStream):
                                   if k == "var" and v[1:] == e.part.name))
 
     def _patterns(self) -> tuple[Pattern, ...]:
-        """Triple patterns up to '=>' or '.', each optionally followed by '&'."""
+        """The patterns up to '=>' or '.', each optionally followed by '&'."""
         patterns = []
         while self.peek()[:2] not in (("punct", "=>"), ("punct", ".")):
             patterns.append((self.term(), self.term(verb=True), self.term()))

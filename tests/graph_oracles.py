@@ -11,56 +11,53 @@ import datetime
 from morekg import vocab
 from morekg.privacy import AuditViolation, _entailed
 from morekg.query import numeric_value
-from morekg.rdf import (Graph, IRI, Literal, PrefixMap, Triple, iri_value, is_iri,
+from morekg.rdf import (Graph, IRI, Literal, PrefixMap, iri_value, is_iri,
                         is_literal, literal_parts)
 from morekg.rules import Var, join
 from morekg.serdes import term_to_ttl
 
 
-def naive_rdfs_fixpoint(triples) -> set[Triple]:
+def naive_rdfs_fixpoint(triples) -> set[tuple]:
     """Repeat-until-fixpoint subclass transitivity + type propagation."""
     facts = set(triples)
     changed = True
     while changed:
         changed = False
-        sub = [(t.subject, t.object) for t in facts
-               if t.predicate == vocab.RDFS_SUBCLASSOF]
-        typ = [(t.subject, t.object) for t in facts
-               if t.predicate == vocab.RDF_TYPE]
+        sub = [(s, o) for s, p, o in facts if p == vocab.RDFS_SUBCLASSOF]
+        typ = [(s, o) for s, p, o in facts if p == vocab.RDF_TYPE]
         new = set()
         for c, d in sub:
             for d2, e in sub:
                 if d == d2:
-                    new.add(Triple(c, vocab.RDFS_SUBCLASSOF, e))
+                    new.add((c, vocab.RDFS_SUBCLASSOF, e))
         for x, c in typ:
             for c2, d in sub:
                 if c == c2:
-                    new.add(Triple(x, vocab.RDF_TYPE, d))
+                    new.add((x, vocab.RDF_TYPE, d))
         before = len(facts)
         facts |= new
         changed = len(facts) > before
     return facts
 
 
-def naive_shortcut_inferences(triples) -> set[Triple]:
+def naive_shortcut_inferences(triples) -> set[tuple]:
     """Nested-loop join of the 4-pattern shortcut body."""
-    executes = [t for t in triples if t.predicate == vocab.PATO_EXECUTES]
-    outputs = [t for t in triples if t.predicate == vocab.OBI_HAS_SPECIFIED_OUTPUT]
-    has_vs = [t for t in triples if t.predicate == vocab.OBI_HAS_VALUE_SPECIFICATION]
-    svo = [t for t in triples if t.predicate == vocab.OBI_SPECIFIES_VALUE_OF]
+    executes, outputs, has_vs, svo = (
+        [(s, o) for s, p2, o in triples if p2 == p]
+        for p in (vocab.PATO_EXECUTES, vocab.OBI_HAS_SPECIFIED_OUTPUT,
+                  vocab.OBI_HAS_VALUE_SPECIFICATION, vocab.OBI_SPECIFIES_VALUE_OF))
     out = set()
-    for t1 in executes:
-        for t2 in outputs:
-            if t2.subject != t1.subject:
+    for proc, item in executes:
+        for proc2, datum in outputs:
+            if proc2 != proc:
                 continue
-            for t3 in has_vs:
-                if t3.subject != t2.object:
+            for datum2, vs in has_vs:
+                if datum2 != datum:
                     continue
-                for t4 in svo:
-                    if t4.subject != t3.object:
+                for vs2, disp in svo:
+                    if vs2 != vs:
                         continue
-                    out.add(Triple(t1.object, vocab.MORE_MEASURES_DISPOSITION,
-                                   t4.object))
+                    out.add((item, vocab.MORE_MEASURES_DISPOSITION, disp))
     return out
 
 
@@ -131,13 +128,13 @@ def materialize_naive(g: Graph, rs) -> Graph:
     while changed:
         changed = False
         for rule in rs:
-            additions: set[Triple] = set()
+            additions: set[tuple] = set()
             for b in bindings(rule.body, {}):
                 for head in rule.head:
                     s, p, o = (b[t.name] if isinstance(t, Var) else t
                                for t in head)
                     if not is_literal(s) and is_iri(p):
-                        additions.add(Triple(s, p, o))
+                        additions.add((s, p, o))
             if graph.update(additions):
                 changed = True
     return graph
@@ -245,12 +242,12 @@ def reference_write_turtle(g: Graph, prefixes=None) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def reference_apply_policy(g: Graph, p, role_name: str) -> list[Triple]:
+def reference_apply_policy(g: Graph, p, role_name: str) -> list[tuple]:
     """The role's view as a list of triples: each triple of ``g`` kept,
     dropped or replaced by its band triple in turn."""
     role = p.role(role_name)
     denied = _entailed(g, p.denied_targets(role_name))
-    removed = {t.subject for cls in denied for t in g if t[1:] == (vocab.RDF_TYPE, cls)}
+    removed = {s for cls in denied for s, pr, o in g if (pr, o) == (vocab.RDF_TYPE, cls)}
     out = []
     for t in g:
         s, pr, o = t
@@ -261,7 +258,7 @@ def reference_apply_policy(g: Graph, p, role_name: str) -> list[Triple]:
             if spec is not None:
                 label = spec.band_label(o)
                 if label is not None:
-                    out.append(Triple(s, IRI(iri_value(pr) + "Band"), Literal(label)))
+                    out.append((s, IRI(iri_value(pr) + "Band"), Literal(label)))
             continue
         out.append(t)
     return out
@@ -272,10 +269,11 @@ def reference_audit_violations(view: Graph, p, role_name: str) -> list:
     denied = _entailed(view, p.denied_targets(role_name))
     out = []
     for t in view:
-        if t.predicate in denied:
-            out.append(AuditViolation(t, "denied predicate %s" % iri_value(t.predicate)))
-        if t.predicate == vocab.RDF_TYPE and t.object in denied:
-            out.append(AuditViolation(t, "instance of denied class %s" % iri_value(t.object)))
+        _, p, o = t
+        if p in denied:
+            out.append(AuditViolation(t, "denied predicate %s" % iri_value(p)))
+        if p == vocab.RDF_TYPE and o in denied:
+            out.append(AuditViolation(t, "instance of denied class %s" % iri_value(o)))
     return out
 
 
@@ -294,14 +292,14 @@ def check_against_scan(g: Graph, expected: set, absent=()) -> None:
     assert set(g) == expected
     for t in list(expected) + list(absent):
         assert (t in g) == (t in expected)
-        assert {x.object for x in g.match(t.subject, t.predicate)} == {
-            x.object for x in expected if x[:2] == t[:2]}
+        assert {x[2] for x in g.match(t[0], t[1])} == {
+            x[2] for x in expected if x[:2] == t[:2]}
         for pattern in shapes(*t):
             scan = {x for x in expected
                     if all(q is None or q == v for q, v in zip(pattern, x))}
             assert set(g.match(*pattern)) == scan, pattern
             assert g.count(*pattern) == len(scan), pattern
             atom = tuple(Var(n) if q is None else q for n, q in zip("spo", pattern))
-            joined = {Triple(*(b.get(n, q) for n, q in zip("spo", pattern)))
+            joined = {tuple(b.get(n, q) for n, q in zip("spo", pattern))
                       for b in as_dicts(join([g], [atom]))}
             assert joined == scan, pattern

@@ -3,7 +3,7 @@
 from hypothesis import strategies as st
 
 from morekg.privacy import LEVELS, GeneralizationSpec, Policy, Role
-from morekg.rdf import BlankNode, Graph, IRI, Literal, Triple, iri_value
+from morekg.rdf import BlankNode, Graph, IRI, Literal, iri_value
 from morekg.rules import Rule, RuleSet, Var
 from morekg import vocab
 
@@ -36,7 +36,7 @@ subjects = st.one_of(iris, prefixed_iris, blanks)
 predicates = st.one_of(iris, prefixed_iris)
 objects = st.one_of(iris, prefixed_iris, blanks, literals)
 
-triples = st.builds(Triple, subjects, predicates, objects)
+triples = st.tuples(subjects, predicates, objects)
 
 
 @st.composite
@@ -55,8 +55,8 @@ _rule_predicates = [
     vocab.OBI_SPECIFIES_VALUE_OF, vocab.BFO_CONCRETIZES, vocab.OBI_REALIZES,
     vocab.MORE_PART_OF_STUDY,
 ]
-rule_triples = st.builds(
-    Triple, st.sampled_from(_rule_nodes), st.sampled_from(_rule_predicates),
+rule_triples = st.tuples(
+    st.sampled_from(_rule_nodes), st.sampled_from(_rule_predicates),
     st.sampled_from(_rule_nodes + [Literal("v")]))
 
 
@@ -177,15 +177,15 @@ _view_values = [Literal("7", iri_value(vocab.XSD_INTEGER)),
                 Literal("12.5", iri_value(vocab.XSD_DECIMAL)),
                 Literal("x")]
 view_triples = st.one_of(
-    st.builds(Triple, st.sampled_from(_view_nodes), st.just(vocab.RDF_TYPE),
+    st.tuples(st.sampled_from(_view_nodes), st.just(vocab.RDF_TYPE),
               st.sampled_from(_view_classes)),
-    st.builds(Triple, st.sampled_from(_view_classes), st.just(vocab.RDFS_SUBCLASSOF),
+    st.tuples(st.sampled_from(_view_classes), st.just(vocab.RDFS_SUBCLASSOF),
               st.sampled_from(_view_classes)),
-    st.builds(Triple, st.sampled_from(_view_properties), st.just(vocab.RDFS_SUBPROPERTYOF),
+    st.tuples(st.sampled_from(_view_properties), st.just(vocab.RDFS_SUBPROPERTYOF),
               st.sampled_from(_view_properties)),
-    st.builds(Triple, st.sampled_from(_view_nodes), st.sampled_from(_view_properties),
+    st.tuples(st.sampled_from(_view_nodes), st.sampled_from(_view_properties),
               st.sampled_from(_view_nodes + _view_values)),
-    st.builds(Triple, st.sampled_from(_view_nodes), st.sampled_from(_view_properties),
+    st.tuples(st.sampled_from(_view_nodes), st.sampled_from(_view_properties),
               st.sampled_from(_view_nodes + _view_values)),
 )
 

@@ -76,17 +76,17 @@ def test_criterion_2_cq2_fidelity(tmp_path, fixture_bundle, fixture_graph, capsy
 
 def test_criterion_3_subsumption_chains(fixture_graph, capsys):
     closed = rdfs_closure(fixture_graph)
-    studies = [t.subject for t in
+    studies = [s for s, _, _ in
                fixture_graph.match(None, vocab.RDF_TYPE, vocab.MORE_STUDY)]
-    procs = [t.subject for t in fixture_graph.match(
+    procs = [s for s, _, _ in fixture_graph.match(
         None, vocab.RDF_TYPE, vocab.MORE_HANDGRIP_TEST_PROCESS)]
     ok = bool(studies) and bool(procs)
     for s in studies:
-        typed = {t.object for t in closed.match(s, vocab.RDF_TYPE)}
+        typed = {o for _, _, o in closed.match(s, vocab.RDF_TYPE)}
         ok = ok and {vocab.IAO_PLAN_SPECIFICATION,
                      vocab.IAO_INFORMATION_CONTENT_ENTITY} <= typed
     for p in procs:
-        typed = {t.object for t in closed.match(p, vocab.RDF_TYPE)}
+        typed = {o for _, _, o in closed.match(p, vocab.RDF_TYPE)}
         ok = ok and {vocab.OBI_ASSAY, vocab.BFO_PROCESS} <= typed
     report(capsys, 3, ok,
            "%d studies, %d handgrip processes" % (len(studies), len(procs)))
@@ -137,7 +137,7 @@ def test_criterion_6_privacy_soundness(fixture_graph, capsys):
     policy = default_policy()
     public = apply_policy(fixture_graph, policy, "public")
     denied = policy.denied_targets("public")
-    ok = not any(t.predicate in denied for t in public)
+    ok = not any(p in denied for _, p, _ in public)
     ok = ok and len(audit_view(public, policy, "public")) == 0
     permissive = apply_policy(fixture_graph, policy, "researcher")
     ok = ok and permissive == fixture_graph

@@ -127,7 +127,7 @@ class TestMaterializeCommand:
                      "--no-builtins", "-o", str(out)]) == 0
         g = parse_file(out)
         mirrored = [t for t in g.match(None, vocab.BFO_INHERES_IN, None)
-                    if "/person/" in iri_value(t.subject)]
+                    if "/person/" in iri_value(t[0])]
         assert mirrored
         assert len(g) > len(parse_file(kg_path))
 
@@ -164,6 +164,15 @@ class TestQueryCommand:
         first_avg = capsys.readouterr().out.splitlines()[1].split(",")[1]
         whole, frac = first_avg.split(".")
         assert len(frac) == 2
+
+    def test_negative_places_is_domain_error(self, kg_path, tmp_path, capsys):
+        qfile = tmp_path / "cq1.rq"
+        qfile.write_text(CQ1_QUERY, encoding="utf-8")
+        assert main(["query", str(kg_path), str(qfile), "--format", "csv",
+                     "--places", "-2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "decimal places" in captured.err
 
     def test_explain(self, kg_path, tmp_path, capsys):
         qfile = tmp_path / "cq1.rq"
@@ -272,6 +281,17 @@ class TestCqCommand:
         out = capsys.readouterr().out
         assert "FAIL cq1" in out
         assert "row 1, column 2" in out
+
+    def test_missing_cases_dir_is_domain_error(self, kg_path, tmp_path, capsys):
+        missing = tmp_path / "no_such_dir"
+        assert main(["cq", str(kg_path), str(missing)]) == 1
+        assert str(missing) in capsys.readouterr().err
+
+    def test_no_cases_fails(self, kg_path, tmp_path, capsys):
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        assert main(["cq", str(kg_path), str(cases)]) == 1
+        assert capsys.readouterr().out == "0 cases\n"
 
 
 class TestExports:

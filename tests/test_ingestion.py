@@ -8,7 +8,7 @@ from morekg.fixtures import generate_fixture
 from morekg.ingestion import emit_kg, load_bundle, mint_iri, validate_bundle
 from morekg.ontology import build_schema
 from morekg.query import evaluate, parse_query, to_csv
-from morekg.rdf import IRI, Literal, Triple, iri_value, is_iri, literal_parts
+from morekg.rdf import IRI, Literal, iri_value, is_iri, literal_parts
 from morekg.serdes import write_ntriples
 
 from oracles import count_expected_emission
@@ -142,9 +142,8 @@ class TestMintIri:
             mint_iri("st01", "", "p007")
 
     def test_all_minted_iris_distinct(self, fixture_graph):
-        subjects = {iri_value(t.subject) for t in fixture_graph
-                    if is_iri(t.subject)
-                    and iri_value(t.subject).startswith("https://w3id.org/more/kg/")}
+        subjects = {iri_value(s) for s, _, _ in fixture_graph
+                    if is_iri(s) and iri_value(s).startswith("https://w3id.org/more/kg/")}
         kinds = {s.split("/")[6] for s in subjects}
         assert {"study", "person", "disposition", "plan", "process", "role",
                 "datum", "valuespec"} <= kinds
@@ -160,15 +159,15 @@ class TestEmitKg:
         schema = build_schema(b.items)
         g = emit_kg(b, schema)
         value = Literal("32.5", iri_value(vocab.XSD_DECIMAL))
-        vspecs = [t.subject for t in g.match(None, vocab.MORE_HAS_VALUE, value)]
+        vspecs = [s for s, _, _ in g.match(None, vocab.MORE_HAS_VALUE, value)]
         assert len(vspecs) == 1
         vs = vspecs[0]
-        assert Triple(vs, vocab.RDF_TYPE, vocab.OBI_VALUE_SPECIFICATION) in g
-        assert Triple(vs, vocab.MORE_HAS_UNIT, Literal("kg")) in g
+        assert (vs, vocab.RDF_TYPE, vocab.OBI_VALUE_SPECIFICATION) in g
+        assert (vs, vocab.MORE_HAS_UNIT, Literal("kg")) in g
         # the value has one path: the datum's only value object is vs
-        datums = [t.subject for t in g.match(None, vocab.OBI_HAS_VALUE_SPECIFICATION, vs)]
+        datums = [s for s, _, _ in g.match(None, vocab.OBI_HAS_VALUE_SPECIFICATION, vs)]
         assert len(datums) == 1
-        assert [t.object for t in g.match(datums[0], vocab.OBI_HAS_VALUE_SPECIFICATION)] \
+        assert [o for _, _, o in g.match(datums[0], vocab.OBI_HAS_VALUE_SPECIFICATION)] \
             == [vs]
 
     def test_one_value_specification_per_datum(self, tmp_path):
@@ -188,7 +187,7 @@ class TestEmitKg:
         b = load_bundle(tmp_path)
         g = emit_kg(b, build_schema(b.items))
         assert len(list(g.match(None, vocab.RDF_TYPE, vocab.MORE_PERSON))) == 1
-        assert next(g.match(None, vocab.MORE_HAS_AGE, None)).object == \
+        assert next(g.match(None, vocab.MORE_HAS_AGE, None))[2] == \
             Literal("9", iri_value(vocab.XSD_INTEGER))
         assert not list(g.match(None, vocab.OBI_HAS_SPECIFIED_OUTPUT, None))
 
@@ -209,7 +208,7 @@ class TestEmitKg:
                                 "p001,handgrip,30.0,2018-06-12,right\n"})
         b = load_bundle(tmp_path)
         g = emit_kg(b, build_schema(b.items))
-        trials = {literal_parts(t.object)[0] for t in g.match(None, vocab.MORE_HAS_TRIAL, None)}
+        trials = {literal_parts(o)[0] for _, _, o in g.match(None, vocab.MORE_HAS_TRIAL, None)}
         assert trials == {"left", "right"}
         # separate processes, one shared disposition
         procs = list(g.match(None, vocab.PATO_EXECUTES, None))
@@ -219,40 +218,39 @@ class TestEmitKg:
 
     def test_pattern_completeness(self, fixture_graph):
         g = fixture_graph
-        for t in g.match(None, vocab.PATO_EXECUTES, None):
-            assert g.count(t.subject, vocab.OBI_HAS_SPECIFIED_OUTPUT, None) == 1
-        for t in g.match(None, vocab.OBI_HAS_SPECIFIED_OUTPUT, None):
-            vs_objs = [x.object for x in g.match(t.object, vocab.OBI_HAS_VALUE_SPECIFICATION)]
+        for proc, _, _ in g.match(None, vocab.PATO_EXECUTES, None):
+            assert g.count(proc, vocab.OBI_HAS_SPECIFIED_OUTPUT, None) == 1
+        for _, _, datum in g.match(None, vocab.OBI_HAS_SPECIFIED_OUTPUT, None):
+            vs_objs = [o for _, _, o in g.match(datum, vocab.OBI_HAS_VALUE_SPECIFICATION)]
             assert len(vs_objs) == 1
             assert g.count(vs_objs[0], vocab.OBI_SPECIFIES_VALUE_OF, None) == 1
 
     def test_role_pattern(self, fixture_graph):
         g = fixture_graph
-        for t in g.match(None, vocab.PATO_EXECUTES, None):
-            proc = t.subject
-            participants = [x.object for x in g.match(proc, vocab.OBI_HAS_PARTICIPANT)]
+        for proc, _, _ in g.match(None, vocab.PATO_EXECUTES, None):
+            participants = [o for _, _, o in g.match(proc, vocab.OBI_HAS_PARTICIPANT)]
             assert len(participants) == 1
-            roles = [x.object for x in g.match(proc, vocab.OBI_REALIZES)
-                     if Triple(x.object, vocab.RDF_TYPE, vocab.OBI_EVALUANT_ROLE) in g]
+            roles = [o for _, _, o in g.match(proc, vocab.OBI_REALIZES)
+                     if (o, vocab.RDF_TYPE, vocab.OBI_EVALUANT_ROLE) in g]
             assert len(roles) == 1
-            assert Triple(participants[0], vocab.OBI_HAS_ROLE, roles[0]) in g
+            assert (participants[0], vocab.OBI_HAS_ROLE, roles[0]) in g
 
     def test_everything_linked_to_study(self, fixture_graph, fixture_bundle):
         study = mint_iri(fixture_bundle.metadata.id, "study", fixture_bundle.metadata.id)
-        minted = {t.subject for t in fixture_graph
-                  if is_iri(t.subject)
-                  and iri_value(t.subject).startswith("https://w3id.org/more/kg/")
-                  and t.subject != study}
+        minted = {s for s, _, _ in fixture_graph
+                  if is_iri(s)
+                  and iri_value(s).startswith("https://w3id.org/more/kg/")
+                  and s != study}
         for node in minted:
-            assert Triple(node, vocab.MORE_PART_OF_STUDY, study) in fixture_graph
+            assert (node, vocab.MORE_PART_OF_STUDY, study) in fixture_graph
 
     def test_years_emitted(self, fixture_graph, fixture_bundle):
-        years = {int(literal_parts(t.object)[0]) for t in
+        years = {int(literal_parts(o)[0]) for _, _, o in
                  fixture_graph.match(None, vocab.MORE_CONDUCTED_IN_YEAR, None)}
         assert years == set(fixture_bundle.metadata.years)
 
     def test_only_pseudonymous_ids_in_iris(self, fixture_graph, fixture_bundle):
         pids = {p.participant_id for p in fixture_bundle.participants}
-        for t in fixture_graph:
-            if is_iri(t.subject) and "/person/" in iri_value(t.subject):
-                assert iri_value(t.subject).rsplit("/", 1)[1] in pids
+        for s, _, _ in fixture_graph:
+            if is_iri(s) and "/person/" in iri_value(s):
+                assert iri_value(s).rsplit("/", 1)[1] in pids

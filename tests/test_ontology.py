@@ -5,7 +5,7 @@ from morekg.bundle import BundleError
 from morekg.bundle import TestItemDef as ItemDef
 from morekg.ontology import (SubclassCycleError, apply_aliases, build_schema,
                              rdfs_closure)
-from morekg.rdf import Graph, IRI, Triple
+from morekg.rdf import Graph, IRI
 
 from graph_oracles import naive_rdfs_fixpoint
 
@@ -18,28 +18,28 @@ class TestBuildSchema:
     def test_handgrip_axioms(self):
         schema = build_schema([HANDGRIP])
         g = schema.graph
-        assert Triple(vocab.MORE_HANDGRIP_TEST_PROCESS, vocab.RDFS_SUBCLASSOF,
-                      vocab.MORE_TEST_PROCESS) in g
-        assert Triple(IRI(vocab.MORE + "Handgrip"), vocab.RDF_TYPE,
-                      vocab.MORE_TEST_ITEM) in g
+        assert (vocab.MORE_HANDGRIP_TEST_PROCESS, vocab.RDFS_SUBCLASSOF,
+                vocab.MORE_TEST_PROCESS) in g
+        assert (IRI(vocab.MORE + "Handgrip"), vocab.RDF_TYPE,
+                vocab.MORE_TEST_ITEM) in g
 
     def test_shuttle_run_process_subclass(self):
         schema = build_schema([SHUTTLE])
-        assert Triple(IRI(vocab.MORE + "ShuttleRunTestProcess"),
-                      vocab.RDFS_SUBCLASSOF, vocab.MORE_TEST_PROCESS) in schema.graph
+        assert (IRI(vocab.MORE + "ShuttleRunTestProcess"),
+                vocab.RDFS_SUBCLASSOF, vocab.MORE_TEST_PROCESS) in schema.graph
 
     def test_empty_registry_fixed_axioms_only(self):
         schema = build_schema([])
         assert not list(schema.graph.match(None, vocab.RDF_TYPE, vocab.MORE_TEST_ITEM))
-        assert Triple(vocab.MORE_STUDY, vocab.RDFS_SUBCLASSOF,
-                      vocab.IAO_PLAN_SPECIFICATION) in schema.graph
-        assert Triple(vocab.IAO_PLAN_SPECIFICATION, vocab.RDFS_SUBCLASSOF,
-                      vocab.IAO_INFORMATION_CONTENT_ENTITY) in schema.graph
+        assert (vocab.MORE_STUDY, vocab.RDFS_SUBCLASSOF,
+                vocab.IAO_PLAN_SPECIFICATION) in schema.graph
+        assert (vocab.IAO_PLAN_SPECIFICATION, vocab.RDFS_SUBCLASSOF,
+                vocab.IAO_INFORMATION_CONTENT_ENTITY) in schema.graph
 
     def test_declared_properties(self):
         schema = build_schema([])
         for prop in vocab.DECLARED_PROPERTIES:
-            assert Triple(prop, vocab.RDF_TYPE, vocab.RDF_PROPERTY) in schema.graph
+            assert (prop, vocab.RDF_TYPE, vocab.RDF_PROPERTY) in schema.graph
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(BundleError):
@@ -47,9 +47,10 @@ class TestBuildSchema:
 
     def test_disposition_kind(self):
         schema = build_schema([HANDGRIP])
-        kind = schema.disposition_kind("handgrip")
-        assert kind.iri == IRI(vocab.MORE + "GripStrengthDisposition")
-        assert kind.unit == "kg"
+        kind = schema.disposition_kinds["handgrip"]
+        assert kind == IRI(vocab.MORE + "GripStrengthDisposition")
+        assert (kind, vocab.RDFS_SUBCLASSOF, vocab.BFO_DISPOSITION) in schema.graph
+        assert schema.items["handgrip"].unit == "kg"
 
     def test_subclass_relation_acyclic(self):
         schema = build_schema([HANDGRIP, SHUTTLE])
@@ -63,8 +64,8 @@ class TestClosure:
         s = IRI("http://example.org/study1")
         g.add(s, vocab.RDF_TYPE, vocab.MORE_STUDY)
         closed = rdfs_closure(g, schema)
-        assert Triple(s, vocab.RDF_TYPE, vocab.IAO_PLAN_SPECIFICATION) in closed
-        assert Triple(s, vocab.RDF_TYPE, vocab.IAO_INFORMATION_CONTENT_ENTITY) in closed
+        assert (s, vocab.RDF_TYPE, vocab.IAO_PLAN_SPECIFICATION) in closed
+        assert (s, vocab.RDF_TYPE, vocab.IAO_INFORMATION_CONTENT_ENTITY) in closed
 
     def test_handgrip_process_typed_assay_and_process(self):
         schema = build_schema([HANDGRIP])
@@ -72,8 +73,8 @@ class TestClosure:
         p = IRI("http://example.org/proc1")
         g.add(p, vocab.RDF_TYPE, vocab.MORE_HANDGRIP_TEST_PROCESS)
         closed = rdfs_closure(g, schema)
-        assert Triple(p, vocab.RDF_TYPE, vocab.OBI_ASSAY) in closed
-        assert Triple(p, vocab.RDF_TYPE, vocab.BFO_PROCESS) in closed
+        assert (p, vocab.RDF_TYPE, vocab.OBI_ASSAY) in closed
+        assert (p, vocab.RDF_TYPE, vocab.BFO_PROCESS) in closed
 
     def test_idempotent(self, fixture_graph):
         once = rdfs_closure(fixture_graph)
@@ -104,8 +105,8 @@ class TestClosure:
 
     def test_cycle_path_ignores_a_self_loop(self):
         a, b, c = (IRI("http://example.org/" + n) for n in "ABC")
-        g = Graph([Triple(a, vocab.RDFS_SUBCLASSOF, b), Triple(b, vocab.RDFS_SUBCLASSOF, c),
-                   Triple(c, vocab.RDFS_SUBCLASSOF, c), Triple(c, vocab.RDFS_SUBCLASSOF, a)])
+        g = Graph([(a, vocab.RDFS_SUBCLASSOF, b), (b, vocab.RDFS_SUBCLASSOF, c),
+                   (c, vocab.RDFS_SUBCLASSOF, c), (c, vocab.RDFS_SUBCLASSOF, a)])
         with pytest.raises(SubclassCycleError) as e:
             rdfs_closure(g)
         assert e.value.cycle == [a, b, c, a]
@@ -115,5 +116,5 @@ def test_apply_aliases_rewrites_iris():
     g = Graph()
     g.add(IRI("http://old/p1"), vocab.RDF_TYPE, IRI("http://old/C"))
     out = apply_aliases(g, {"http://old/C": "http://new/C"})
-    assert Triple(IRI("http://old/p1"), vocab.RDF_TYPE, IRI("http://new/C")) in out
+    assert (IRI("http://old/p1"), vocab.RDF_TYPE, IRI("http://new/C")) in out
     assert len(out) == 1

@@ -8,7 +8,7 @@ from morekg.ontology import build_schema
 from morekg.privacy import (LEVELS, GeneralizationSpec, Policy, PolicyError, Role,
                             annotate_schema, apply_policy, audit_view,
                             default_policy, load_policy, policy_from_dict)
-from morekg.rdf import Graph, IRI, Literal, Triple, iri_value
+from morekg.rdf import Graph, IRI, Literal, iri_value
 from morekg.rules import builtin_ruleset, materialize
 from morekg.serdes import parse_turtle, write_turtle
 
@@ -159,9 +159,9 @@ class TestApplyPolicy:
         p = IRI(EX + "p1")
         assert not list(view.match(None, vocab.MORE_HAS_AGE, None))
         assert not list(view.match(None, vocab.MORE_HAS_BMI, None))
-        assert Triple(p, AGE_BAND, Literal("5–9")) in view
-        assert Triple(p, vocab.MORE_HAS_HEIGHT,
-                      Literal("120.0", iri_value(vocab.XSD_DECIMAL))) in view
+        assert (p, AGE_BAND, Literal("5–9")) in view
+        assert (p, vocab.MORE_HAS_HEIGHT,
+                Literal("120.0", iri_value(vocab.XSD_DECIMAL))) in view
 
     def test_permissive_role_view_equals_source(self):
         g = person_graph()
@@ -184,14 +184,14 @@ class TestApplyPolicy:
         g.add(IRI(EX + "proc"), vocab.OBI_HAS_PARTICIPANT, IRI(EX + "p1"))
         view = apply_policy(g, p, "public")
         # subject star and inbound references both disappear
-        assert not any(IRI(EX + "p1") in (t.subject, t.object) for t in view)
-        assert IRI(EX + "proc") in {t.subject for t in view} or len(view) == 0
+        assert not any(IRI(EX + "p1") in (s, o) for s, _, o in view)
+        assert IRI(EX + "proc") in {s for s, _, _ in view} or len(view) == 0
 
     def test_fixture_public_view_sound(self, fixture_graph):
         policy = default_policy()
         view = apply_policy(fixture_graph, policy, "public")
         denied = policy.denied_targets("public")
-        assert not any(t.predicate in denied for t in view)
+        assert not any(p in denied for _, p, _ in view)
         bands = list(view.match(None, AGE_BAND, None))
         assert len(bands) == 30  # one per participant
 
@@ -210,7 +210,7 @@ class TestApplyPolicy:
         view = apply_policy(g, policy, "public")
         assert not audit_view(view, policy, "public")
         assert set(view) <= set(g) | {
-            t for t in view if t.predicate == AGE_BAND}
+            t for t in view if t[1] == AGE_BAND}
 
 
 class TestViewEqualsReference:
@@ -241,8 +241,8 @@ def _entailment_targets(g):
     from the allowed triples of its body, which no subclass or
     subproperty closure of the denied targets removes."""
     classes = set()
-    for t in g.match(None, vocab.RDFS_SUBCLASSOF, None):
-        classes |= {t.subject, t.object}
+    for s, _, o in g.match(None, vocab.RDFS_SUBCLASSOF, None):
+        classes |= {s, o}
     derived = {h[1] for r in builtin_ruleset() for h in r.head}
     return sorted(classes | (set(vocab.DECLARED_PROPERTIES) - derived),
                   key=iri_value)
@@ -343,15 +343,15 @@ class TestAuditOrder:
 class TestAnnotateSchema:
     def test_levels_added_to_schema_graph(self, fixture_schema):
         out, warnings_ = annotate_schema(fixture_schema, default_policy())
-        assert Triple(vocab.MORE_HAS_AGE, vocab.MORE_SENSITIVITY_LEVEL,
-                      Literal("identifying")) in out
-        assert Triple(vocab.MORE_HAS_BMI, vocab.MORE_SENSITIVITY_LEVEL,
-                      Literal("health")) in out
+        assert (vocab.MORE_HAS_AGE, vocab.MORE_SENSITIVITY_LEVEL,
+                Literal("identifying")) in out
+        assert (vocab.MORE_HAS_BMI, vocab.MORE_SENSITIVITY_LEVEL,
+                Literal("health")) in out
 
     def test_unknown_target_warns_but_annotates(self, fixture_schema):
         out, warnings_ = annotate_schema(fixture_schema, default_policy())
         # hasPostalCode never occurs in emitted schemas
         assert any("hasPostalCode" in w for w in warnings_)
-        assert Triple(IRI(vocab.MORE + "hasPostalCode"),
-                      vocab.MORE_SENSITIVITY_LEVEL,
-                      Literal("identifying")) in out
+        assert (IRI(vocab.MORE + "hasPostalCode"),
+                vocab.MORE_SENSITIVITY_LEVEL,
+                Literal("identifying")) in out

@@ -243,6 +243,12 @@ class TestEvaluate:
         t = evaluate(people_graph(), parse_query(q), avg_places=2)
         assert literal_parts(t.rows[0][0])[0] == "9.67"
 
+    def test_negative_avg_places_rejected(self):
+        q = ("PREFIX more: <https://w3id.org/more#> "
+             "SELECT (AVG(?age) AS ?m) WHERE { ?p more:hasAge ?age . }")
+        with pytest.raises(QueryError, match="decimal places"):
+            evaluate(people_graph(), parse_query(q), avg_places=-2)
+
     def test_group_by(self):
         q = ("PREFIX more: <https://w3id.org/more#> "
              "SELECT ?age (COUNT(?p) AS ?n) WHERE { ?p more:hasAge ?age . } "

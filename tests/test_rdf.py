@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from morekg.rdf import (XSD_STRING, BlankNode, Graph, IRI, Literal,
-                        MalformedTripleError, PrefixMap, RdfError, Triple,
+                        MalformedTripleError, PrefixMap, RdfError,
                         UnresolvedPrefixError, iri_value, is_iri, is_literal,
                         literal_parts)
 from morekg import vocab
@@ -94,13 +94,13 @@ class TestTerms:
         for term in t:
             assert rebuild(term) == term
         assert pickle.loads(pickle.dumps(t)) == t
-        assert Triple(*map(rebuild, t)) in Graph([t])
+        assert tuple(map(rebuild, t)) in Graph([t])
 
 
 class TestGraph:
     def test_add_twice_returns_false_and_keeps_size(self):
         g = Graph()
-        t = Triple(EX_S, EX_P, DECIMAL_ONE_FIVE)
+        t = (EX_S, EX_P, DECIMAL_ONE_FIVE)
         assert g.add(*t) is True
         assert g.add(*t) is False
         assert len(g) == 1
@@ -132,7 +132,15 @@ class TestGraph:
     def test_match_study_individuals(self, fixture_graph, fixture_bundle):
         studies = list(fixture_graph.match(None, vocab.RDF_TYPE, vocab.MORE_STUDY))
         assert len(studies) == 1  # one study row in the bundle CSV
-        assert fixture_bundle.metadata.id in iri_value(studies[0].subject)
+        assert fixture_bundle.metadata.id in iri_value(studies[0][0])
+
+    @given(graphs())
+    def test_triples_are_plain_tuples(self, g):
+        # __iter__ and every match shape yield (s, p, o) as a plain tuple
+        for t in g:
+            assert type(t) is tuple and len(t) == 3
+            for pattern in shapes(*t) + [(None, None, None)]:
+                assert all(type(x) is tuple for x in g.match(*pattern)), pattern
 
     @given(graphs(), triples)
     def test_index_coherence(self, g, extra):
@@ -144,8 +152,8 @@ class TestGraph:
         if all_triples:
             # new triples that share index keys with an existing one
             s, p, o = next(iter(all_triples))
-            extras += [Triple(s, p, extra.object), Triple(extra.subject, p, o),
-                       Triple(s, extra.predicate, o)]
+            es, ep, eo = extra
+            extras += [(s, p, eo), (es, p, o), (s, ep, o)]
         patterns = [shape for t in list(all_triples)[:5] + extras
                     for shape in shapes(*t)]
 
@@ -175,8 +183,8 @@ EX_S2, EX_S3 = IRI("http://example.org/s2"), IRI("http://example.org/s3")
 EX_P2 = IRI("http://example.org/p2")
 EX_O2, EX_O3 = IRI("http://example.org/o2"), IRI("http://example.org/o3")
 # never added; each shares one index key with the triples the tests add
-ABSENT_TRIPLES = [Triple(EX_S, IRI("http://example.org/absent"), EX_O),
-                  Triple(EX_S2, EX_P, IRI("http://example.org/absent"))]
+ABSENT_TRIPLES = [(EX_S, IRI("http://example.org/absent"), EX_O),
+                  (EX_S2, EX_P, IRI("http://example.org/absent"))]
 
 
 def _check_against_scan(g, expected):
@@ -191,9 +199,9 @@ class TestLeaves:
         g = Graph()
         expected = set()
         steps = [
-            [Triple(EX_S, EX_P, EX_O)],  # both leaves bare
+            [(EX_S, EX_P, EX_O)],  # both leaves bare
             # the (s, p) leaf and the (p, o) leaf each get a second term
-            [Triple(EX_S, EX_P, EX_O2), Triple(EX_S2, EX_P, EX_O)],
+            [(EX_S, EX_P, EX_O2), (EX_S2, EX_P, EX_O)],
             [],  # duplicates only
         ]
         for step in steps:
@@ -205,32 +213,32 @@ class TestLeaves:
             _check_against_scan(g, expected)
 
     def test_copy_promotes_its_own_leaves(self):
-        source = {Triple(EX_S, EX_P, EX_O), Triple(EX_S, EX_P, EX_O2),
-                  Triple(EX_S2, EX_P, EX_O), Triple(EX_S3, EX_P2, EX_O3)}
+        source = {(EX_S, EX_P, EX_O), (EX_S, EX_P, EX_O2),
+                  (EX_S2, EX_P, EX_O), (EX_S3, EX_P2, EX_O3)}
         g = Graph(source)
         c = g.copy()
-        extra = {Triple(EX_S, EX_P, EX_O3),     # a set leaf grows
-                 Triple(EX_S3, EX_P2, EX_O),    # a bare leaf becomes a set
-                 Triple(EX_S2, EX_P2, EX_O3)}   # and a (p, o) set leaf
+        extra = {(EX_S, EX_P, EX_O3),     # a set leaf grows
+                 (EX_S3, EX_P2, EX_O),    # a bare leaf becomes a set
+                 (EX_S2, EX_P2, EX_O3)}   # and a (p, o) set leaf
         assert c.update(extra) == len(extra)
         _check_against_scan(g, source)
         _check_against_scan(c, source | extra)
 
     def test_equal_whatever_the_insertion_order(self):
-        ts = [Triple(EX_S, EX_P, EX_O), Triple(EX_S, EX_P, EX_O2),
-              Triple(EX_S2, EX_P, EX_O), Triple(EX_S, EX_P2, EX_O3),
-              Triple(EX_S3, EX_P2, EX_O3)]
+        ts = [(EX_S, EX_P, EX_O), (EX_S, EX_P, EX_O2),
+              (EX_S2, EX_P, EX_O), (EX_S, EX_P2, EX_O3),
+              (EX_S3, EX_P2, EX_O3)]
         first = Graph(ts)
         for order in itertools.permutations(ts):
             g = Graph(order)
             assert g == first and g.copy() == first
         assert Graph(ts[1:]) != first
-        assert Graph(ts[1:] + [Triple(EX_S3, EX_P, EX_O)]) != first
+        assert Graph(ts[1:] + [(EX_S3, EX_P, EX_O)]) != first
 
     def test_without_leaves_each_leaf_in_its_one_form(self):
-        source = {Triple(EX_S, EX_P, EX_O), Triple(EX_S, EX_P, EX_O2),
-                  Triple(EX_S2, EX_P, EX_O), Triple(EX_S3, EX_P, EX_O),
-                  Triple(EX_S3, EX_P2, EX_O3), Triple(EX_S2, EX_P2, EX_O2)}
+        source = {(EX_S, EX_P, EX_O), (EX_S, EX_P, EX_O2),
+                  (EX_S2, EX_P, EX_O), (EX_S3, EX_P, EX_O),
+                  (EX_S3, EX_P2, EX_O3), (EX_S2, EX_P2, EX_O2)}
         g = Graph(source)
         cases = [
             (set(), set()),             # a copy
@@ -242,26 +250,26 @@ class TestLeaves:
             ({EX_S, EX_S2, EX_S3}, set()),  # nothing left
         ]
         for nodes, predicates in cases:
-            kept = {t for t in source if t.predicate not in predicates
-                    and t.subject not in nodes and t.object not in nodes}
+            kept = {(s, p, o) for s, p, o in source if p not in predicates
+                    and s not in nodes and o not in nodes}
             view, expected = g.without(nodes, predicates), Graph(kept)
             assert view == expected and view._pos == expected._pos, (nodes, predicates)
             assert all(inner for index in (view._spo, view._pos) for inner in index.values())
             _check_against_scan(view, kept)
         # the subgraph's leaves are its own
         view = g.without({EX_S3}, set())
-        view.update([Triple(EX_S, EX_P, EX_O3), Triple(EX_S3, EX_P, EX_O)])
+        view.update([(EX_S, EX_P, EX_O3), (EX_S3, EX_P, EX_O)])
         _check_against_scan(g, source)
 
     @given(rule_graphs(), st.data())
     def test_without_property(self, g, data):
         ts = sorted(g, key=repr)
         nodes = data.draw(st.sets(st.sampled_from(
-            sorted({x for t in ts for x in (t.subject, t.object)}, key=repr))))
+            sorted({x for s, _, o in ts for x in (s, o)}, key=repr))))
         predicates = data.draw(st.sets(st.sampled_from(
-            sorted({t.predicate for t in ts}, key=repr))))
-        kept = {t for t in ts if t.predicate not in predicates
-                and t.subject not in nodes and t.object not in nodes}
+            sorted({p for _, p, _ in ts}, key=repr))))
+        kept = {(s, p, o) for s, p, o in ts if p not in predicates
+                and s not in nodes and o not in nodes}
         view, expected = g.without(nodes, predicates), Graph(kept)
         assert view == expected and view._pos == expected._pos
         _check_against_scan(view, kept)
@@ -319,7 +327,7 @@ class TestEqualNotIdenticalTerms:
     @given(graphs())
     def test_reads_with_equal_terms_agree(self, g):
         for t in g:
-            fresh = Triple(*map(_fresh, t))
+            fresh = tuple(map(_fresh, t))
             assert fresh in g
             for pattern, fresh_pattern in zip(shapes(*t), shapes(*fresh)):
                 assert set(g.match(*fresh_pattern)) == set(g.match(*pattern))
@@ -333,7 +341,7 @@ class TestEqualNotIdenticalTerms:
         # term that is another object
         loops = Graph((s, p, _fresh(s)) for s, p, _ in g)
         x = Var("x")
-        for p in {t.predicate for t in g}:
+        for p in {p for _, p, _ in g}:
             body = [(x, _fresh(p), x)]
             got = as_dicts(join([loops], body))
             want = reference_join([loops], body)
@@ -344,10 +352,10 @@ class TestEqualNotIdenticalTerms:
     def test_without_and_writers_with_equal_terms_agree(self, g, data):
         terms = sorted({x for t in g for x in t})
         nodes = data.draw(st.sets(st.sampled_from(terms))) if terms else set()
-        predicates = {t.predicate for t in g if data.draw(st.booleans())}
+        predicates = {p for _, p, _ in g if data.draw(st.booleans())}
         assert (g.without({_fresh(n) for n in nodes}, {_fresh(p) for p in predicates})
                 == g.without(nodes, predicates))
-        copy = Graph(Triple(*map(_fresh, t)) for t in g)
+        copy = Graph(tuple(map(_fresh, t)) for t in g)
         assert copy == g
         assert write_ntriples(copy) == write_ntriples(g)
         assert write_turtle(copy) == write_turtle(g)

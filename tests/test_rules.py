@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from morekg import vocab
-from morekg.rdf import BlankNode, Graph, IRI, Literal, PrefixMap, Triple, iri_value
+from morekg.rdf import BlankNode, Graph, IRI, Literal, PrefixMap, iri_value
 from morekg.rules import (Rule, RuleError, RuleSet, RuleSyntaxError, Var,
                           builtin_ruleset, export_rules, join, materialize,
                           parse_rules, plan)
@@ -80,7 +80,7 @@ class TestMatchPattern:
         g = Graph()
         g.add(iri("s1"), vocab.RDF_TYPE, iri("C"))
         g.add(iri("s2"), vocab.RDF_TYPE, iri("C"))
-        binder = Graph([Triple(iri("s2"), iri("p"), iri("o"))])
+        binder = Graph([(iri("s2"), iri("p"), iri("o"))])
         body = [(Var("x"), iri("p"), iri("o")), (Var("x"), vocab.RDF_TYPE, Var("c"))]
         out = as_dicts(join([binder, g], body))
         assert out == [{"x": iri("s2"), "c": iri("C")}]
@@ -96,8 +96,8 @@ class TestMatchPattern:
 A, B, C = Var("a"), Var("b"), Var("c")
 P, Q = vocab.PATO_EXECUTES, vocab.OBI_REALIZES
 N0, N1 = IRI(EX + "n0"), IRI(EX + "n1")
-SMALL = Graph([Triple(N0, P, N1), Triple(N1, P, N0), Triple(N0, P, N0),
-               Triple(N0, Q, N1), Triple(N1, Q, Literal("v"))])
+SMALL = Graph([(N0, P, N1), (N1, P, N0), (N0, P, N0),
+               (N0, Q, N1), (N1, Q, Literal("v"))])
 
 
 def _bag(bindings):
@@ -105,8 +105,8 @@ def _bag(bindings):
 
 
 # self-loops, one of them on a term that is also the predicate
-LOOPS = Graph([Triple(P, P, P), Triple(P, P, N0), Triple(N0, P, N0),
-               Triple(N1, P, N1), Triple(N0, Q, N0)])
+LOOPS = Graph([(P, P, P), (P, P, N0), (N0, P, N0),
+               (N1, P, N1), (N0, Q, N0)])
 
 
 class TestJoin:
@@ -139,14 +139,14 @@ class TestJoin:
             reference_bgp_eval(g, body))
 
     def test_atom_i_matches_in_graph_i(self):
-        delta = Graph([Triple(N1, P, N0)])
+        delta = Graph([(N1, P, N0)])
         body = [(A, P, B), (B, P, C)]
         assert _bag(as_dicts(join([delta, SMALL], body))) == _bag(
             [{"a": N1, "b": N0, "c": N1}, {"a": N1, "b": N0, "c": N0}])
 
     def test_atom_planned_first_keeps_its_graph(self):
         # the one-triple delta atom is joined first, yet still on delta
-        delta = Graph([Triple(N1, P, N0)])
+        delta = Graph([(N1, P, N0)])
         body = [(A, P, B), (B, P, C)]
         assert _bag(as_dicts(join([SMALL, delta], body))) == _bag(
             [{"a": N0, "b": N1, "c": N0}])
@@ -170,7 +170,7 @@ def _estimate(g, atom):
 
 class TestPlan:
     def test_each_atom_once_with_its_own_count(self):
-        delta = Graph([Triple(N1, P, N0)])
+        delta = Graph([(N1, P, N0)])
         graphs = [SMALL, delta, SMALL]
         body = [(A, P, B), (B, P, C), (A, Q, C)]
         order = plan(graphs, body)
@@ -185,7 +185,7 @@ class TestPlan:
         assert plan([SMALL] * 3, body) == [(0, 2), (2, 3), (1, 2)]
 
     def test_absent_predicate_on_delta_estimates_zero(self):
-        delta = Graph([Triple(N1, Q, N0)])
+        delta = Graph([(N1, Q, N0)])
         assert plan([SMALL, delta], [(A, P, B), (B, P, C)]) == [(1, 0), (0, 3)]
 
 
@@ -197,7 +197,7 @@ class TestMaterialize:
         g.add(b, vocab.RDFS_SUBCLASSOF, c)
         g.add(c, vocab.RDFS_SUBCLASSOF, d)
         out = materialize(g, builtin_ruleset())
-        assert Triple(a, vocab.RDFS_SUBCLASSOF, d) in out
+        assert (a, vocab.RDFS_SUBCLASSOF, d) in out
 
     def test_type_propagated_to_all_ancestors(self):
         g = Graph()
@@ -206,8 +206,8 @@ class TestMaterialize:
         g.add(a, vocab.RDFS_SUBCLASSOF, b)
         g.add(b, vocab.RDFS_SUBCLASSOF, c)
         out = materialize(g, builtin_ruleset())
-        assert Triple(x, vocab.RDF_TYPE, b) in out
-        assert Triple(x, vocab.RDF_TYPE, c) in out
+        assert (x, vocab.RDF_TYPE, b) in out
+        assert (x, vocab.RDF_TYPE, c) in out
 
     def test_shortcut_on_minimal_chain(self):
         g = Graph()
@@ -218,7 +218,7 @@ class TestMaterialize:
         g.add(datum, vocab.OBI_HAS_VALUE_SPECIFICATION, vs)
         g.add(vs, vocab.OBI_SPECIFIES_VALUE_OF, disp)
         out = materialize(g, builtin_ruleset())
-        assert Triple(item, vocab.MORE_MEASURES_DISPOSITION, disp) in out
+        assert (item, vocab.MORE_MEASURES_DISPOSITION, disp) in out
         assert len(out) == 5
 
     def test_broken_chain_yields_nothing(self):
@@ -277,10 +277,10 @@ class TestMaterialize:
             right: ?a more:partOfStudy ?b => ?a more:right ?b .
             joined: ?a more:left ?b & ?b more:right ?c => ?a more:joined ?c .
         """, include_builtins=False)
-        g = Graph([Triple(iri("a"), vocab.MORE_PART_OF_STUDY, iri("b")),
-                   Triple(iri("b"), vocab.MORE_PART_OF_STUDY, iri("c"))])
+        g = Graph([(iri("a"), vocab.MORE_PART_OF_STUDY, iri("b")),
+                   (iri("b"), vocab.MORE_PART_OF_STUDY, iri("c"))])
         out = materialize(g, rs)
-        assert Triple(iri("a"), IRI(vocab.MORE + "joined"), iri("c")) in out
+        assert (iri("a"), IRI(vocab.MORE + "joined"), iri("c")) in out
         assert out == materialize_naive(g, rs)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from morekg import vocab
 from morekg.query import QuerySyntaxError, parse_query
-from morekg.rdf import (BlankNode, Graph, IRI, Literal, PrefixMap, Triple, iri_value,
+from morekg.rdf import (BlankNode, Graph, IRI, Literal, PrefixMap, iri_value,
                         literal_parts)
 from morekg.rules import RuleSyntaxError, parse_rules
 from morekg.serdes import (ParseError, _nt_lines, _nt_parse_line,
@@ -30,8 +30,8 @@ class TestNTriples:
         g = parse_ntriples(
             '<http://a> <http://b> "1.5"^^<http://www.w3.org/2001/XMLSchema#decimal> .')
         assert len(g) == 1
-        t = next(iter(g))
-        assert t.object == Literal("1.5", iri_value(vocab.XSD_DECIMAL))
+        _, _, o = next(iter(g))
+        assert o == Literal("1.5", iri_value(vocab.XSD_DECIMAL))
 
     def test_comments_and_blank_lines(self):
         g = parse_ntriples("# hi\n\n<http://a> <http://b> <http://c> .\n")
@@ -76,22 +76,22 @@ class TestNTriples:
 
     def test_escapes_round_trip(self):
         lit = Literal('he said "hi"\n\tand left\\')
-        g = tg(Triple(IRI(EX + "s"), IRI(EX + "p"), lit))
+        g = tg((IRI(EX + "s"), IRI(EX + "p"), lit))
         assert parse_ntriples(write_ntriples(g)) == g
 
     def test_unicode_escape_decoded(self):
         g = parse_ntriples('<http://a> <http://b> "gr\\u00FC\\u00DFe" .')
-        assert literal_parts(next(iter(g)).object)[0] == "grüße"
+        assert literal_parts(next(iter(g))[2])[0] == "grüße"
 
     def test_empty_graph_writes_empty_string(self):
         assert write_ntriples(Graph()) == ""
 
     def test_write_is_deterministic(self):
-        g = tg(Triple(IRI(EX + "s"), IRI(EX + "p"), IRI(EX + "o")))
+        g = tg((IRI(EX + "s"), IRI(EX + "p"), IRI(EX + "o")))
         assert write_ntriples(g) == write_ntriples(g)
 
     def test_canonical_output_insertion_order_independent(self):
-        ts = [Triple(IRI(EX + c), IRI(EX + "p"), IRI(EX + "o")) for c in "abc"]
+        ts = [(IRI(EX + c), IRI(EX + "p"), IRI(EX + "o")) for c in "abc"]
         for perm in ([0, 1, 2], [2, 1, 0], [1, 0, 2]):
             g = Graph(ts[i] for i in perm)
             assert write_ntriples(g) == write_ntriples(Graph(ts))
@@ -130,16 +130,16 @@ class TestTurtle:
         g = parse_turtle(
             "@prefix more: <https://w3id.org/more#> . more:Handgrip a more:TestItem .")
         assert len(g) == 1
-        t = next(iter(g))
-        assert t.subject == IRI("https://w3id.org/more#Handgrip")
-        assert t.predicate == vocab.RDF_TYPE
-        assert t.object == IRI("https://w3id.org/more#TestItem")
+        s, p, o = next(iter(g))
+        assert s == IRI("https://w3id.org/more#Handgrip")
+        assert p == vocab.RDF_TYPE
+        assert o == IRI("https://w3id.org/more#TestItem")
 
     def test_object_list_comma(self):
         g = parse_turtle(
             "@prefix ex: <http://example.org/> . ex:s ex:p ex:o1 , ex:o2 .")
         assert len(g) == 2
-        assert {t.object for t in g} == {IRI(EX + "o1"), IRI(EX + "o2")}
+        assert {o for _, _, o in g} == {IRI(EX + "o1"), IRI(EX + "o2")}
 
     def test_predicate_list_semicolon(self):
         g = parse_turtle(
@@ -148,7 +148,7 @@ class TestTurtle:
 
     def test_numeric_shorthand(self):
         g = parse_turtle("@prefix ex: <http://example.org/> . ex:s ex:p 42 ; ex:q 1.5 .")
-        objs = {t.object for t in g}
+        objs = {o for _, _, o in g}
         assert Literal("42", iri_value(vocab.XSD_INTEGER)) in objs
         assert Literal("1.5", iri_value(vocab.XSD_DECIMAL)) in objs
 
@@ -161,7 +161,7 @@ class TestTurtle:
 
     @pytest.mark.parametrize("tag", ["en", "de-CH", "en-GB-oxendict", "zh-Hant-1996", "X"])
     def test_lang_tags_round_trip(self, tag):
-        g = Graph([Triple(IRI(EX + "s"), IRI(EX + "p"), Literal("hi", lang=tag))])
+        g = Graph([(IRI(EX + "s"), IRI(EX + "p"), Literal("hi", lang=tag))])
         assert parse_ntriples(write_ntriples(g)) == g
         assert parse_turtle(write_turtle(g)) == g
 
@@ -181,7 +181,7 @@ class TestTurtle:
                    for line in out.splitlines())
 
     def test_rdf_type_written_as_a(self):
-        g = tg(Triple(IRI(EX + "s"), vocab.RDF_TYPE, IRI(EX + "o")))
+        g = tg((IRI(EX + "s"), vocab.RDF_TYPE, IRI(EX + "o")))
         body = [line for line in write_turtle(g).splitlines()
                 if line and not line.startswith("@prefix")]
         assert " a " in body[0]
@@ -256,8 +256,8 @@ def _rule_patterns(text):
                                    _query_patterns, _rule_patterns])
 def test_iri_escapes_decoded(parse):
     g = parse('<http://a/\\u0041> <http://e/p> "x"^^<http://a/\\U00000042> .')
-    assert list(g) == [Triple(IRI("http://a/A"), IRI("http://e/p"),
-                              Literal("x", "http://a/B"))]
+    assert list(g) == [(IRI("http://a/A"), IRI("http://e/p"),
+                        Literal("x", "http://a/B"))]
 
 
 @pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle,
@@ -265,8 +265,8 @@ def test_iri_escapes_decoded(parse):
 def test_iri_with_a_non_ascii_space_parses(parse):
     # U+00A0 is a ucschar, which IRIs allow
     g = parse('<http://a/x\u00a0y> <http://e/p> "x"^^<http://a/\u00a0> .')
-    assert list(g) == [Triple(IRI("http://a/x\u00a0y"), IRI("http://e/p"),
-                              Literal("x", "http://a/\u00a0"))]
+    assert list(g) == [(IRI("http://a/x\u00a0y"), IRI("http://e/p"),
+                        Literal("x", "http://a/\u00a0"))]
 
 
 @pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle])
@@ -308,11 +308,11 @@ def test_one_term_grammar_reports_position(syntax, row, column):
 
 def _fuzz_graph():
     s, b = IRI(EX + "s"), BlankNode("b1")
-    return tg(Triple(s, IRI(EX + "label"), Literal("grip strength, right hand")),
-              Triple(s, IRI(EX + "value"), Literal("31.5", iri_value(vocab.XSD_DECIMAL))),
-              Triple(s, IRI(EX + "label"), Literal("Handkraft rechts", lang="de")),
-              Triple(s, IRI(EX + "next"), b),
-              Triple(b, IRI(EX + "next"), s))
+    return tg((s, IRI(EX + "label"), Literal("grip strength, right hand")),
+              (s, IRI(EX + "value"), Literal("31.5", iri_value(vocab.XSD_DECIMAL))),
+              (s, IRI(EX + "label"), Literal("Handkraft rechts", lang="de")),
+              (s, IRI(EX + "next"), b),
+              (b, IRI(EX + "next"), s))
 
 
 # characters that delimit or escape terms, plus two truncated escapes
@@ -464,7 +464,7 @@ def test_canonical_turtle_equals_token_parser(data):
 def _canonical_turtle(last):
     """A document in write_turtle's layout, up to and without ``last``, and
     the document with ``last`` as its last statement."""
-    g = Graph(t for t in _fuzz_graph() if ", " not in t.object)
+    g = Graph(t for t in _fuzz_graph() if ", " not in t[2])
     head = write_turtle(g, PrefixMap({"ex": EX}))
     return head, head + last + "\n"
 
