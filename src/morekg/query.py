@@ -4,9 +4,10 @@ ORDER BY, LIMIT/OFFSET, DISTINCT.
 
 Terms are read by ``serdes.TokenStream``, so IRIs, prefixed names and
 literals read exactly as in Turtle; blank nodes are rejected, since in
-SPARQL they would be variables.  A malformed query, or one that uses a
-variable its WHERE clause does not bind, raises ``QuerySyntaxError`` at
-a line and column.
+SPARQL they would be variables.  A malformed query, one that uses a
+variable its WHERE clause does not bind, sorts on a variable that is not
+a result column, or gives a solution modifier twice, raises
+``QuerySyntaxError`` at a line and column.
 
 Evaluation uses bag semantics with exact rational arithmetic for
 numeric comparisons and aggregates.  The basic graph pattern is joined
@@ -77,6 +78,9 @@ _XSD_INTEGER = iri_value(vocab.XSD_INTEGER)
 _XSD_DECIMAL = iri_value(vocab.XSD_DECIMAL)
 
 _OPERATORS = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
+# The solution modifiers by their first keyword; each may be given once.
+_MODIFIERS = {"GROUP": "GROUP BY", "ORDER": "ORDER BY", "LIMIT": "LIMIT",
+              "OFFSET": "OFFSET"}
 
 
 def _number(lexical: str, datatype: str) -> Optional[Fraction]:
@@ -219,10 +223,19 @@ class _QueryParser(TokenStream):
         group_by: list[str] = []
         order_by: list[tuple[str, str]] = []
         bounds: dict[str, int] = {}  # LIMIT and OFFSET
+        seen: set[str] = set()
         while True:
             tok = self.peek()
-            if self._is_kw(tok, "GROUP"):
-                self.next()
+            if tok[0] is None:
+                break
+            clause = _MODIFIERS.get(tok[1].upper()) if tok[0] == "word" else None
+            if clause is None:
+                self.err("unexpected token %r" % tok[1], tok[2])
+            if clause in seen:
+                self.err("%s given twice" % clause, tok[2])
+            seen.add(clause)
+            self.next()
+            if clause == "GROUP BY":
                 self._expect_kw("BY")
                 while self.peek()[0] == "var":
                     _, var, offset = self.next()
@@ -230,52 +243,48 @@ class _QueryParser(TokenStream):
                     self.uses.append(("GROUP BY", var[1:], offset))
                 if not group_by:
                     self.err("GROUP BY requires at least one variable", tok[2])
-            elif self._is_kw(tok, "ORDER"):
-                self.next()
+            elif clause == "ORDER BY":
                 self._expect_kw("BY")
-                found = False
                 while True:
                     t = self.peek()
                     if t[0] == "var":
                         self.next()
-                        order_by.append((t[1][1:], "asc"))
-                        found = True
+                        direction = "asc"
                     elif self._is_kw(t, "ASC") or self._is_kw(t, "DESC"):
                         direction = t[1].lower()
                         self.next()
                         self.expect_punct("(")
-                        v = self.next()
-                        if v[0] != "var":
-                            self.err("expected variable in %s()" % direction.upper(), v[2])
+                        t = self.next()
+                        if t[0] != "var":
+                            self.err("expected variable in %s()" % direction.upper(), t[2])
                         self.expect_punct(")")
-                        order_by.append((v[1][1:], direction))
-                        found = True
                     else:
                         break
-                if not found:
+                    order_by.append((t[1][1:], direction))
+                    self.uses.append(("ORDER BY", t[1][1:], t[2]))
+                if not order_by:
                     self.err("ORDER BY requires at least one sort key", tok[2])
-            elif tok[0] == "word" and tok[1].upper() in ("LIMIT", "OFFSET"):
-                self.next()
+            else:  # LIMIT or OFFSET
                 n = self.next()
                 if n[0] != "integer" or not n[1].isdigit():  # no sign
-                    self.err("expected unsigned integer after %s" % tok[1].upper(), n[2])
-                bounds[tok[1].upper()] = int(n[1])
-            elif tok[0] is None:
-                break
-            else:
-                self.err("unexpected token %r" % tok[1], tok[2])
+                    self.err("expected unsigned integer after %s" % clause, n[2])
+                bounds[clause] = int(n[1])
 
         where_vars = set().union(*map(pattern_vars, where))
         grouped = group_by or any(isinstance(p, AggProjection) for p in projections)
+        ast = QueryAst(prefixes=self.prefixes, projections=projections,
+                       where=where, filters=filters, distinct=distinct,
+                       group_by=group_by, order_by=order_by,
+                       limit=bounds.get("LIMIT"), offset=bounds.get("OFFSET"))
         for role, var, offset in self.uses:
-            if var not in where_vars:
+            if role == "ORDER BY":  # a sort key is a result column
+                if var not in ast.columns:
+                    self.err("ORDER BY variable ?%s is not a result column" % var, offset)
+            elif var not in where_vars:
                 self.err("%s variable ?%s not in WHERE clause" % (role, var), offset)
-            if role == "projected" and grouped and var not in group_by:
+            elif role == "projected" and grouped and var not in group_by:
                 self.err("projected variable ?%s must appear in GROUP BY" % var, offset)
-        return QueryAst(prefixes=self.prefixes, projections=projections,
-                        where=where, filters=filters, distinct=distinct,
-                        group_by=group_by, order_by=order_by,
-                        limit=bounds.get("LIMIT"), offset=bounds.get("OFFSET"))
+        return ast
 
     def _projections(self) -> list[Projection]:
         out: list[Projection] = []
@@ -331,20 +340,9 @@ class _QueryParser(TokenStream):
                 filters.append(self._or_expr())
                 self.expect_punct(")")
             else:
-                self._triples_block(patterns)
+                self.triples(lambda *t: patterns.append(t), (".", "}"))
+                self.accept(".")
         return patterns, filters
-
-    def _triples_block(self, patterns):
-        subject = self.term()
-        while True:
-            predicate = self.term(verb=True)
-            patterns.append((subject, predicate, self.term()))
-            while self.accept(","):
-                patterns.append((subject, predicate, self.term()))
-            # a trailing ';' before the '.' or '}' is allowed
-            if not self.accept(";") or self.peek()[1] in (".", "}"):
-                break
-        self.accept(".")
 
     def _or_expr(self) -> FilterExpr:
         operands = [self._and_expr()]
@@ -502,9 +500,8 @@ def evaluate(g: Graph, q: QueryAst, avg_places: int = 6) -> SolutionTable:
     decorated.sort(key=itemgetter(0))
     cols = q.columns
     for var, direction in reversed(q.order_by):
-        if var in cols:
-            idx = cols.index(var)
-            decorated.sort(key=lambda d: d[0][idx], reverse=(direction == "desc"))
+        idx = cols.index(var)
+        decorated.sort(key=lambda d: d[0][idx], reverse=(direction == "desc"))
     rows = [row for _, row in decorated]
 
     if q.offset:

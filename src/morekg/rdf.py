@@ -7,10 +7,11 @@ same term iff their texts are equal: terms compare with ``==``, never
 ``is``, and a canonical writer joins the texts as they are.  ``IRI``,
 ``BlankNode`` and ``Literal`` check their arguments and build the text;
 ``is_iri``, ``is_literal``, ``iri_value`` and ``literal_parts`` read it
-back.  No other module reads a term's characters.  Nothing is interned:
-a parse shares each term among its triples through its own cache, and a
-term lives as long as a graph or row holds it.  A triple is a plain
-``(s, p, o)`` tuple of terms.
+back, and ``CANONICAL_TERM`` matches exactly the texts they build, so
+a reader can take such a text as it is.  No other module reads a term's
+characters.  Nothing is interned: a parse shares each term among its
+triples through its own cache, and a term lives as long as a graph or
+row holds it.  A triple is a plain ``(s, p, o)`` tuple of terms.
 
 The graph keeps two nested-dict indexes, SPO and POS; SPO also answers
 membership.  A pattern is answered by lookups alone unless it binds the
@@ -64,11 +65,17 @@ class UnresolvedPrefixError(RdfError):
 
 # The one rule for the characters an IRI may not hold: space, the
 # controls and <>"{}|^`\ (the IRIREF production of Turtle and N-Triples).
-IRI_EXCLUDED = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+_IRI_EXCLUDED_CHARS = r'\x00-\x20<>"{}|^`\\'
+IRI_EXCLUDED = re.compile("[%s]" % _IRI_EXCLUDED_CHARS)
 # The one rule for a language tag (the LANGTAG production of Turtle and
 # N-Triples), as a pattern the readers interpolate.
 LANGTAG = r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*"
 _LANGTAG_RE = re.compile(LANGTAG)
+# The one rule for a blank-node label, which ``BlankNode`` checks and the
+# readers lex: the ASCII part of the BLANK_NODE_LABEL production, without
+# dots.
+BLANK_LABEL = r"[A-Za-z0-9_][A-Za-z0-9_-]*"
+_BLANK_LABEL_RE = re.compile(BLANK_LABEL)
 
 # ---------------------------------------------------------------------------
 # String and IRI escapes: N-Triples escapes only these five characters in
@@ -137,8 +144,9 @@ def IRI(value: str) -> Term:
 
 
 def BlankNode(label: str) -> Term:
-    if not label:
-        raise RdfError("blank node label must be non-empty")
+    if not _BLANK_LABEL_RE.fullmatch(label):
+        raise RdfError("blank node label must be ASCII letters, digits, '_' "
+                       "and '-', not starting with '-': %r" % label)
     return "_:" + label
 
 
@@ -159,6 +167,17 @@ def Literal(lexical: str, datatype: Optional[str] = None,
         raise RdfError("datatype IRI must be non-empty and hold no space, "
                        "control or any of <>\"{}|^`\\: %r" % datatype)
     return '"%s"^^<%s>' % (escape_string(lexical), datatype)
+
+
+# The texts ``IRI``, ``BlankNode`` and ``Literal`` build: a text that
+# matches whole is already its own term.  A literal uses only the five
+# escapes of ``escape_string``, holds none of those characters raw, and
+# has no ``^^xsd:string``.
+_CANONICAL_IRI = "<[^%s]+>" % _IRI_EXCLUDED_CHARS
+CANONICAL_TERM = re.compile(
+    r'%s|_:%s|"(?:[^"\\\n\r\t]|\\[\\"nrt])*"(?:@%s|\^\^(?!%s)%s)?'
+    % (_CANONICAL_IRI, BLANK_LABEL, LANGTAG, re.escape("<%s>" % XSD_STRING),
+       _CANONICAL_IRI))
 
 
 def is_iri(t: Term) -> bool:

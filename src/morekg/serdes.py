@@ -1,26 +1,24 @@
 """N-Triples and Turtle-subset reading/writing, and the term syntax that
-the query and rule parsers share with Turtle.
+both share with the query and rule parsers.
 
 The Turtle subset covers ``@prefix`` directives, prefixed names, the
 ``a`` keyword, ``;`` predicate lists, ``,`` object lists, typed and
 language-tagged literals, and bare integer/decimal shorthand.  No
 collections, blank-node property lists, or ``@base``.
 
-``TokenStream`` lexes Turtle, queries and rule files with one regex and
-builds their terms with one method, so an IRI, prefixed name or literal
-reads the same in all three; ``term_to_ttl`` writes terms back in that
-syntax.
+``TokenStream`` lexes N-Triples, Turtle, queries and rule files with one
+regex and builds their terms with one method, so an IRI, blank node or
+literal reads the same in all four; ``term_to_ttl`` writes terms back in
+Turtle's syntax.
 
 A term is its canonical N-Triples text (see ``rdf``), so ``write_ntriples``
-sorts and joins the lines of the terms as they are.  N-Triples has two
-readers over one per-parse cache from a term's text as written to the
-term; the two texts differ only where the written one has an escape the
-canonical form does not use or spells out ``^^xsd:string``.  A line in
-canonical form, ``<s> <p> <o> .``, is split at its first two spaces and
-its three texts looked up; a text seen for the first time must match the
-term grammar whole.  Every other line, and a canonical one whose texts
-do not all resolve, goes to the full line parser, which accepts any
-valid layout and is the only source of positioned errors.
+sorts and joins the lines of the terms as they are.  Reading, a line in
+canonical form, ``<s> <p> <o> .``, is split at its first two spaces; a
+text that matches ``rdf.CANONICAL_TERM`` is already its term, and a
+per-parse dict shares it among the triples that name it.  Every other
+line goes to the line parser, a ``TokenStream`` over that line whose
+terms are IRIs, blank nodes and literals; it accepts any valid layout
+and is the only source of positioned errors.
 
 Turtle has two readers too.  While the text keeps ``write_turtle``'s
 layout, each line is split at its first spaces and at ``", "``, and a text
@@ -38,8 +36,9 @@ import functools
 import re
 from typing import Optional
 
-from .rdf import (IRI, LANGTAG, BlankNode, Graph, Literal, PrefixMap, RdfError, Term,
-                  is_iri, iri_value, unescape_iri, unescape_string)
+from .rdf import (BLANK_LABEL, CANONICAL_TERM, IRI, LANGTAG, BlankNode, Graph, Literal,
+                  PrefixMap, RdfError, Term, is_iri, iri_value, unescape_iri,
+                  unescape_string)
 from . import vocab
 
 
@@ -57,142 +56,15 @@ class ParseError(PositionedError, RdfError):
 
 
 # ---------------------------------------------------------------------------
-# N-Triples
+# Term syntax shared by the N-Triples, Turtle, query and rule parsers
 
-# One term, or the terminating dot, after optional blanks: space and tab,
-# the only ones N-Triples allows.  ``term`` spans the term's own text.
-_NT_TERM_RE = re.compile(
-    r"""[ \t]*(?:
-        (?P<term>
-          (?P<iri><[^<>" \t\r\n]*>)
-        | (?P<blank>_:[A-Za-z0-9_][A-Za-z0-9_-]*)
-        | (?P<lit>"(?:[^"\\]|\\.)*")
-          (?:\^\^(?P<dt><[^<>" \t\r\n]*>)|@(?P<lang>%s))?)
-      | (?P<dot>\.)
-    )""" % LANGTAG,
-    re.X,
-)
-
-
-def _nt_term(m: re.Match) -> Term:
-    iri, blank, lit, dt, lang = m.group("iri", "blank", "lit", "dt", "lang")
-    if iri:
-        return IRI(unescape_iri(iri[1:-1]))
-    if blank:
-        return BlankNode(blank[2:])
-    lex = unescape_string(lit[1:-1])
-    if lang:
-        return Literal(lex, lang=lang)
-    if dt:
-        return Literal(lex, unescape_iri(dt[1:-1]))
-    return Literal(lex)
-
-
-def _nt_new_term(text: str, cache: dict) -> Optional[Term]:
-    """The term ``text`` spells, now stored in ``cache`` under it; None
-    unless ``text`` is exactly one valid term."""
-    m = _NT_TERM_RE.fullmatch(text)
-    # start("term") is -1 for the dot and above 0 after leading blanks
-    if m is None or m.start("term") != 0:
-        return None
-    try:
-        term = cache[text] = _nt_term(m)
-    except RdfError:
-        return None
-    return term
-
-
-def _nt_parse_line(line: str, lineno: int, graph: Graph, cache: dict) -> None:
-    """Parse one line of any valid layout, or raise a positioned error."""
-    pos = 0
-    terms = []
-    saw_dot = False
-    while pos < len(line):
-        m = _NT_TERM_RE.match(line, pos)
-        if not m:
-            rest = line[pos:].lstrip(" \t")
-            if not rest:
-                break
-            raise ParseError("malformed term %r" % rest.rstrip()[:20], lineno,
-                             len(line) - len(rest) + 1)
-        pos = m.end()
-        if m.group("dot"):
-            saw_dot = True
-            rest = line[pos:].lstrip(" \t")
-            if rest and not rest.startswith("#"):  # a comment may follow
-                raise ParseError("content after terminating dot", lineno, pos + 1)
-            break
-        key = m.group("term")
-        term = cache.get(key)
-        if term is None:
-            try:
-                term = cache[key] = _nt_term(m)
-            except RdfError as e:
-                raise ParseError(str(e), lineno, m.start("term") + 1) from None
-        terms.append(term)
-    if not terms and not saw_dot:
-        return
-    if len(terms) != 3 or not saw_dot:
-        # at the dot, or where the missing one belongs
-        raise ParseError("expected exactly 3 terms and a terminating dot", lineno,
-                         pos if saw_dot else pos + 1)
-    s, p, o = terms
-    try:
-        graph.add(s, p, o)
-    except RdfError as e:
-        raise ParseError(str(e), lineno, 1) from None
-
-
-def _nt_lines(text: str) -> list[str]:
-    """The lines of an N-Triples text; a line ends at LF, CR or CRLF."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
-
-def parse_ntriples(text: str) -> Graph:
-    graph = Graph()
-    add = graph.add
-    cache: dict = {}  # a term's exact text -> the term
-    get = cache.get
-    for lineno, line in enumerate(_nt_lines(text), start=1):
-        # A canonical line, "<s> <p> <o> .", whose three texts are each
-        # one term is added directly; any other line, valid or not, goes
-        # to the line parser, which alone raises errors.
-        parts = line.split(" ", 2)
-        if len(parts) == 3 and parts[2][-2:] == " .":
-            s = get(parts[0]) or _nt_new_term(parts[0], cache)
-            p = get(parts[1]) or _nt_new_term(parts[1], cache)
-            o = parts[2][:-2]
-            o = get(o) or _nt_new_term(o, cache)
-            if s and p and o:
-                try:
-                    add(s, p, o)
-                    continue
-                except RdfError:
-                    pass  # the line parser raises it at its position
-        stripped = line.strip(" \t")
-        if stripped and not stripped.startswith("#"):
-            _nt_parse_line(line, lineno, graph, cache)
-    return graph
-
-
-def write_ntriples(g: Graph) -> str:
-    """``g`` as canonical N-Triples: one line per triple, sorted."""
-    lines = ["%s %s %s .\n" % (s, p, o)
-             for s, pairs in g.stars() for p, objs in pairs for o in objs]
-    # no line is a prefix of another, so the newline leaves the order as is
-    lines.sort()
-    return "".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Term syntax shared by the Turtle, query and rule parsers
-
-# One lexer for all three: the IRIREF, PNAME, blank-node and literal
+# One lexer for all four: the IRIREF, PNAME, blank-node and literal
 # productions that Turtle and SPARQL share, plus the variables, words and
 # punctuation that queries and rules add.  Each grammar rejects the
-# tokens it has no place for.  Order matters only where two alternatives
-# can start alike (pname before word, iriref before punct's '<', @prefix
-# before lang, decimal before integer); otherwise the commonest Turtle
+# tokens it has no place for; Turtle reads the lang token "@prefix" at
+# the start of a statement as its directive.  Order matters only where
+# two alternatives can start alike (pname before word, iriref before
+# punct's '<', decimal before integer); otherwise the commonest Turtle
 # tokens come first, which is the fastest order measured.
 _TOKEN_RE = re.compile(
     r"""
@@ -202,14 +74,13 @@ _TOKEN_RE = re.compile(
     | (?P<punct>=>|&&|\|\||!=|<=|>=|[=<>!&{}().;,*])
     | (?P<string>"(?:[^"\\\r\n]|\\.)*")
     | (?P<dtsep>\^\^)
-    | (?P<prefix_kw>@prefix\b)
     | (?P<lang>@%s)
     | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
     | (?P<decimal>[+-]?[0-9]+\.[0-9]+)
     | (?P<integer>[+-]?[0-9]+)
-    | (?P<blank>_:[A-Za-z0-9_][A-Za-z0-9_-]*)
+    | (?P<blank>_:%s)
     | (?P<word>[A-Za-z][A-Za-z0-9_-]*)
-    """ % LANGTAG,
+    """ % (LANGTAG, BLANK_LABEL),
     re.X,
 )
 
@@ -281,6 +152,19 @@ class TokenStream:
         except RdfError as e:
             self.err(str(e), offset)
 
+    def triples(self, emit, ends: tuple) -> None:
+        """Read ``S P O , O ; P O`` and pass each triple to ``emit``.  A
+        trailing ``;`` is allowed before a token of ``ends``, which ends
+        the statement and is left unread."""
+        subject = self.term("subject")
+        while True:
+            predicate = self.term("predicate", verb=True)
+            emit(subject, predicate, self.term("object"))
+            while self.accept(","):
+                emit(subject, predicate, self.term("object"))
+            if not self.accept(";") or self.peek()[1] in ends:
+                return
+
     def term(self, what: str = "term", verb: bool = False):
         """The next term: an IRI, a prefixed name, a blank node, a number,
         a string with its ``^^`` datatype or ``@`` language, a variable
@@ -323,36 +207,113 @@ class TokenStream:
 
 
 # ---------------------------------------------------------------------------
+# N-Triples
+
+class _NTriplesLine(TokenStream):
+    """The tokens of one N-Triples line.  Its terms are IRIs, blank nodes
+    and literals, all written out in full, and its errors name the line
+    of the document."""
+
+    def __init__(self, line: str, lineno: int):
+        self.lineno = lineno
+        super().__init__(line, PrefixMap())
+
+    def err(self, message: str, offset: int):
+        raise self.error(message, self.lineno, offset + 1)
+
+    def term(self, what: str = "term", verb: bool = False):
+        kind, value, offset = self.peek()
+        if kind not in ("iriref", "blank", "string"):
+            self.err("expected %s, got %r" % (what, value or "end of input"), offset)
+        return super().term(what)
+
+
+def _nt_parse_line(line: str, lineno: int, graph: Graph) -> None:
+    """Parse one line of any valid layout, or raise a positioned error."""
+    ts = _NTriplesLine(line, lineno)
+    if ts.peek()[0] is None:
+        return  # a blank or comment line
+    s, p, o = ts.term("subject"), ts.term("predicate"), ts.term("object")
+    ts.expect_punct(".")
+    kind, value, offset = ts.peek()
+    if kind is not None:
+        ts.err("expected end of line, got %r" % value, offset)
+    try:
+        graph.add(s, p, o)
+    except RdfError as e:
+        ts.err(str(e), 0)
+
+
+def _nt_canonical(text: str, seen: dict) -> Optional[Term]:
+    """``text``, now in ``seen``, if it is a term's canonical text; else None."""
+    if CANONICAL_TERM.fullmatch(text):
+        seen[text] = text
+        return text
+    return None
+
+
+def _nt_lines(text: str) -> list[str]:
+    """The lines of an N-Triples text; a line ends at LF, CR or CRLF."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def parse_ntriples(text: str) -> Graph:
+    graph = Graph()
+    add = graph.add
+    seen: dict = {}  # each term's text, so that its triples share one string
+    get = seen.get
+    for lineno, line in enumerate(_nt_lines(text), start=1):
+        # A canonical line, "<s> <p> <o> .", whose three texts are each a
+        # term's canonical text is added as it is; any other line, valid
+        # or not, goes to the line parser, which alone raises errors.
+        parts = line.split(" ", 2)
+        if len(parts) == 3 and parts[2][-2:] == " .":
+            s = get(parts[0]) or _nt_canonical(parts[0], seen)
+            p = get(parts[1]) or _nt_canonical(parts[1], seen)
+            o = parts[2][:-2]
+            o = get(o) or _nt_canonical(o, seen)
+            if s and p and o:
+                try:
+                    add(s, p, o)
+                    continue
+                except RdfError:
+                    pass  # the line parser raises it at its position
+        _nt_parse_line(line, lineno, graph)
+    return graph
+
+
+def write_ntriples(g: Graph) -> str:
+    """``g`` as canonical N-Triples: one line per triple, sorted."""
+    lines = ["%s %s %s .\n" % (s, p, o)
+             for s, pairs in g.stars() for p, objs in pairs for o in objs]
+    # no line is a prefix of another, so the newline leaves the order as is
+    lines.sort()
+    return "".join(lines)
+
+
+# ---------------------------------------------------------------------------
 # Turtle subset
 
 class _TurtleParser(TokenStream):
     def parse(self, graph: Optional[Graph] = None) -> Graph:
         graph = Graph() if graph is None else graph
-        while self.peek()[0] is not None:
-            if self.peek()[0] == "prefix_kw":
+
+        def add(s, p, o):  # an invalid triple fails at its statement's start
+            try:
+                graph.add(s, p, o)
+            except RdfError as e:
+                self.err(str(e), start)
+
+        while True:
+            kind, value, start = self.peek()
+            if kind is None:
+                return graph
+            if kind == "lang" and value == "@prefix":
                 self.pos += 1
                 self.prefix()
             else:
-                self._triples(graph)
+                self.triples(add, (".",))
             self.expect_punct(".")
-        return graph
-
-    def _triples(self, graph: Graph):
-        start = self.peek()[2]
-        subject = self.term("subject")
-        while True:
-            predicate = self.term("predicate", verb=True)
-            while True:
-                obj = self.term("object")
-                try:
-                    graph.add(subject, predicate, obj)
-                except RdfError as e:
-                    self.err(str(e), start)
-                if not self.accept(","):
-                    break
-            # a trailing ';' before the '.' is allowed
-            if not self.accept(";") or self.peek()[:2] == ("punct", "."):
-                break
 
 
 def _ttl_new_term(text: str, prefixes: PrefixMap, cache: dict,

@@ -79,6 +79,27 @@ class TestLoadBundle:
         with pytest.raises(BundleError, match="duplicate participant_id"):
             load_bundle(tmp_path)
 
+    def test_duplicate_test_item_key_names_file_and_row(self, tmp_path):
+        item = "handgrip,Handgrip,grip strength,kg,\n"
+        write_bundle(tmp_path, {"test_items.csv":
+                                "key,label,disposition_label,unit,datatype\n"
+                                + item + item})
+        with pytest.raises(BundleError,
+                           match=r"test_items\.csv row 3: duplicate test item key 'handgrip'"):
+            load_bundle(tmp_path)
+
+    def test_duplicate_result_names_file_and_row(self, tmp_path):
+        # the same participant, item, session date and trial, another value
+        write_bundle(tmp_path, {"results.csv":
+                                "participant_id,test_item,value,session_date,trial\n"
+                                "p001,handgrip,32.5,2018-06-12,1\n"
+                                "p001,handgrip,30.0,2018-06-12,2\n"
+                                "p001,handgrip,31.0,2018-06-12,1\n"})
+        with pytest.raises(BundleError,
+                           match=r"results\.csv row 4: duplicate result for "
+                                 r"\('p001', 'handgrip', '2018-06-12', '1'\)"):
+            load_bundle(tmp_path)
+
     def test_year_order_enforced(self, tmp_path):
         write_bundle(tmp_path, {"study.csv":
                                 "id,title,year_start,year_end,doi\nst01,Pilot,2020,2018,\n"})

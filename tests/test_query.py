@@ -107,6 +107,39 @@ class TestParser:
             parse_query("PREFIX ex: <http://example.org/>\n" + text)
         assert (e.value.line, e.value.column) == (2, text.index(var) + 1)
 
+    # a sort key must be a result column, a projected variable or an
+    # aggregate's alias; each fails at its sort variable
+    @pytest.mark.parametrize("text", [
+        "SELECT ?p WHERE { ?p more:hasAge ?v . } ORDER BY ?v",
+        "SELECT ?p WHERE { ?p more:hasAge ?v . } ORDER BY DESC(?v)",
+        "SELECT ?p WHERE { ?p more:hasAge ?age . } ORDER BY ASC(?p) ?v",
+        "SELECT ?p (COUNT(?a) AS ?n) WHERE { ?p more:hasAge ?a . } GROUP BY ?p "
+        "ORDER BY DESC(?n) ?v",
+    ])
+    def test_sort_key_not_a_result_column(self, text):
+        with pytest.raises(QuerySyntaxError, match="not a result column") as e:
+            parse_query("PREFIX more: <https://w3id.org/more#>\n" + text)
+        assert (e.value.line, e.value.column) == (2, text.rindex("?v") + 1)
+
+    def test_sort_keys_on_result_columns(self):
+        q = parse_query("PREFIX more: <https://w3id.org/more#>\n"
+                        "SELECT ?p (COUNT(?a) AS ?n) WHERE { ?p more:hasAge ?a . } "
+                        "GROUP BY ?p ORDER BY DESC(?n) ?p")
+        assert q.order_by == [("n", "desc"), ("p", "asc")]
+
+    # each solution modifier may be given once; a repeat fails at itself
+    @pytest.mark.parametrize("modifiers,clause", [
+        ("LIMIT 1 LIMIT 2", "LIMIT"),
+        ("OFFSET 1 LIMIT 5 OFFSET 2", "OFFSET"),
+        ("GROUP BY ?p GROUP BY ?p", "GROUP"),
+        ("ORDER BY ?p LIMIT 1 ORDER BY DESC(?p)", "ORDER"),
+    ])
+    def test_repeated_modifier(self, modifiers, clause):
+        text = "SELECT ?p WHERE { ?p ?q ?o . } " + modifiers
+        with pytest.raises(QuerySyntaxError, match="given twice") as e:
+            parse_query(text)
+        assert (e.value.line, e.value.column) == (1, text.rindex(clause) + 1)
+
 
 class TestFormatDecimal:
     @pytest.mark.parametrize("frac,places,expected", [

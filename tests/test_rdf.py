@@ -45,6 +45,12 @@ class TestTerms:
         with pytest.raises(RdfError, match="language tag"):
             Literal("hallo", lang=tag)
 
+    # a label the readers cannot lex would write N-Triples they reject
+    @pytest.mark.parametrize("label", ["", "a.b", "a b", "-a", "\u00e9"])
+    def test_blank_node_rejects_label_outside_the_grammar(self, label):
+        with pytest.raises(RdfError, match="blank node label"):
+            BlankNode(label)
+
     def test_iri_rejects_whitespace_and_empty(self):
         with pytest.raises(RdfError):
             IRI("http://example.org/a b")

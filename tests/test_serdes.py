@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morekg import vocab
-from morekg.query import QuerySyntaxError, parse_query
-from morekg.rdf import (BlankNode, Graph, IRI, Literal, PrefixMap, iri_value,
-                        literal_parts)
+from morekg.query import QuerySyntaxError, evaluate, parse_query
+from morekg.rdf import (CANONICAL_TERM, BlankNode, Graph, IRI, Literal, PrefixMap,
+                        iri_value, literal_parts)
 from morekg.rules import RuleSyntaxError, parse_rules
 from morekg.serdes import (ParseError, _nt_lines, _nt_parse_line,
                            _ttl_read_canonical, _TurtleParser, parse_ntriples,
@@ -50,29 +50,31 @@ class TestNTriples:
         with pytest.raises(ParseError):
             parse_ntriples("<http://a> <http://b> <http://c>")
 
-    # A term that does not lex fails at its first character, past any
-    # blanks, and a missing dot at the end of the line, where Turtle
-    # reports it too; a canonical line whose terms cannot form a triple
-    # fails at its start.
-    @pytest.mark.parametrize("text,message,column", [
-        ('<http://e/s> <http://e/p> <http://e/o o> .', "malformed term", 27),
-        ('<http://e/s> <http://e/p>   "abc .', "malformed term", 29),
-        ('<http://e/s> <http://e/p> <http://e/o>',
-         "expected exactly 3 terms and a terminating dot", 39),
-        ('"s" <http://e/p> <http://e/o> .', "triple subject may not be a literal", 1),
-        ('<http://e/s> _:p <http://e/o> .', "triple predicate must be an IRI", 1),
+    # N-Triples and Turtle read a line with one lexer and one term builder,
+    # so each fault is reported alike: a character that does not lex at
+    # that character, a missing dot at the end of the line, and a triple
+    # its terms cannot form at the line's start.
+    @pytest.mark.parametrize("text,column", [
+        ('<http://e/s> <http://e/p> <http://e/o o> .', 33),
+        ('<http://e/s> <http://e/p>   "abc .', 29),
+        ('<http://e/s> <http://e/p> <http://e/o>', 39),
+        ('"s" <http://e/p> <http://e/o> .', 1),
+        ('<http://e/s> _:p <http://e/o> .', 1),
         # blanks are space and tab only: U+00A0, U+2003 and U+000C are not
-        ('<http://e/s>\u00a0<http://e/p> <http://e/o> .', "malformed term", 13),
-        ('<http://e/s> <http://e/p>\u2003<http://e/o> .', "malformed term", 26),
-        ('<http://e/s> <http://e/p> <http://e/o>\x0c.', "malformed term", 39),
-        ('\u00a0<http://e/s> <http://e/p> <http://e/o> .', "malformed term", 1),
-        ('<http://e/s> <http://e/p> <http://e/o> .\u2003', "content after terminating dot", 41),
+        ('<http://e/s>\u00a0<http://e/p> <http://e/o> .', 13),
+        ('<http://e/s> <http://e/p>\u2003<http://e/o> .', 26),
+        ('<http://e/s> <http://e/p> <http://e/o>\x0c.', 39),
+        ('\u00a0<http://e/s> <http://e/p> <http://e/o> .', 1),
+        ('<http://e/s> <http://e/p> <http://e/o> .\u2003', 41),
     ])
-    def test_error_position(self, text, message, column):
-        with pytest.raises(ParseError) as e:
-            parse_ntriples(text)
-        assert str(e.value).startswith(message)
-        assert (e.value.line, e.value.column) == (1, column)
+    def test_error_position(self, text, column):
+        errors = []
+        for parse in (parse_ntriples, parse_turtle):
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            errors.append((str(e.value), e.value.line, e.value.column))
+        assert errors[0] == errors[1]
+        assert errors[0][1:] == (1, column)
 
     def test_escapes_round_trip(self):
         lit = Literal('he said "hi"\n\tand left\\')
@@ -159,11 +161,19 @@ class TestTurtle:
             '"x"^^ex:custom .')
         assert len(g) == 3
 
-    @pytest.mark.parametrize("tag", ["en", "de-CH", "en-GB-oxendict", "zh-Hant-1996", "X"])
+    # the last three are spelled like Turtle's directives, and read as
+    # tags also where a Turtle statement could start with a directive
+    @pytest.mark.parametrize("tag", ["en", "de-CH", "en-GB-oxendict", "zh-Hant-1996", "X",
+                                     "prefix", "prefix-x", "base"])
     def test_lang_tags_round_trip(self, tag):
-        g = Graph([(IRI(EX + "s"), IRI(EX + "p"), Literal("hi", lang=tag))])
+        s, p, o = IRI(EX + "s"), IRI(EX + "p"), Literal("hi", lang=tag)
+        g = Graph([(s, p, o)])
         assert parse_ntriples(write_ntriples(g)) == g
         assert parse_turtle(write_turtle(g)) == g
+        assert _TurtleParser(write_turtle(g)).parse() == g
+        assert parse_ntriples("%s\t%s\t%s\t.\r\n" % (s, p, o)) == g
+        q = parse_query('SELECT ?s WHERE { ?s ?p ?o . FILTER(?o = "hi"@%s) }' % tag)
+        assert evaluate(g, q).rows == [(s,)]
 
     def test_unknown_prefix_error(self):
         with pytest.raises(ParseError) as e:
@@ -394,12 +404,12 @@ def _outcome(parse, text):
 
 
 def _parse_lines_alone(text):
-    """``text`` through the line parser alone, with no term cache."""
+    """``text`` through the line parser alone."""
     graph = Graph()
     for lineno, line in enumerate(_nt_lines(text), start=1):
         stripped = line.strip(" \t")
         if stripped and not stripped.startswith("#"):
-            _nt_parse_line(line, lineno, graph, {})
+            _nt_parse_line(line, lineno, graph)
     return graph
 
 
@@ -419,6 +429,26 @@ def test_ntriples_line_ends_count_lines(eol):
 def test_canonical_fast_path_equals_line_parser(data):
     text = data.draw(mutated(NT_LAYOUTS, NT_FUZZ_PIECES))
     assert _outcome(parse_ntriples, text) == _outcome(_parse_lines_alone, text)
+
+
+@settings(max_examples=100)
+@given(graphs())
+def test_every_term_is_canonical(g):
+    for t in g:
+        assert all(CANONICAL_TERM.fullmatch(term) for term in t)
+
+
+# Valid spellings that are not a term's canonical text: the fast path
+# passes them to the line parser, which reads each to its term.
+@pytest.mark.parametrize("text,term", [
+    ('"a\\u0041"', Literal("aA")),
+    ('"x"^^<http://www.w3.org/2001/XMLSchema#string>', Literal("x")),
+    ('"a\tb"', Literal("a\tb")),
+])
+def test_non_canonical_spelling_reads_to_its_term(text, term):
+    assert not CANONICAL_TERM.fullmatch(text)
+    g = parse_ntriples("<http://e/s> <http://e/p> %s .\n" % text)
+    assert list(g) == [(IRI("http://e/s"), IRI("http://e/p"), term)]
 
 
 # Statements in write_turtle's layout whose literals hold " ;", " ." and
