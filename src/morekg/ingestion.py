@@ -30,6 +30,7 @@ from .bundle import (
     ValidationReport,
 )
 from .ontology import OntologySchema
+from .query import NUMERIC_LEXICAL
 from .rdf import Graph, IRI, Literal, Term, iri_value
 
 
@@ -132,18 +133,22 @@ def load_bundle(dir_path, config: Optional[IngestConfig] = None) -> StudyBundle:
 
     ipath = base / config.items_file
     items = []
-    seen_keys: set[str] = set()
+    datatypes: dict[str, str] = {}  # test item key -> its datatype
     for i, row in enumerate(_read_rows(ipath, "test_items"), start=2):
         key = _req(row, "key", ipath, i)
-        if key in seen_keys:
+        if key in datatypes:
             raise BundleError("%s row %d: duplicate test item key %r" % (ipath, i, key))
-        seen_keys.add(key)
+        datatype = _opt(row, "datatype") or iri_value(vocab.XSD_DECIMAL)
+        if datatype not in NUMERIC_LEXICAL:  # the datatypes a query reads as numbers
+            raise BundleError("%s row %d: datatype %r is not a numeric XSD datatype IRI"
+                              % (ipath, i, datatype))
+        datatypes[key] = datatype
         items.append(TestItemDef(
             key=key,
             label=_req(row, "label", ipath, i),
             disposition_label=_req(row, "disposition_label", ipath, i),
             unit=_req(row, "unit", ipath, i),
-            datatype=_opt(row, "datatype") or iri_value(vocab.XSD_DECIMAL),
+            datatype=datatype,
         ))
 
     rpath = base / config.results_file
@@ -154,12 +159,17 @@ def load_bundle(dir_path, config: Optional[IngestConfig] = None) -> StudyBundle:
         if pid not in seen_pids:
             raise BundleError("%s row %d: unknown participant %r" % (rpath, i, pid))
         item = _req(row, "test_item", rpath, i)
-        if item not in seen_keys:
+        datatype = datatypes.get(item)
+        if datatype is None:
             raise BundleError("%s row %d: unknown test item %r" % (rpath, i, item))
+        value = _req(row, "value", rpath, i)
+        if not NUMERIC_LEXICAL[datatype].fullmatch(value):
+            raise BundleError("%s row %d: non-numeric value %r: not a lexical form of %s"
+                              % (rpath, i, value, datatype))
         record = ResultRecord(
             participant_id=pid,
             item=item,
-            value=_decimal(_req(row, "value", rpath, i), "value", rpath, i),
+            value=value,
             session_date=_opt(row, "session_date"),
             trial=_opt(row, "trial"),
         )

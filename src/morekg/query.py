@@ -62,7 +62,7 @@ class QuerySyntaxError(PositionedError, QueryError):
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _DECIMAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
 _DOUBLE_RE = re.compile(_DECIMAL + r"(?:[eE][+-]?[0-9]+)?")
-_NUMERIC_LEXICAL = {
+NUMERIC_LEXICAL = {
     vocab.XSD + "integer": _INTEGER_RE,
     vocab.XSD + "long": _INTEGER_RE,
     vocab.XSD + "int": _INTEGER_RE,
@@ -78,13 +78,15 @@ _XSD_INTEGER = iri_value(vocab.XSD_INTEGER)
 _XSD_DECIMAL = iri_value(vocab.XSD_DECIMAL)
 
 _OPERATORS = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
-# The solution modifiers by their first keyword; each may be given once.
-_MODIFIERS = {"GROUP": "GROUP BY", "ORDER": "ORDER BY", "LIMIT": "LIMIT",
-              "OFFSET": "OFFSET"}
+# The solution modifiers by their first keyword, with their place in the
+# order SPARQL 1.1 requires (LIMIT and OFFSET in either order); each may be
+# given once.
+_MODIFIERS = {"GROUP": ("GROUP BY", 0), "ORDER": ("ORDER BY", 1),
+              "LIMIT": ("LIMIT", 2), "OFFSET": ("OFFSET", 2)}
 
 
 def _number(lexical: str, datatype: str) -> Optional[Fraction]:
-    form = _NUMERIC_LEXICAL.get(datatype)
+    form = NUMERIC_LEXICAL.get(datatype)
     if form is None or not form.fullmatch(lexical):
         return None
     if form is not _DOUBLE_RE:
@@ -223,17 +225,22 @@ class _QueryParser(TokenStream):
         group_by: list[str] = []
         order_by: list[tuple[str, str]] = []
         bounds: dict[str, int] = {}  # LIMIT and OFFSET
-        seen: set[str] = set()
+        seen: list[str] = []  # the modifiers so far, in order
+        place = 0
         while True:
             tok = self.peek()
             if tok[0] is None:
                 break
-            clause = _MODIFIERS.get(tok[1].upper()) if tok[0] == "word" else None
-            if clause is None:
+            modifier = _MODIFIERS.get(tok[1].upper()) if tok[0] == "word" else None
+            if modifier is None:
                 self.err("unexpected token %r" % tok[1], tok[2])
+            clause, at = modifier
             if clause in seen:
                 self.err("%s given twice" % clause, tok[2])
-            seen.add(clause)
+            if at < place:
+                self.err("%s must come before %s" % (clause, seen[-1]), tok[2])
+            seen.append(clause)
+            place = at
             self.next()
             if clause == "GROUP BY":
                 self._expect_kw("BY")

@@ -22,9 +22,10 @@ and is the only source of positioned errors.
 
 Turtle has two readers too.  While the text keeps ``write_turtle``'s
 layout, each line is split at its first spaces and at ``", "``, and a text
-not yet cached in this parse must be exactly one ``TokenStream.term``.
-From the first statement that will not split, the token parser reads on
-to the end; it alone raises positioned errors.
+not yet cached in this parse must be one that the writer writes: a term's
+canonical text, or a CURIE by the one ``PN_PREFIX``/``PN_LOCAL`` rule that
+the lexer also reads.  From the first statement that will not split, the
+token parser reads on to the end; it alone raises positioned errors.
 
 Canonical output is byte-deterministic: a pure function of the triple
 set, independent of insertion order.
@@ -58,6 +59,13 @@ class ParseError(PositionedError, RdfError):
 # ---------------------------------------------------------------------------
 # Term syntax shared by the N-Triples, Turtle, query and rule parsers
 
+# The one rule for a prefixed name's parts: the ASCII part of Turtle's
+# PN_PREFIX and PN_LOCAL, without dots.  ``write_turtle`` writes a CURIE,
+# and the line reader reads one, only if ``_CURIE_RE`` matches it whole.
+PN_PREFIX = r"[A-Za-z][A-Za-z0-9_-]*"
+PN_LOCAL = r"[A-Za-z0-9_][A-Za-z0-9_-]*"
+_CURIE_RE = re.compile(r"%s:(?:%s)?" % (PN_PREFIX, PN_LOCAL))
+
 # One lexer for all four: the IRIREF, PNAME, blank-node and literal
 # productions that Turtle and SPARQL share, plus the variables, words and
 # punctuation that queries and rules add.  Each grammar rejects the
@@ -69,7 +77,7 @@ class ParseError(PositionedError, RdfError):
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>[ \t\r\n]+|\#[^\n]*)
-    | (?P<pname>(?:[A-Za-z][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_-]*)?)
+    | (?P<pname>(?:%s)?:(?:%s)?)
     | (?P<iriref><[^<>" \t\r\n]*>)
     | (?P<punct>=>|&&|\|\||!=|<=|>=|[=<>!&{}().;,*])
     | (?P<string>"(?:[^"\\\r\n]|\\.)*")
@@ -80,7 +88,7 @@ _TOKEN_RE = re.compile(
     | (?P<integer>[+-]?[0-9]+)
     | (?P<blank>_:%s)
     | (?P<word>[A-Za-z][A-Za-z0-9_-]*)
-    """ % (LANGTAG, BLANK_LABEL),
+    """ % (PN_PREFIX, PN_LOCAL, LANGTAG, BLANK_LABEL),
     re.X,
 )
 
@@ -316,25 +324,21 @@ class _TurtleParser(TokenStream):
             self.expect_punct(".")
 
 
-def _ttl_new_term(text: str, prefixes: PrefixMap, cache: dict,
-                  verb: bool = False) -> Term:
-    """The term ``text`` spells, now stored in ``cache`` under it; raises
-    ``RdfError`` unless ``text`` is exactly one valid term."""
-    ts = TokenStream(text, prefixes)
-    term = ts.term(verb=verb)
-    # the tokens fill the text unless a blank or comment was skipped
-    if ts.peek()[0] is not None or "".join(tok[1] for tok in ts.tokens) != text:
-        raise RdfError("not exactly one term: %r" % text)
-    cache[text] = term
-    return term
-
-
 def _ttl_read_canonical(text: str, graph: Graph, prefixes: PrefixMap) -> int:
     """Add the statements of ``text`` to ``graph`` while they keep
-    ``write_turtle``'s layout: ``@prefix`` lines, which the token parser
-    reads, then per subject ``S P O, O ;`` and ``    P O .`` lines.  Returns
-    the offset of the first statement that does not, or the text's length."""
-    nouns, verbs = {}, {}  # exact text -> term; a verb ``a`` is rdf:type
+    ``write_turtle``'s layout and texts: ``@prefix`` lines, which the token
+    parser reads, then per subject ``S P O, O ;`` and ``    P O .`` lines.
+    Returns the offset of the first statement that does not, or len(text)."""
+    nouns, verbs = {}, {"a": vocab.RDF_TYPE}  # text -> term; ``a`` is a verb only
+
+    def term(text: str, seen: dict) -> Term:
+        """``text``'s term, now in ``seen``, if it is canonical or a CURIE."""
+        if _nt_canonical(text, seen) is None:
+            if not _CURIE_RE.fullmatch(text):
+                raise RdfError("not a term as write_turtle writes one: %r" % text)
+            seen[text] = prefixes.expand(text)
+        return seen[text]
+
     get, vget, add = nouns.get, verbs.get, graph.add
     header, subject, end = True, None, -1  # subject: set within a statement
     for line in text.split("\n"):
@@ -349,17 +353,17 @@ def _ttl_read_canonical(text: str, graph: Graph, prefixes: PrefixMap) -> int:
                     continue
                 header = False  # from here on, terms are cached
                 s, _, line = line.partition(" ")
-                subject = get(s) or _ttl_new_term(s, prefixes, nouns)
+                subject = get(s) or term(s, nouns)
             elif line[:4] == "    ":
                 line = line[4:]
             else:
                 return start
             p, _, line = line.partition(" ")
-            predicate = vget(p) or _ttl_new_term(p, prefixes, verbs, verb=True)
+            predicate = vget(p) or term(p, verbs)
             if line[-2:] not in (" ;", " ."):
                 return start
             for o in line[:-2].split(", "):
-                add(subject, predicate, get(o) or _ttl_new_term(o, prefixes, nouns))
+                add(subject, predicate, get(o) or term(o, nouns))
         except RdfError:
             return start
         if line[-1] == ".":
@@ -373,18 +377,12 @@ def parse_turtle(text: str) -> Graph:
     return _TurtleParser(text, prefixes, start).parse(graph)
 
 
-_SAFE_LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*\Z")
-_SAFE_PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
-
-
 def term_to_ttl(term: Term, pm: PrefixMap) -> str:
     """A term as Turtle, query and rule text spell it: an IRI as a CURIE
     where that lexes back to the same IRI, anything else as N-Triples."""
     if is_iri(term):
         curie = pm.compact(term)
-        prefix, _, local = curie.partition(":")
-        if (_SAFE_PREFIX_RE.match(prefix)
-                and (local == "" or _SAFE_LOCAL_RE.match(local))):
+        if _CURIE_RE.fullmatch(curie):
             return curie
     return term
 

@@ -71,6 +71,29 @@ class TestLoadBundle:
         with pytest.raises(BundleError, match="non-numeric"):
             load_bundle(tmp_path)
 
+    # an item's datatype must be one that a query reads as a number, and a
+    # value must be a lexical form of its item's datatype
+    def test_datatype_a_query_cannot_read_names_file_and_row(self, tmp_path):
+        write_bundle(tmp_path, {"test_items.csv":
+                                "key,label,disposition_label,unit,datatype\n"
+                                "handgrip,Handgrip,grip strength,kg,decimal\n"})
+        with pytest.raises(BundleError,
+                           match=r"test_items\.csv row 2: datatype 'decimal' is not"):
+            load_bundle(tmp_path)
+
+    def test_value_outside_its_datatype_names_file_and_row(self, tmp_path):
+        write_bundle(tmp_path, {
+            "test_items.csv": ("key,label,disposition_label,unit,datatype\n"
+                               "handgrip,Handgrip,grip strength,kg,"
+                               "http://www.w3.org/2001/XMLSchema#integer\n"),
+            "results.csv": ("participant_id,test_item,value,session_date,trial\n"
+                            "p001,handgrip,28,2018-06-12,1\n"
+                            "p001,handgrip,28.8,2018-06-12,2\n")})
+        with pytest.raises(BundleError,
+                           match=r"results\.csv row 3: non-numeric value '28\.8': "
+                                 r"not a lexical form of .*#integer"):
+            load_bundle(tmp_path)
+
     def test_duplicate_participant(self, tmp_path):
         write_bundle(tmp_path, {"participants.csv":
                                 "participant_id,age,sex,height_cm,weight_kg,bmi\n"

@@ -140,6 +140,24 @@ class TestParser:
             parse_query(text)
         assert (e.value.line, e.value.column) == (1, text.rindex(clause) + 1)
 
+    # GROUP BY, then ORDER BY, then LIMIT and OFFSET in either order; a
+    # modifier out of place fails at itself
+    @pytest.mark.parametrize("modifiers,clause,before", [
+        ("LIMIT 1 ORDER BY ?p", "ORDER", "LIMIT"),
+        ("ORDER BY ?p GROUP BY ?p", "GROUP", "ORDER BY"),
+        ("GROUP BY ?p OFFSET 1 LIMIT 2 ORDER BY ?p", "ORDER", "LIMIT"),
+    ])
+    def test_modifier_out_of_order(self, modifiers, clause, before):
+        text = "SELECT ?p WHERE { ?p ?q ?o . } " + modifiers
+        with pytest.raises(QuerySyntaxError, match=r"must come before %s \(" % before) as e:
+            parse_query(text)
+        assert (e.value.line, e.value.column) == (1, text.rindex(clause) + 1)
+
+    @pytest.mark.parametrize("bounds", ["OFFSET 1 LIMIT 2", "LIMIT 2 OFFSET 1"])
+    def test_limit_and_offset_in_either_order(self, bounds):
+        q = parse_query("SELECT ?p WHERE { ?p ?q ?o . } GROUP BY ?p ORDER BY ?p " + bounds)
+        assert (q.group_by, q.order_by, q.limit, q.offset) == (["p"], [("p", "asc")], 2, 1)
+
 
 class TestFormatDecimal:
     @pytest.mark.parametrize("frac,places,expected", [

@@ -500,16 +500,31 @@ def _canonical_turtle(last):
 
 
 # Last statements that the line reader hands to the token parser: a literal
-# holding ", ", and a later @prefix that rebinds a prefix whose names the
-# reader has already read.
+# holding ", ", a later @prefix that rebinds a prefix whose names the
+# reader has already read, and terms that write_turtle never writes so: a
+# pname datatype, a bare integer and an escaped IRI.
 @pytest.mark.parametrize("last", [
     'ex:t ex:label "x" ;\n    ex:label "grip strength, right hand", "y" .',
     '@prefix ex: <http://e/> .\nex:s ex:next _:b1 .',
+    'ex:t ex:value "31.5"^^ex:dt .',
+    'ex:t ex:value 7 .',
+    'ex:t ex:next <http://e/\\u0041> .',
 ])
 def test_token_parser_resumes_at_the_statement_it_cannot_split(last):
     head, text = _canonical_turtle(last)
     assert _ttl_read_canonical(text, Graph(), PrefixMap.default()) == len(head)
     assert parse_turtle(text) == _TurtleParser(text).parse()
+
+
+# The line reader reads all of what write_turtle writes, except a literal
+# holding ", ", to the graph that was written.
+@settings(max_examples=200, deadline=None)
+@given(graphs().filter(lambda g: not any(", " in o for _, _, o in g)))
+def test_line_reader_reads_what_write_turtle_writes(g):
+    g.add(IRI(EX + "s"), vocab.RDF_TYPE, IRI(EX + "T"))  # written with ``a``
+    text, read = write_turtle(g), Graph()
+    assert _ttl_read_canonical(text, read, PrefixMap.default()) == len(text)
+    assert read == g
 
 
 # An invalid term on the last line, and ``a`` read as a predicate and then
