@@ -1,4 +1,4 @@
-"""Tabular study-bundle data model and ingest configuration."""
+"""Tabular study-bundle data model and the bundle layout."""
 
 from __future__ import annotations
 
@@ -11,8 +11,17 @@ from .rdf import iri_value
 
 
 class BundleError(Exception):
-    """Raised for structurally invalid bundles or configs."""
+    """Raised for structurally invalid bundles."""
 
+
+# The bundle layout: table ``t`` is the file ``<t>.csv`` in the bundle
+# directory, with exactly the columns ``TABLES[t]``, in this order.
+TABLES = {
+    "study": ["id", "title", "year_start", "year_end", "doi"],
+    "participants": ["participant_id", "age", "sex", "height_cm", "weight_kg", "bmi"],
+    "test_items": ["key", "label", "disposition_label", "unit", "datatype"],
+    "results": ["participant_id", "test_item", "value", "session_date", "trial"],
+}
 
 _STUDY_ID_RE = re.compile(r"[a-z0-9_-]+\Z")
 
@@ -79,23 +88,6 @@ class StudyBundle:
     participants: list[ParticipantRecord]
     items: list[TestItemDef]
     results: list[ResultRecord]
-
-
-@dataclass
-class IngestConfig:
-    study_file: str = "study.csv"
-    participants_file: str = "participants.csv"
-    items_file: str = "test_items.csv"
-    results_file: str = "results.csv"
-    alias_table: Optional[str] = None
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IngestConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise BundleError("unknown ingest config keys: %s" % ", ".join(sorted(unknown)))
-        return cls(**data)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from pathlib import Path
 import yaml
 
 from . import fixtures, serdes, vocab
-from .bundle import BundleError, IngestConfig
+from .bundle import BundleError
 from .cq import run_cases
 from .ingestion import emit_kg, load_bundle, validate_bundle
 from .ontology import SubclassCycleError, apply_aliases, build_schema
@@ -27,16 +27,6 @@ from .rdf import RdfError
 
 DOMAIN_ERRORS = (BundleError, PolicyError, QueryError, RuleError, RdfError,
                  SubclassCycleError, OSError, ValueError)
-
-
-def _load_config(path) -> IngestConfig:
-    if not path:
-        return IngestConfig()
-    with open(path, encoding="utf-8") as f:
-        data = yaml.safe_load(f) or {}
-    if not isinstance(data, dict):
-        raise BundleError("ingest config %s: expected a mapping" % path)
-    return IngestConfig.from_dict(data)
 
 
 def _load_aliases(path) -> dict:
@@ -57,8 +47,7 @@ def _resolve_policy(path):
 
 
 def cmd_build(args) -> int:
-    config = _load_config(args.config)
-    bundle = load_bundle(args.bundle_dir, config)
+    bundle = load_bundle(args.bundle_dir)
     report = validate_bundle(bundle)
     for issue in report.issues:
         print("%s: %s: %s" % (issue.severity, issue.location, issue.message),
@@ -68,7 +57,7 @@ def cmd_build(args) -> int:
     graph.update(schema.graph)
     if args.materialize:
         graph = materialize(graph, builtin_ruleset())
-    aliases = _load_aliases(args.aliases or config.alias_table)
+    aliases = _load_aliases(args.aliases)
     if aliases:
         graph = apply_aliases(graph, aliases)
     serdes.write_file(graph, args.output)
@@ -77,7 +66,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    bundle = load_bundle(args.bundle_dir, _load_config(args.config))
+    bundle = load_bundle(args.bundle_dir)
     report = validate_bundle(bundle)
     for issue in report.issues:
         print("%s: %s: %s" % (issue.severity, issue.location, issue.message))
@@ -142,7 +131,7 @@ def cmd_audit(args) -> int:
 
 def cmd_schema(args) -> int:
     if args.bundle_dir:
-        items = load_bundle(args.bundle_dir, _load_config(args.config)).items
+        items = load_bundle(args.bundle_dir).items
     else:
         items = fixtures.BUILTIN_ITEMS
     schema = build_schema(items)
@@ -181,13 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--materialize", action="store_true",
                    help="apply builtin rules before writing")
-    p.add_argument("--config", help="ingest config (YAML)")
     p.add_argument("--aliases", help="IRI alias table (YAML)")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("validate", help="load and check a bundle directory")
     p.add_argument("bundle_dir")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("materialize", help="forward-chain rules on a KG file")
@@ -233,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("export",))
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--bundle-dir", help="derive item registry from a bundle")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_schema)
 
     p = sub.add_parser("rules", help="rule set operations (export)")

@@ -10,7 +10,7 @@ import csv
 import random
 from pathlib import Path
 
-from .bundle import TestItemDef
+from .bundle import TABLES, TestItemDef
 from . import vocab
 from .rdf import iri_value
 
@@ -50,19 +50,17 @@ def generate_fixture(out_dir, seed: int = 42, participants: int = 30,
     out.mkdir(parents=True, exist_ok=True)
     chosen = BUILTIN_ITEMS[:items]
 
-    def write(name, header, rows):
-        with open(out / name, "w", newline="", encoding="utf-8") as f:
+    def write(table, rows):
+        with open(out / (table + ".csv"), "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f, lineterminator="\n")
-            w.writerow(header)
+            w.writerow(TABLES[table])
             w.writerows(rows)
 
-    write("study.csv", ["id", "title", "year_start", "year_end", "doi"],
-          [[study_id, title, year_start, year_end,
-            "10.5445/synthetic/%s" % study_id]])
+    write("study", [[study_id, title, year_start, year_end,
+                      "10.5445/synthetic/%s" % study_id]])
 
-    write("test_items.csv", ["key", "label", "disposition_label", "unit", "datatype"],
-          [[i.key, i.label, i.disposition_label, i.unit, i.datatype]
-           for i in chosen])
+    write("test_items", [[i.key, i.label, i.disposition_label, i.unit, i.datatype]
+                         for i in chosen])
 
     participant_rows = []
     pids = []
@@ -77,9 +75,7 @@ def generate_fixture(out_dir, seed: int = 42, participants: int = 30,
         bmi = round(weight / (height / 100.0) ** 2, 1)
         participant_rows.append([pid, age, sex, "%.1f" % height,
                                  "%.1f" % weight, "%.1f" % bmi])
-    write("participants.csv",
-          ["participant_id", "age", "sex", "height_cm", "weight_kg", "bmi"],
-          participant_rows)
+    write("participants", participant_rows)
 
     result_rows = []
     for pid in pids:
@@ -89,7 +85,5 @@ def generate_fixture(out_dir, seed: int = 42, participants: int = 30,
             year = rng.choice(range(year_start, year_end + 1))
             session = "%d-06-%02d" % (year, rng.randint(1, 28))
             result_rows.append([pid, item.key, "%.1f" % value, session, ""])
-    write("results.csv",
-          ["participant_id", "test_item", "value", "session_date", "trial"],
-          result_rows)
+    write("results", result_rows)
     return out

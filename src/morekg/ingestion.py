@@ -14,18 +14,17 @@ from __future__ import annotations
 
 import csv
 import re
-import urllib.parse
 from pathlib import Path
 from typing import Optional
 
 from . import vocab
 from .bundle import (
     BundleError,
-    IngestConfig,
     ParticipantRecord,
     ResultRecord,
     StudyBundle,
     StudyMetadata,
+    TABLES,
     TestItemDef,
     ValidationReport,
 )
@@ -34,14 +33,10 @@ from .query import NUMERIC_LEXICAL
 from .rdf import Graph, IRI, Literal, Term, iri_value
 
 
+# The characters an IRI path segment may hold unencoded; a component with
+# any other character is rejected, not percent-encoded.
 _COMPONENT_RE = re.compile(r"[A-Za-z0-9_.~-]+\Z")
-
-REQUIRED_HEADERS = {
-    "study": ["id", "title", "year_start", "year_end", "doi"],
-    "participants": ["participant_id", "age", "sex", "height_cm", "weight_kg", "bmi"],
-    "test_items": ["key", "label", "disposition_label", "unit", "datatype"],
-    "results": ["participant_id", "test_item", "value", "session_date", "trial"],
-}
+_DECIMAL_RE = NUMERIC_LEXICAL[iri_value(vocab.XSD_DECIMAL)]
 
 
 def mint_iri(study_id: str, kind: str, local: str) -> Term:
@@ -49,26 +44,26 @@ def mint_iri(study_id: str, kind: str, local: str) -> Term:
     for name, component in (("study", study_id), ("kind", kind), ("local", local)):
         if not component:
             raise BundleError("empty %s component for minted IRI" % name)
-    parts = [urllib.parse.quote(c, safe="_-.~") for c in (study_id, kind, local)]
-    for c in parts:
-        if not _COMPONENT_RE.match(c):
-            raise BundleError("invalid IRI component after encoding: %r" % c)
-    return IRI(vocab.KG_BASE + "/".join(parts))
+        if not _COMPONENT_RE.match(component):
+            raise BundleError("invalid IRI component: %r" % component)
+    return IRI(vocab.KG_BASE + "/".join((study_id, kind, local)))
 
 
-def _read_rows(path: Path, table: str) -> list[dict]:
+def _read_rows(base: Path, table: str) -> tuple[Path, list[dict]]:
+    """The path of ``table``'s file in the bundle at ``base``, and its rows."""
+    path = base / (table + ".csv")
     if not path.exists():
         raise BundleError("missing bundle file: %s" % path)
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
         header = reader.fieldnames or []
-        expected = REQUIRED_HEADERS[table]
+        expected = TABLES[table]
         if list(header) != expected:
             raise BundleError(
                 "%s: header mismatch, expected %s, got %s"
                 % (path, ",".join(expected), ",".join(header))
             )
-        return list(reader)
+        return path, list(reader)
 
 
 def _req(row: dict, field: str, path, rownum: int) -> str:
@@ -91,21 +86,19 @@ def _int(value: str, what: str, path, rownum: int) -> int:
 
 
 def _decimal(value: str, what: str, path, rownum: int) -> str:
-    if not re.match(r"[+-]?[0-9]+(\.[0-9]+)?\Z", value):
+    if not _DECIMAL_RE.fullmatch(value):
         raise BundleError("%s row %d: non-numeric %s: %r" % (path, rownum, what, value))
     return value
 
 
-def load_bundle(dir_path, config: Optional[IngestConfig] = None) -> StudyBundle:
-    config = config or IngestConfig()
+def load_bundle(dir_path) -> StudyBundle:
     base = Path(dir_path)
 
-    study_rows = _read_rows(base / config.study_file, "study")
+    spath, study_rows = _read_rows(base, "study")
     if len(study_rows) != 1:
         raise BundleError("%s: expected exactly 1 study row, got %d"
-                          % (base / config.study_file, len(study_rows)))
+                          % (spath, len(study_rows)))
     row = study_rows[0]
-    spath = base / config.study_file
     metadata = StudyMetadata(
         id=_req(row, "id", spath, 2),
         title=_req(row, "title", spath, 2),
@@ -114,10 +107,10 @@ def load_bundle(dir_path, config: Optional[IngestConfig] = None) -> StudyBundle:
         doi=_opt(row, "doi"),
     )
 
-    ppath = base / config.participants_file
+    ppath, rows = _read_rows(base, "participants")
     participants = []
     seen_pids: set[str] = set()
-    for i, row in enumerate(_read_rows(ppath, "participants"), start=2):
+    for i, row in enumerate(rows, start=2):
         pid = _req(row, "participant_id", ppath, i)
         if pid in seen_pids:
             raise BundleError("%s row %d: duplicate participant_id %r" % (ppath, i, pid))
@@ -131,10 +124,10 @@ def load_bundle(dir_path, config: Optional[IngestConfig] = None) -> StudyBundle:
             bmi=_decimal(_req(row, "bmi", ppath, i), "bmi", ppath, i),
         ))
 
-    ipath = base / config.items_file
+    ipath, rows = _read_rows(base, "test_items")
     items = []
     datatypes: dict[str, str] = {}  # test item key -> its datatype
-    for i, row in enumerate(_read_rows(ipath, "test_items"), start=2):
+    for i, row in enumerate(rows, start=2):
         key = _req(row, "key", ipath, i)
         if key in datatypes:
             raise BundleError("%s row %d: duplicate test item key %r" % (ipath, i, key))
@@ -151,10 +144,10 @@ def load_bundle(dir_path, config: Optional[IngestConfig] = None) -> StudyBundle:
             datatype=datatype,
         ))
 
-    rpath = base / config.results_file
+    rpath, rows = _read_rows(base, "results")
     results = []
     seen_results: set[tuple] = set()
-    for i, row in enumerate(_read_rows(rpath, "results"), start=2):
+    for i, row in enumerate(rows, start=2):
         pid = _req(row, "participant_id", rpath, i)
         if pid not in seen_pids:
             raise BundleError("%s row %d: unknown participant %r" % (rpath, i, pid))

@@ -16,9 +16,8 @@ from typing import Optional
 import yaml
 
 from . import vocab
-from .ontology import OntologySchema
 from .query import numeric_value
-from .rdf import Graph, IRI, Literal, PrefixMap, RdfError, Term, iri_value, is_iri
+from .rdf import Graph, IRI, Literal, PrefixMap, RdfError, Term, iri_value
 
 LEVELS = ("identifying", "health", "public")
 
@@ -165,27 +164,6 @@ def load_policy(path) -> Policy:
     if not isinstance(data, dict):
         raise PolicyError("policy file %s: expected a mapping" % path)
     return policy_from_dict(data)
-
-
-def annotate_schema(schema: OntologySchema, p: Policy) -> tuple[Graph, list[str]]:
-    """Extend the schema graph with sensitivity-level triples.
-
-    Returns the extended graph and warnings for targets not found in the
-    schema vocabulary (the triple is still added)."""
-    out = schema.graph.copy()
-    warnings_: list[str] = []
-    known: set = set()
-    for s, pr, o in schema.graph:
-        known.add(s)
-        known.add(pr)
-        if is_iri(o):
-            known.add(o)
-    for target, level in sorted(p.annotations.items(), key=lambda kv: iri_value(kv[0])):
-        if target not in known:
-            warnings_.append("annotation target not in schema vocabulary: %s"
-                             % iri_value(target))
-        out.add(target, vocab.MORE_SENSITIVITY_LEVEL, Literal(level))
-    return out, warnings_
 
 
 def _entailed(g: Graph, targets) -> set:

@@ -213,7 +213,9 @@ def _reject_triple(s: Term, p: Term, o: Term) -> None:
     t = (s, p, o)
     if is_literal(s):
         raise MalformedTripleError("triple subject may not be a literal: %r" % (t,))
-    raise MalformedTripleError("triple predicate must be an IRI: %r" % (t,))
+    if not is_iri(p):
+        raise MalformedTripleError("triple predicate must be an IRI: %r" % (t,))
+    raise MalformedTripleError("triple object must be a term: %r" % (t,))
 
 
 def _leaf_terms(leaf) -> set | tuple:
@@ -300,7 +302,8 @@ class Graph:
 
     def add(self, s: Term, p: Term, o: Term) -> bool:
         """Add a triple; returns True iff it was not already present."""
-        if s[:1] == '"' or p[:1] != "<":
+        # an object is an IRI, a blank node or a literal, by its first character
+        if s[:1] == '"' or p[:1] != "<" or not o or o[0] not in '<_"':
             _reject_triple(s, p, o)
         po = self._spo.get(s)
         if po is None:

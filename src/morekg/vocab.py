@@ -85,7 +85,6 @@ MORE_HAS_TRIAL = IRI(MORE + "hasTrial")
 MORE_HAS_SESSION_DATE = IRI(MORE + "hasSessionDate")
 MORE_PART_OF_STUDY = IRI(MORE + "partOfStudy")
 MORE_CONDUCTED_IN_YEAR = IRI(MORE + "conductedInYear")
-MORE_SENSITIVITY_LEVEL = IRI(MORE + "sensitivityLevel")
 
 DECLARED_PROPERTIES = (
     PATO_EXECUTES,

@@ -3,6 +3,8 @@ import pytest
 from morekg import vocab
 from morekg.cli import main
 from morekg.cq import CQ1_QUERY, CQ2_QUERY
+from morekg.fixtures import BUILTIN_ITEMS
+from morekg.ontology import build_schema
 from morekg.rdf import iri_value
 from morekg.serdes import parse_file
 
@@ -49,6 +51,7 @@ class TestGenFixtureAndValidate:
 
     @pytest.mark.parametrize("argv", [
         ["frobnicate"], ["rules", "import"], ["schema", "import"],
+        ["build", "b", "-o", "x.nt", "--config", "c.yaml"],
     ])
     def test_unknown_subcommand_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as e:
@@ -300,6 +303,15 @@ class TestExports:
         assert main(["schema", "export", "-o", str(out)]) == 0
         g = parse_file(out)
         assert list(g.match(None, vocab.RDF_TYPE, vocab.MORE_TEST_ITEM))
+
+    def test_schema_export_from_bundle(self, bundle_dir, tmp_path):
+        out = tmp_path / "schema.ttl"
+        assert main(["schema", "export", "--bundle-dir", str(bundle_dir),
+                     "-o", str(out)]) == 0
+        classes = {s for s, _, _ in parse_file(out).match(
+            None, vocab.RDFS_SUBCLASSOF, vocab.MORE_TEST_PROCESS)}
+        # the bundle's 2 items, not the 4 builtin ones
+        assert classes == set(build_schema(BUILTIN_ITEMS[:2]).process_classes.values())
 
     def test_rules_export_stdout(self, capsys):
         assert main(["rules", "export"]) == 0

@@ -35,9 +35,15 @@ def write_bundle(tmp_path, overrides=None):
 
 
 class TestLoadBundle:
-    def test_minimal_counts(self, tmp_path):
-        b = load_bundle(write_bundle(tmp_path))
+    # "135." and ".5" are xsd:decimal lexical forms too, kept as written
+    @pytest.mark.parametrize("height, bmi", [("135.0", "16.5"), ("135.", "16.5"),
+                                             ("135.0", ".5")])
+    def test_minimal_counts(self, tmp_path, height, bmi):
+        b = load_bundle(write_bundle(tmp_path, {"participants.csv":
+                                                "participant_id,age,sex,height_cm,weight_kg,bmi\n"
+                                                "p001,9,f,%s,30.1,%s\n" % (height, bmi)}))
         assert (len(b.participants), len(b.items), len(b.results)) == (1, 1, 1)
+        assert (b.participants[0].height_cm, b.participants[0].bmi) == (height, bmi)
 
     def test_missing_file(self, tmp_path):
         write_bundle(tmp_path)
@@ -181,9 +187,13 @@ class TestMintIri:
     def test_deterministic(self):
         assert mint_iri("st01", "person", "p007") == mint_iri("st01", "person", "p007")
 
-    def test_empty_component_rejected(self):
-        with pytest.raises(BundleError):
-            mint_iri("st01", "", "p007")
+    @pytest.mark.parametrize("components, message", [
+        (("st01", "", "p007"), "empty kind component"),
+        (("st01", "person", "p 1"), "invalid IRI component: 'p 1'"),
+    ])
+    def test_bad_component_rejected(self, components, message):
+        with pytest.raises(BundleError, match=message):
+            mint_iri(*components)
 
     def test_all_minted_iris_distinct(self, fixture_graph):
         subjects = {iri_value(s) for s, _, _ in fixture_graph

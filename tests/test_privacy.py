@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from morekg import vocab
 from morekg.ontology import build_schema
 from morekg.privacy import (LEVELS, GeneralizationSpec, Policy, PolicyError, Role,
-                            annotate_schema, apply_policy, audit_view,
-                            default_policy, load_policy, policy_from_dict)
+                            apply_policy, audit_view, default_policy, load_policy,
+                            policy_from_dict)
 from morekg.rdf import Graph, IRI, Literal, iri_value
 from morekg.rules import builtin_ruleset, materialize
 from morekg.serdes import parse_turtle, write_turtle
@@ -338,20 +338,3 @@ class TestAuditOrder:
             scan = reference_audit_violations(g, policy, role)
             assert Counter(_violations(report)) == Counter((v.triple, v.reason) for v in scan)
             assert report.checked == len(g)
-
-
-class TestAnnotateSchema:
-    def test_levels_added_to_schema_graph(self, fixture_schema):
-        out, warnings_ = annotate_schema(fixture_schema, default_policy())
-        assert (vocab.MORE_HAS_AGE, vocab.MORE_SENSITIVITY_LEVEL,
-                Literal("identifying")) in out
-        assert (vocab.MORE_HAS_BMI, vocab.MORE_SENSITIVITY_LEVEL,
-                Literal("health")) in out
-
-    def test_unknown_target_warns_but_annotates(self, fixture_schema):
-        out, warnings_ = annotate_schema(fixture_schema, default_policy())
-        # hasPostalCode never occurs in emitted schemas
-        assert any("hasPostalCode" in w for w in warnings_)
-        assert (IRI(vocab.MORE + "hasPostalCode"),
-                vocab.MORE_SENSITIVITY_LEVEL,
-                Literal("identifying")) in out

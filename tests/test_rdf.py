@@ -126,6 +126,13 @@ class TestGraph:
         with pytest.raises(MalformedTripleError):
             g.add(EX_S, Literal("p"), EX_O)
 
+    @pytest.mark.parametrize("o", ["plain text", "", None])
+    def test_non_term_object_rejected(self, o):
+        g = Graph()
+        with pytest.raises(MalformedTripleError, match="object must be a term"):
+            g.add(EX_S, EX_P, o)
+        assert len(g) == 0
+
     def test_match_empty_graph(self):
         assert list(Graph().match()) == []
 
