@@ -50,11 +50,12 @@ def mint_iri(study_id: str, kind: str, local: str) -> Term:
 
 
 def _read_rows(base: Path, table: str) -> tuple[Path, list[dict]]:
-    """The path of ``table``'s file in the bundle at ``base``, and its rows."""
+    """The path of ``table``'s file in the bundle at ``base``, and its rows.
+    A leading UTF-8 byte-order mark, as spreadsheet programs write, is skipped."""
     path = base / (table + ".csv")
     if not path.exists():
         raise BundleError("missing bundle file: %s" % path)
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.DictReader(f)
         header = reader.fieldnames or []
         expected = TABLES[table]

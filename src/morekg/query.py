@@ -9,8 +9,11 @@ variable its WHERE clause does not bind, sorts on a variable that is not
 a result column, or gives a solution modifier twice, raises
 ``QuerySyntaxError`` at a line and column.
 
-Evaluation uses bag semantics with exact rational arithmetic for
-numeric comparisons and aggregates.  The basic graph pattern is joined
+Evaluation uses bag semantics.  A number is valued once as an exact
+``decimal.Decimal`` (a double as its exact binary value), so FILTER,
+ORDER BY, the canonical sort, MIN and MAX compare numbers exactly and in
+C; SUM and AVG add in a context that cannot round, and the one division
+and the rendering use ``Fraction``.  The basic graph pattern is joined
 by ``rules.join``, the executor and planner that ``materialize`` uses
 too, and ``explain`` prints ``rules.plan``'s order and estimates.  Its
 solutions are slot rows: each variable is resolved to its slot once per
@@ -36,8 +39,9 @@ import datetime
 import re
 import warnings
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 from typing import Optional, Union
 
@@ -57,8 +61,8 @@ class QuerySyntaxError(PositionedError, QueryError):
 
 
 # The XSD lexical forms of each numeric datatype family, in ASCII digits
-# only: ``Fraction`` and ``float`` also read "1/2", "1_000", " 5" and
-# non-ASCII digits.  INF and NaN are left out, as they have no Fraction.
+# only: ``Decimal`` and ``float`` also read "1_000", " 5", "Infinity" and
+# non-ASCII digits.  INF and NaN are left out, as they have no exact value.
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _DECIMAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
 _DOUBLE_RE = re.compile(_DECIMAL + r"(?:[eE][+-]?[0-9]+)?")
@@ -85,21 +89,28 @@ _MODIFIERS = {"GROUP": ("GROUP BY", 0), "ORDER": ("ORDER BY", 1),
               "LIMIT": ("LIMIT", 2), "OFFSET": ("OFFSET", 2)}
 
 
-def _number(lexical: str, datatype: str) -> Optional[Fraction]:
+# Sums of numbers: wide enough that adding exact values never rounds, and
+# a sum that did round would raise ``Inexact`` rather than pass.
+_EXACT_SUM = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+
+
+def _number(lexical: str, datatype: str) -> Optional[Decimal]:
+    """The exact value of a numeric literal, or None: the decimal value of
+    an integer, decimal or gYear, and a double's or float's binary value."""
     form = NUMERIC_LEXICAL.get(datatype)
     if form is None or not form.fullmatch(lexical):
         return None
     if form is not _DOUBLE_RE:
-        return Fraction(lexical)
-    try:
-        return Fraction(float(lexical))
-    except OverflowError:  # 1e400 reads as inf, which has no Fraction
-        return None
+        return Decimal(lexical)
+    value = Decimal(float(lexical))
+    return value if value.is_finite() else None  # 1e400 reads as inf
 
 
 def numeric_value(term) -> Optional[Fraction]:
+    """``term``'s number as an exact ``Fraction``, or None if it has none."""
     parts = literal_parts(term)
-    return None if parts is None else _number(parts[0], parts[1])
+    num = None if parts is None else _number(parts[0], parts[1])
+    return None if num is None else Fraction(num)
 
 
 def _value_key(term) -> tuple:
@@ -441,7 +452,7 @@ def _aggregate(func: str, k: Optional[int], rows: list[tuple], avg_places: int,
     if func == "COUNT":
         return Literal(str(len(rows)), _XSD_INTEGER)
 
-    values: list[tuple[Fraction, Term]] = []
+    values: list[tuple[Decimal, Term]] = []
     for r in rows:
         term = r[k]
         rank, num = key(term)
@@ -456,7 +467,7 @@ def _aggregate(func: str, k: Optional[int], rows: list[tuple], avg_places: int,
         return min(values, key=lambda v: v[0])[1]
     if func == "MAX":
         return max(values, key=lambda v: v[0])[1]
-    total = sum(v[0] for v in values)
+    total = Fraction(reduce(_EXACT_SUM.add, [v[0] for v in values]))
     if func == "SUM":
         if total.denominator == 1:
             return Literal(str(total.numerator), _XSD_INTEGER)

@@ -211,9 +211,9 @@ def literal_parts(t: Term) -> Optional[tuple[str, str, Optional[str]]]:
 
 def _reject_triple(s: Term, p: Term, o: Term) -> None:
     t = (s, p, o)
-    if is_literal(s):
-        raise MalformedTripleError("triple subject may not be a literal: %r" % (t,))
-    if not is_iri(p):
+    if not s or s[0] not in "<_":
+        raise MalformedTripleError("triple subject must be an IRI or a blank node: %r" % (t,))
+    if not p or p[0] != "<":
         raise MalformedTripleError("triple predicate must be an IRI: %r" % (t,))
     raise MalformedTripleError("triple object must be a term: %r" % (t,))
 
@@ -302,8 +302,10 @@ class Graph:
 
     def add(self, s: Term, p: Term, o: Term) -> bool:
         """Add a triple; returns True iff it was not already present."""
-        # an object is an IRI, a blank node or a literal, by its first character
-        if s[:1] == '"' or p[:1] != "<" or not o or o[0] not in '<_"':
+        # each term is told by its first character: a subject is an IRI or a
+        # blank node, a predicate an IRI, an object either or a literal
+        if (not s or s[0] not in "<_" or not p or p[0] != "<"
+                or not o or o[0] not in '<_"'):
             _reject_triple(s, p, o)
         po = self._spo.get(s)
         if po is None:

@@ -7,10 +7,11 @@ joins.
 """
 
 import datetime
+import re
+from fractions import Fraction
 
 from morekg import vocab
 from morekg.privacy import AuditViolation, _entailed
-from morekg.query import numeric_value
 from morekg.rdf import (Graph, IRI, Literal, PrefixMap, iri_value, is_iri,
                         is_literal, literal_parts)
 from morekg.rules import Var, join
@@ -146,6 +147,31 @@ def materialize_naive(g: Graph, rs) -> Graph:
 _STRING_DATATYPES = {iri_value(vocab.XSD_STRING),
                      "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"}
 
+# Numbers by their own rule: the XSD lexical forms, each read as an exact
+# ``Fraction``; a double or float is the exact value of its binary float.
+_INTEGER = r"[+-]?[0-9]+"
+_DECIMAL = r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)"
+_DOUBLE = _DECIMAL + r"([eE][+-]?[0-9]+)?"
+_NUMBER_FORMS = {vocab.XSD + name: (re.compile(form), binary) for name, form, binary in [
+    ("integer", _INTEGER, False), ("long", _INTEGER, False), ("int", _INTEGER, False),
+    ("decimal", _DECIMAL, False), ("double", _DOUBLE, True), ("float", _DOUBLE, True),
+    ("gYear", r"-?[0-9]{4,}", False)]}
+
+
+def reference_number(term):
+    if not is_literal(term):
+        return None
+    lexical, datatype, _ = literal_parts(term)
+    form, binary = _NUMBER_FORMS.get(datatype, (None, False))
+    if form is None or not form.fullmatch(lexical):
+        return None
+    if not binary:
+        return Fraction(lexical)
+    try:
+        return Fraction(float(lexical))
+    except OverflowError:  # the float is infinite
+        return None
+
 
 def _date_value(term):
     if is_literal(term):
@@ -162,14 +188,14 @@ def reference_compare(op: str, a, b) -> bool:
     """``FILTER(a op b)``: numbers, then dates, then string-typed literals
     by lexical form; any other pair is a type error, which is false."""
     if op in ("=", "!="):
-        na, nb = numeric_value(a), numeric_value(b)
+        na, nb = reference_number(a), reference_number(b)
         if na is not None and nb is not None:
             eq = na == nb
         else:
             eq = a == b
         return eq if op == "=" else not eq
 
-    na, nb = numeric_value(a), numeric_value(b)
+    na, nb = reference_number(a), reference_number(b)
     if na is not None and nb is not None:
         av, bv = na, nb
     else:
@@ -196,7 +222,7 @@ def reference_sort_key(term) -> tuple:
     blank nodes."""
     if term is None:
         return (0, "")
-    num = numeric_value(term)
+    num = reference_number(term)
     if num is not None:
         return (1, num)
     d = _date_value(term)

@@ -134,10 +134,14 @@ def rules(draw):
 # IRIs and blank nodes; each datatype also gets lexicals it cannot parse.
 _XSD = "http://www.w3.org/2001/XMLSchema#"
 _BAD_LEXICALS = ["", "x", "1.2.3", "--1"]
+# "0.1" as a decimal and as a double are two values; "1e-400" as a double
+# reads as 0; the 32-digit decimal is above 1, though 28 digits round it to 1.
 _NUMBER_LEXICALS = {
-    "integer": ["0", "1", "-2", "10", "+7"],
-    "decimal": ["1.0", "0.5", "-2.50", "10.0"],
-    "double": ["1e0", "0.5", "-2", "1E1", "INF", "-INF", "NaN", "1e400"],
+    "integer": ["0", "1", "-2", "10", "+7", "-0"],
+    "decimal": ["1.0", "0.5", "-2.50", "10.0", "0.1", "5.", ".5",
+                "1.0000000000000000000000000000001"],
+    "double": ["1e0", "0.5", "-2", "1E1", "INF", "-INF", "NaN", "1e400", "0.1", "1e-400",
+               "-0"],
     "float": ["1", "0.5E0", "-2.0"],
     "gYear": ["2015", "2020", "-0044"],
 }

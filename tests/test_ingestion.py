@@ -51,6 +51,15 @@ class TestLoadBundle:
         with pytest.raises(BundleError, match="participants.csv"):
             load_bundle(tmp_path)
 
+    def test_byte_order_marks_skipped(self, tmp_path):
+        # spreadsheet programs save CSV as "UTF-8 with BOM"
+        marked = tmp_path / "marked"
+        marked.mkdir()
+        for name, content in MINIMAL.items():
+            (marked / name).write_text(content, encoding="utf-8-sig")
+            assert (marked / name).read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_bundle(marked) == load_bundle(write_bundle(tmp_path))
+
     def test_header_mismatch(self, tmp_path):
         write_bundle(tmp_path, {"participants.csv": "pid,age\np001,9\n"})
         with pytest.raises(BundleError, match="header mismatch"):

@@ -193,9 +193,18 @@ class TestNumericValue:
         ("-0.5", vocab.XSD_DECIMAL, Fraction(-1, 2)),
         (".5", vocab.XSD_DECIMAL, Fraction(1, 2)),
         ("1e3", vocab.XSD_DOUBLE, 1000),
+        ("5.", vocab.XSD_DECIMAL, 5),
+        ("-0", vocab.XSD_INTEGER, 0),
+        ("0.1", vocab.XSD_DOUBLE, Fraction(0.1)),  # the binary value, not 1/10
+        ("1e-400", vocab.XSD_DOUBLE, 0),
+        ("1e400", vocab.XSD_DOUBLE, None),
+        ("1.0000000000000000000000000000001", vocab.XSD_DECIMAL,
+         1 + Fraction(1, 10 ** 31)),
     ])
     def test_xsd_lexical_forms_only(self, lexical, datatype, value):
-        assert numeric_value(Literal(lexical, iri_value(datatype))) == value
+        num = numeric_value(Literal(lexical, iri_value(datatype)))
+        assert num == value
+        assert value is None or type(num) is Fraction
 
 
 _PAIRS = ("WHERE { ?s <http://example.org/v> ?a . ?s <http://example.org/v> ?b . %s }")
@@ -287,6 +296,25 @@ class TestEvaluate:
         assert s == Literal("29", iri_value(vocab.XSD_INTEGER))
         assert literal_parts(lo)[0] == "9" and literal_parts(hi)[0] == "11"
         assert m == Literal("9.666667", iri_value(vocab.XSD_DECIMAL))
+
+    def test_sum_and_avg_exact_beyond_28_digits(self):
+        # 28 significant digits would round each sum below
+        g = Graph()
+        for n, lexical in enumerate(["99999999999999999999999999999.5", "0.5",
+                                     "0.0000000000000000000000000000001"]):
+            g.add(IRI(EX + "p%d" % n), vocab.MORE_HAS_AGE,
+                  Literal(lexical, iri_value(vocab.XSD_DECIMAL)))
+        q = ("PREFIX more: <https://w3id.org/more#> "
+             "SELECT (SUM(?age) AS ?s) (AVG(?age) AS ?m) WHERE { ?p more:hasAge ?age . "
+             "FILTER(?age >= 0.5) }")
+        t = evaluate(g, parse_query(q))
+        assert t.rows == [(Literal("100000000000000000000000000000", iri_value(vocab.XSD_INTEGER)),
+                           Literal("50000000000000000000000000000.000000",
+                                   iri_value(vocab.XSD_DECIMAL)))]
+        t = evaluate(g, parse_query(q.replace("FILTER(?age >= 0.5) ", "")), avg_places=33)
+        assert [literal_parts(v)[0] for v in t.rows[0]] == [
+            "100000000000000000000000000000.000000000000000000000000000000100",
+            "33333333333333333333333333333.333333333333333333333333333333367"]
 
     def test_avg_places_override(self):
         q = ("PREFIX more: <https://w3id.org/more#> "

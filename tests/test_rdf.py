@@ -121,10 +121,28 @@ class TestGraph:
         with pytest.raises(MalformedTripleError):
             g.add(Literal("x"), EX_P, EX_O)
 
+    @pytest.mark.parametrize("s", ["plain subject", "", None])
+    def test_non_term_subject_rejected(self, s):
+        g = Graph()
+        with pytest.raises(MalformedTripleError, match="subject must be an IRI or a blank node"):
+            g.add(s, EX_P, EX_O)
+        assert len(g) == 0
+
+    def test_blank_node_subject_accepted(self):
+        g = Graph()
+        assert g.add(BlankNode("b0"), EX_P, EX_O)
+
     def test_non_iri_predicate_rejected(self):
         g = Graph()
         with pytest.raises(MalformedTripleError):
             g.add(EX_S, Literal("p"), EX_O)
+
+    @pytest.mark.parametrize("p", ["plain predicate", "", None])
+    def test_non_term_predicate_rejected(self, p):
+        g = Graph()
+        with pytest.raises(MalformedTripleError, match="predicate must be an IRI"):
+            g.add(EX_S, p, EX_O)
+        assert len(g) == 0
 
     @pytest.mark.parametrize("o", ["plain text", "", None])
     def test_non_term_object_rejected(self, o):
