@@ -30,23 +30,36 @@ from .bundle import (
 )
 from .ontology import OntologySchema
 from .query import NUMERIC_LEXICAL
-from .rdf import Graph, IRI, Literal, Term, iri_value
+from .rdf import Graph, Literal, Term, iri_value
 
 
-# The characters an IRI path segment may hold unencoded; a component with
-# any other character is rejected, not percent-encoded.
-_COMPONENT_RE = re.compile(r"[A-Za-z0-9_.~-]+\Z")
+# The one rule for a minted IRI's path segment: characters that an IRI
+# path holds unencoded, none of which ``rdf.IRI_EXCLUDED`` names, and not
+# the dot segments "." and "..", which RFC 3986 resolves away.  A
+# component with any other character is rejected, not percent-encoded.
+_COMPONENT = r"(?!\.\.?(?:/|\Z))[A-Za-z0-9_.~-]+"
+_COMPONENT_RE = re.compile(_COMPONENT + r"\Z")
+# "study/kind/local": no component holds "/", so the joined path matches
+# iff each of the three components does
+_PATH_RE = re.compile(r"(?:{0}/){{2}}{0}\Z".format(_COMPONENT))
 _DECIMAL_RE = NUMERIC_LEXICAL[iri_value(vocab.XSD_DECIMAL)]
 
 
 def mint_iri(study_id: str, kind: str, local: str) -> Term:
-    """Deterministic entity IRI under the knowledge-graph namespace."""
-    for name, component in (("study", study_id), ("kind", kind), ("local", local)):
-        if not component:
-            raise BundleError("empty %s component for minted IRI" % name)
-        if not _COMPONENT_RE.match(component):
-            raise BundleError("invalid IRI component: %r" % component)
-    return IRI(vocab.KG_BASE + "/".join((study_id, kind, local)))
+    """Deterministic entity IRI ``KG_BASE + study/kind/local``.
+
+    Each component must be a non-empty path segment by the one component
+    rule: ASCII letters, digits and ``_.~-``, and not ``.`` or ``..``.
+    ``load_bundle`` checks the ids a bundle gives by the same rule, so
+    ``emit_kg`` never fails here on a loaded bundle."""
+    path = "%s/%s/%s" % (study_id, kind, local)
+    if not _PATH_RE.match(path):  # word the error by the first bad component
+        for name, component in (("study", study_id), ("kind", kind), ("local", local)):
+            if not component:
+                raise BundleError("empty %s component for minted IRI" % name)
+            if not _COMPONENT_RE.match(component):
+                raise BundleError("invalid IRI component: %r" % component)
+    return "<%s%s>" % (vocab.KG_BASE, path)  # the text IRI() builds
 
 
 def _read_rows(base: Path, table: str) -> tuple[Path, list[dict]]:
@@ -71,6 +84,16 @@ def _req(row: dict, field: str, path, rownum: int) -> str:
     value = (row.get(field) or "").strip()
     if not value:
         raise BundleError("%s row %d: missing %s" % (path, rownum, field))
+    return value
+
+
+def _component(row: dict, field: str, path, rownum: int) -> str:
+    """A required id that a minted IRI takes as a path segment."""
+    value = _req(row, field, path, rownum)
+    if not _COMPONENT_RE.match(value):
+        raise BundleError("%s row %d: %s %r is not an IRI path segment: ASCII "
+                          "letters, digits and _.~-, not . or .."
+                          % (path, rownum, field, value))
     return value
 
 
@@ -101,7 +124,7 @@ def load_bundle(dir_path) -> StudyBundle:
                           % (spath, len(study_rows)))
     row = study_rows[0]
     metadata = StudyMetadata(
-        id=_req(row, "id", spath, 2),
+        id=_component(row, "id", spath, 2),
         title=_req(row, "title", spath, 2),
         year_start=_int(_req(row, "year_start", spath, 2), "year_start", spath, 2),
         year_end=_int(_req(row, "year_end", spath, 2), "year_end", spath, 2),
@@ -112,7 +135,7 @@ def load_bundle(dir_path) -> StudyBundle:
     participants = []
     seen_pids: set[str] = set()
     for i, row in enumerate(rows, start=2):
-        pid = _req(row, "participant_id", ppath, i)
+        pid = _component(row, "participant_id", ppath, i)
         if pid in seen_pids:
             raise BundleError("%s row %d: duplicate participant_id %r" % (ppath, i, pid))
         seen_pids.add(pid)
@@ -129,7 +152,7 @@ def load_bundle(dir_path) -> StudyBundle:
     items = []
     datatypes: dict[str, str] = {}  # test item key -> its datatype
     for i, row in enumerate(rows, start=2):
-        key = _req(row, "key", ipath, i)
+        key = _component(row, "key", ipath, i)
         if key in datatypes:
             raise BundleError("%s row %d: duplicate test item key %r" % (ipath, i, key))
         datatype = _opt(row, "datatype") or iri_value(vocab.XSD_DECIMAL)

@@ -9,9 +9,11 @@ same term iff their texts are equal: terms compare with ``==``, never
 ``is_iri``, ``is_literal``, ``iri_value`` and ``literal_parts`` read it
 back, and ``CANONICAL_TERM`` matches exactly the texts they build, so
 a reader can take such a text as it is.  No other module reads a term's
-characters.  Nothing is interned: a parse shares each term among its
-triples through its own cache, and a term lives as long as a graph or
-row holds it.  A triple is a plain ``(s, p, o)`` tuple of terms.
+characters; ``ingestion.mint_iri`` alone writes one, an IRI of
+components its own rule admits, in the text ``IRI`` builds.  Nothing
+is interned: a parse shares each term among its triples through its
+own cache, and a term lives as long as a graph or row holds it.  A
+triple is a plain ``(s, p, o)`` tuple of terms.
 
 The graph keeps two nested-dict indexes, SPO and POS; SPO also answers
 membership.  A pattern is answered by lookups alone unless it binds the
@@ -42,6 +44,7 @@ into a subgraph, leaf by leaf; role views are built with it, and
 
 from __future__ import annotations
 
+import functools
 import re
 from operator import itemgetter
 from types import MappingProxyType
@@ -88,6 +91,8 @@ _IRI_ESCAPE_RE = re.compile(r"\\(u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8})?")
 
 
 def escape_string(s: str) -> str:
+    if _ESCAPE_RE.search(s) is None:  # most lexical forms: nothing to escape
+        return s
     return _ESCAPE_RE.sub(lambda m: _ESCAPES[m.group(0)], s)
 
 
@@ -161,12 +166,23 @@ def Literal(lexical: str, datatype: Optional[str] = None,
         if datatype is not None and datatype != RDF_LANG_STRING:
             raise RdfError("language-tagged literal must use the langString datatype")
         return '"%s"@%s' % (escape_string(lexical), lang)
-    if datatype is None or datatype == XSD_STRING:
+    if datatype is None:
         return '"%s"' % escape_string(lexical)
+    return '"%s"%s' % (escape_string(lexical), _datatype_suffix(datatype))
+
+
+# Checking a datatype IRI costs a scan of its characters, and a graph uses
+# few datatypes.  A bad one raises on every call: lru_cache stores results,
+# not exceptions.  The bound keeps a parse of many datatypes from growing it.
+@functools.lru_cache(maxsize=64)
+def _datatype_suffix(datatype: str) -> str:
+    """A typed literal's ``^^<datatype>``; none for ``xsd:string``."""
+    if datatype == XSD_STRING:
+        return ""
     if not datatype or IRI_EXCLUDED.search(datatype):
         raise RdfError("datatype IRI must be non-empty and hold no space, "
                        "control or any of <>\"{}|^`\\: %r" % datatype)
-    return '"%s"^^<%s>' % (escape_string(lexical), datatype)
+    return "^^<%s>" % datatype
 
 
 # The texts ``IRI``, ``BlankNode`` and ``Literal`` build: a text that

@@ -290,13 +290,17 @@ def parse_ntriples(text: str) -> Graph:
     return graph
 
 
-def write_ntriples(g: Graph) -> str:
-    """``g`` as canonical N-Triples: one line per triple, sorted."""
-    lines = ["%s %s %s .\n" % (s, p, o)
-             for s, pairs in g.stars() for p, objs in pairs for o in objs]
+def _ntriples_lines(g: Graph) -> list[str]:
+    """The lines of ``g`` as canonical N-Triples, one per triple, sorted."""
+    lines = [" ".join(t) + " .\n" for t in g]
     # no line is a prefix of another, so the newline leaves the order as is
     lines.sort()
-    return "".join(lines)
+    return lines
+
+
+def write_ntriples(g: Graph) -> str:
+    """``g`` as canonical N-Triples: one line per triple, sorted."""
+    return "".join(_ntriples_lines(g))
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +426,11 @@ def parse_file(path) -> Graph:
 
 
 def write_file(g: Graph, path) -> None:
-    """Write ``.nt`` or ``.ttl`` by extension (Turtle by default)."""
+    """Write ``.nt`` or ``.ttl`` by extension (Turtle by default).  The
+    N-Triples lines are written one by one, never joined into one text."""
     if str(path).endswith(".nt"):
-        text = write_ntriples(g)
+        lines = _ntriples_lines(g)
     else:
-        text = write_turtle(g)
+        lines = [write_turtle(g)]
     with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+        f.writelines(lines)

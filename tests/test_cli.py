@@ -49,6 +49,19 @@ class TestGenFixtureAndValidate:
         assert main(["validate", str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    # a participant id that is a dot segment fails at its row, before any
+    # IRI is minted from it
+    def test_dot_segment_participant_names_row(self, bundle_dir, tmp_path, capsys):
+        for name in ("participants.csv", "results.csv"):
+            path = bundle_dir / name
+            path.write_text(path.read_text(encoding="utf-8").replace("p001,", "..,"),
+                            encoding="utf-8")
+        for argv in (["validate", str(bundle_dir)],
+                     ["build", str(bundle_dir), "-o", str(tmp_path / "kg.nt")]):
+            assert main(argv) == 1
+            assert "participants.csv row 2: participant_id '..'" in capsys.readouterr().err
+        assert not (tmp_path / "kg.nt").exists()
+
     @pytest.mark.parametrize("argv", [
         ["frobnicate"], ["rules", "import"], ["schema", "import"],
         ["build", "b", "-o", "x.nt", "--config", "c.yaml"],

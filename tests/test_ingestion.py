@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import given, strategies as st
 
 from morekg import vocab
 from morekg.bundle import (BundleError, ParticipantRecord, ResultRecord,
@@ -138,6 +141,38 @@ class TestLoadBundle:
                                  r"\('p001', 'handgrip', '2018-06-12', '1'\)"):
             load_bundle(tmp_path)
 
+    # each id that a minted IRI takes as a path segment is checked at load,
+    # with its file and row, not when emission mints it
+    @pytest.mark.parametrize("name, content, message", [
+        ("study.csv", "id,title,year_start,year_end,doi\n..,Pilot,2018,2019,\n",
+         r"study\.csv row 2: id '\.\.' is not an IRI path segment"),
+        ("participants.csv", "participant_id,age,sex,height_cm,weight_kg,bmi\n"
+         "p001,9,f,135.0,30.1,16.5\np 2,9,f,135.0,30.1,16.5\n",
+         r"participants\.csv row 3: participant_id 'p 2' is not an IRI path segment"),
+        ("participants.csv", "participant_id,age,sex,height_cm,weight_kg,bmi\n"
+         "..,9,f,135.0,30.1,16.5\n",
+         r"participants\.csv row 2: participant_id '\.\.' is not an IRI path segment"),
+        ("test_items.csv", "key,label,disposition_label,unit,datatype\n"
+         "hand grip,Handgrip,grip strength,kg,\n",
+         r"test_items\.csv row 2: key 'hand grip' is not an IRI path segment"),
+        ("test_items.csv", "key,label,disposition_label,unit,datatype\n"
+         ".,Handgrip,grip strength,kg,\n",
+         r"test_items\.csv row 2: key '\.' is not an IRI path segment"),
+    ], ids=["study-dots", "participant-space", "participant-dots", "key-space", "key-dot"])
+    def test_unmintable_id_names_file_and_row(self, tmp_path, name, content, message):
+        write_bundle(tmp_path, {name: content})
+        with pytest.raises(BundleError, match=message):
+            load_bundle(tmp_path)
+
+    def test_dotted_ids_that_are_not_dot_segments_load_and_build(self, tmp_path):
+        b = load_bundle(write_bundle(tmp_path, {
+            "participants.csv": ("participant_id,age,sex,height_cm,weight_kg,bmi\n"
+                                 "...,9,f,135.0,30.1,16.5\n"),
+            "results.csv": ("participant_id,test_item,value,session_date,trial\n"
+                            "...,handgrip,32.5,2018-06-12,\n")}))
+        g = emit_kg(b, build_schema(b.items))
+        assert (mint_iri("st01", "person", "..."), vocab.RDF_TYPE, vocab.MORE_PERSON) in g
+
     def test_year_order_enforced(self, tmp_path):
         write_bundle(tmp_path, {"study.csv":
                                 "id,title,year_start,year_end,doi\nst01,Pilot,2020,2018,\n"})
@@ -188,6 +223,15 @@ class TestValidateBundle:
         assert b.participants == before
 
 
+# Components of every kind mint_iri must tell apart: valid segments, dot
+# segments, and texts with "/", "%", a space, a newline or non-ASCII.
+_SEGMENT_RE = re.compile(r"[A-Za-z0-9_.~-]+")
+_COMPONENTS = st.one_of(
+    st.sampled_from(["", ".", "..", "...", "a.b", ".a", "st01", "p_1-x~", "p 2",
+                     "a/b", "/", "50%", "%41", "\u00e9", "p\n"]),
+    st.text(alphabet="ab.~_-/% \u00e9\n", max_size=6))
+
+
 class TestMintIri:
     def test_person_iri(self):
         assert mint_iri("st01", "person", "p007") == IRI(
@@ -199,10 +243,40 @@ class TestMintIri:
     @pytest.mark.parametrize("components, message", [
         (("st01", "", "p007"), "empty kind component"),
         (("st01", "person", "p 1"), "invalid IRI component: 'p 1'"),
+        # dot segments, which RFC 3986 resolves to another namespace
+        ((".", "person", "p007"), r"invalid IRI component: '\.'"),
+        (("..", "person", "p007"), r"invalid IRI component: '\.\.'"),
+        (("st01", ".", "p007"), r"invalid IRI component: '\.'"),
+        (("st01", "..", "p007"), r"invalid IRI component: '\.\.'"),
+        (("st01", "person", "."), r"invalid IRI component: '\.'"),
+        (("st01", "person", ".."), r"invalid IRI component: '\.\.'"),
     ])
     def test_bad_component_rejected(self, components, message):
         with pytest.raises(BundleError, match=message):
             mint_iri(*components)
+
+    @pytest.mark.parametrize("components", [
+        ("...", "person", "p007"), ("st01", "...", "p007"), ("st01", "person", "..."),
+        ("a.b", "person", "p007"), ("st01", "a.b", "p007"), ("st01", "person", "a.b"),
+    ])
+    def test_dots_that_are_not_dot_segments_accepted(self, components):
+        assert mint_iri(*components) == IRI(vocab.KG_BASE + "/".join(components))
+
+    @given(st.tuples(*[_COMPONENTS] * 3))
+    def test_agrees_with_the_component_rule(self, components):
+        try:
+            for name, component in zip(("study", "kind", "local"), components):
+                if not component:
+                    raise BundleError("empty %s component for minted IRI" % name)
+                if component in (".", "..") or not _SEGMENT_RE.fullmatch(component):
+                    raise BundleError("invalid IRI component: %r" % component)
+            expected = IRI(vocab.KG_BASE + "/".join(components))
+        except BundleError as e:
+            with pytest.raises(BundleError) as got:
+                mint_iri(*components)
+            assert str(got.value) == str(e)
+        else:
+            assert mint_iri(*components) == expected
 
     def test_all_minted_iris_distinct(self, fixture_graph):
         subjects = {iri_value(s) for s, _, _ in fixture_graph

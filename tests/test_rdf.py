@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from morekg.rdf import (XSD_STRING, BlankNode, Graph, IRI, Literal,
                         MalformedTripleError, PrefixMap, RdfError,
-                        UnresolvedPrefixError, iri_value, is_iri, is_literal,
-                        literal_parts)
+                        UnresolvedPrefixError, escape_string, iri_value, is_iri,
+                        is_literal, literal_parts)
 from morekg import vocab
 from morekg.rules import Var, join
 from morekg.serdes import write_ntriples, write_turtle
@@ -61,6 +61,22 @@ class TestTerms:
     def test_literal_datatype_rejects_whitespace_and_empty(self, datatype):
         with pytest.raises(RdfError):
             Literal("x", datatype)
+
+    # a checked datatype is cached, but a bad one is not: it raises each time
+    @given(st.one_of(st.just(""), st.builds(
+        lambda a, c, b: a + c + b, st.text(max_size=8),
+        st.sampled_from([chr(n) for n in range(0x21)] + list('<>"{}|^`\\')),
+        st.text(max_size=8))))
+    def test_bad_datatype_raises_on_every_call(self, datatype):
+        for _ in range(2):
+            with pytest.raises(RdfError, match="datatype IRI"):
+                Literal("x", datatype)
+
+    @given(st.text(alphabet=st.one_of(st.sampled_from('"\\\n\r\t'), st.characters()),
+                   max_size=20))
+    def test_escape_string_escapes_the_five_characters(self, text):
+        escapes = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+        assert escape_string(text) == "".join(escapes.get(c, c) for c in text)
 
     def test_term_equality_is_type_aware(self):
         assert IRI("http://example.org/x") != Literal("http://example.org/x")
