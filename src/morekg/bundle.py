@@ -1,8 +1,10 @@
-"""Tabular study-bundle data model and the bundle layout."""
+"""Tabular study-bundle data model and the bundle layout.
+
+The records are plain data; ``ingestion.load_bundle`` checks every rule
+of a bundle, at its file and row."""
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,8 +25,6 @@ TABLES = {
     "results": ["participant_id", "test_item", "value", "session_date", "trial"],
 }
 
-_STUDY_ID_RE = re.compile(r"[a-z0-9_-]+\Z")
-
 
 @dataclass(frozen=True)
 class StudyMetadata:
@@ -33,15 +33,6 @@ class StudyMetadata:
     year_start: int
     year_end: int
     doi: Optional[str] = None
-
-    def __post_init__(self):
-        if not _STUDY_ID_RE.match(self.id):
-            raise BundleError("study id must match [a-z0-9_-]+: %r" % self.id)
-        if self.year_start > self.year_end:
-            raise BundleError(
-                "study %s: year_start %d > year_end %d"
-                % (self.id, self.year_start, self.year_end)
-            )
 
     @property
     def years(self) -> range:
@@ -56,12 +47,6 @@ class ParticipantRecord:
     height_cm: str  # lexical decimal forms preserved for bit-exact output
     weight_kg: str
     bmi: str
-
-    def __post_init__(self):
-        if self.age < 0:
-            raise BundleError("participant %s: negative age" % self.participant_id)
-        if float(self.height_cm) <= 0 or float(self.weight_kg) <= 0:
-            raise BundleError("participant %s: non-positive height/weight" % self.participant_id)
 
 
 @dataclass(frozen=True)
@@ -92,24 +77,13 @@ class StudyBundle:
 
 @dataclass
 class ValidationIssue:
-    severity: str  # warning | error
-    location: str  # file/row or entity context
+    location: str  # the entity it concerns
     message: str
 
 
 @dataclass
 class ValidationReport:
-    issues: list[ValidationIssue] = field(default_factory=list)
-
-    def add(self, severity: str, location: str, message: str) -> None:
-        self.issues.append(ValidationIssue(severity, location, message))
-
-    @property
-    def warnings(self) -> list[ValidationIssue]:
-        return [i for i in self.issues if i.severity == "warning"]
+    warnings: list[ValidationIssue] = field(default_factory=list)
 
     def __len__(self):
-        return len(self.issues)
-
-    def __bool__(self):
-        return bool(self.issues)
+        return len(self.warnings)

@@ -49,9 +49,8 @@ def _resolve_policy(path):
 def cmd_build(args) -> int:
     bundle = load_bundle(args.bundle_dir)
     report = validate_bundle(bundle)
-    for issue in report.issues:
-        print("%s: %s: %s" % (issue.severity, issue.location, issue.message),
-              file=sys.stderr)
+    for issue in report.warnings:
+        print("warning: %s: %s" % (issue.location, issue.message), file=sys.stderr)
     schema = build_schema(bundle.items)
     graph = emit_kg(bundle, schema)
     graph.update(schema.graph)
@@ -68,8 +67,8 @@ def cmd_build(args) -> int:
 def cmd_validate(args) -> int:
     bundle = load_bundle(args.bundle_dir)
     report = validate_bundle(bundle)
-    for issue in report.issues:
-        print("%s: %s: %s" % (issue.severity, issue.location, issue.message))
+    for issue in report.warnings:
+        print("warning: %s: %s" % (issue.location, issue.message))
     print("bundle ok: %d participants, %d items, %d results, %d warning(s)"
           % (len(bundle.participants), len(bundle.items), len(bundle.results),
              len(report.warnings)))

@@ -108,9 +108,8 @@ def _cells(text: str) -> list[list[str]]:
     return [row for row in csv.reader(io.StringIO(text))]
 
 
-def compare_csv(expected: str, actual: str,
-                tolerance: float = DECIMAL_TOLERANCE) -> Optional[str]:
-    """Cell-by-cell diff; decimals compared within tolerance.  Returns a
+def compare_csv(expected: str, actual: str) -> Optional[str]:
+    """Cell-by-cell diff; decimals compared within DECIMAL_TOLERANCE.  Returns a
     message describing the first mismatch, or None if equal."""
     exp, act = _cells(expected), _cells(actual)
     if not exp:
@@ -126,7 +125,7 @@ def compare_csv(expected: str, actual: str,
             if e == a:
                 continue
             try:
-                if abs(float(e) - float(a)) <= tolerance:
+                if abs(float(e) - float(a)) <= DECIMAL_TOLERANCE:
                     continue
             except ValueError:
                 pass

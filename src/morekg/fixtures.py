@@ -32,14 +32,13 @@ _VALUE_RANGES = {
     "twenty_meter_dash": (3.0, 6.0),
 }
 
-DEFAULT_AGE_GROUPS = (6, 7, 8, 9, 10, 11)
+AGE_GROUPS = (6, 7, 8, 9, 10, 11)
 
 
 def generate_fixture(out_dir, seed: int = 42, participants: int = 30,
                      items: int = 2, study_id: str = "st01",
                      title: str = "Synthetic motor performance study",
-                     year_start: int = 2016, year_end: int = 2019,
-                     age_groups=DEFAULT_AGE_GROUPS) -> Path:
+                     year_start: int = 2016, year_end: int = 2019) -> Path:
     """Write a synthetic bundle; one result per participant per item."""
     if seed < 0 or participants < 0 or items <= 0:
         raise ValueError("seed/participants must be >= 0 and items > 0")
@@ -67,7 +66,7 @@ def generate_fixture(out_dir, seed: int = 42, participants: int = 30,
     for n in range(1, participants + 1):
         pid = "p%03d" % n
         pids.append(pid)
-        age = rng.choice(age_groups)
+        age = rng.choice(AGE_GROUPS)
         sex = rng.choice(["f", "m"])
         height = round(100.0 + age * 5.0 + rng.uniform(-10.0, 10.0), 1)
         bmi_target = rng.uniform(14.0, 22.0)

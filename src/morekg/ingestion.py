@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import re
+from datetime import date
 from pathlib import Path
 from typing import Optional
 
@@ -26,6 +27,7 @@ from .bundle import (
     StudyMetadata,
     TABLES,
     TestItemDef,
+    ValidationIssue,
     ValidationReport,
 )
 from .ontology import OntologySchema
@@ -42,7 +44,14 @@ _COMPONENT_RE = re.compile(_COMPONENT + r"\Z")
 # "study/kind/local": no component holds "/", so the joined path matches
 # iff each of the three components does
 _PATH_RE = re.compile(r"(?:{0}/){{2}}{0}\Z".format(_COMPONENT))
-_DECIMAL_RE = NUMERIC_LEXICAL[iri_value(vocab.XSD_DECIMAL)]
+# Each id a bundle gives, as a rule and the words its error gives.  The
+# study id holds no dot, so that it is also safe in a Turtle prefix name.
+_SEGMENT_RULE = (_COMPONENT_RE, "ASCII letters, digits and _.~-, not . or ..")
+_STUDY_ID_RULE = (re.compile(r"[a-z0-9_-]+\Z"), "lower-case ASCII letters, digits and _-")
+# an xsd:date with no time zone, which must also be a calendar date
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
+_XSD_INTEGER = iri_value(vocab.XSD_INTEGER)
+_XSD_DECIMAL = iri_value(vocab.XSD_DECIMAL)
 
 
 def mint_iri(study_id: str, kind: str, local: str) -> Term:
@@ -87,13 +96,22 @@ def _req(row: dict, field: str, path, rownum: int) -> str:
     return value
 
 
-def _component(row: dict, field: str, path, rownum: int) -> str:
+def _component(row: dict, field: str, path, rownum: int, rule=_SEGMENT_RULE) -> str:
     """A required id that a minted IRI takes as a path segment."""
     value = _req(row, field, path, rownum)
-    if not _COMPONENT_RE.match(value):
-        raise BundleError("%s row %d: %s %r is not an IRI path segment: ASCII "
-                          "letters, digits and _.~-, not . or .."
-                          % (path, rownum, field, value))
+    if not rule[0].match(value):
+        raise BundleError("%s row %d: %s %r is not an IRI path segment: %s"
+                          % (path, rownum, field, value, rule[1]))
+    return value
+
+
+def _number(row: dict, field: str, datatype: str, path, rownum: int) -> str:
+    """A required cell holding a lexical form of the numeric ``datatype``,
+    by the rule a query reads numbers with, kept as written."""
+    value = _req(row, field, path, rownum)
+    if not NUMERIC_LEXICAL[datatype].fullmatch(value):
+        raise BundleError("%s row %d: non-numeric %s %r: not a lexical form of %s"
+                          % (path, rownum, field, value, datatype))
     return value
 
 
@@ -102,20 +120,20 @@ def _opt(row: dict, field: str) -> Optional[str]:
     return value or None
 
 
-def _int(value: str, what: str, path, rownum: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise BundleError("%s row %d: non-integer %s: %r" % (path, rownum, what, value)) from None
-
-
-def _decimal(value: str, what: str, path, rownum: int) -> str:
-    if not _DECIMAL_RE.fullmatch(value):
-        raise BundleError("%s row %d: non-numeric %s: %r" % (path, rownum, what, value))
+def _session_date(row: dict, path, rownum: int) -> Optional[str]:
+    value = _opt(row, "session_date")
+    if value is not None:
+        try:  # fromisoformat also reads forms, such as 20180612, that xsd:date does not
+            date.fromisoformat(value if _DATE_RE.match(value) else "")
+        except ValueError:
+            raise BundleError("%s row %d: session_date %r is not a YYYY-MM-DD "
+                              "calendar date" % (path, rownum, value)) from None
     return value
 
 
 def load_bundle(dir_path) -> StudyBundle:
+    """Read the bundle at ``dir_path``.  Every rule of a bundle is checked
+    here, once, and each error names its CSV file and row."""
     base = Path(dir_path)
 
     spath, study_rows = _read_rows(base, "study")
@@ -124,12 +142,15 @@ def load_bundle(dir_path) -> StudyBundle:
                           % (spath, len(study_rows)))
     row = study_rows[0]
     metadata = StudyMetadata(
-        id=_component(row, "id", spath, 2),
+        id=_component(row, "id", spath, 2, _STUDY_ID_RULE),
         title=_req(row, "title", spath, 2),
-        year_start=_int(_req(row, "year_start", spath, 2), "year_start", spath, 2),
-        year_end=_int(_req(row, "year_end", spath, 2), "year_end", spath, 2),
+        year_start=int(_number(row, "year_start", _XSD_INTEGER, spath, 2)),
+        year_end=int(_number(row, "year_end", _XSD_INTEGER, spath, 2)),
         doi=_opt(row, "doi"),
     )
+    if metadata.year_start > metadata.year_end:
+        raise BundleError("%s row 2: year_start %d > year_end %d"
+                          % (spath, metadata.year_start, metadata.year_end))
 
     ppath, rows = _read_rows(base, "participants")
     participants = []
@@ -139,27 +160,37 @@ def load_bundle(dir_path) -> StudyBundle:
         if pid in seen_pids:
             raise BundleError("%s row %d: duplicate participant_id %r" % (ppath, i, pid))
         seen_pids.add(pid)
-        participants.append(ParticipantRecord(
-            participant_id=pid,
-            age=_int(_req(row, "age", ppath, i), "age", ppath, i),
-            sex=_opt(row, "sex"),
-            height_cm=_decimal(_req(row, "height_cm", ppath, i), "height_cm", ppath, i),
-            weight_kg=_decimal(_req(row, "weight_kg", ppath, i), "weight_kg", ppath, i),
-            bmi=_decimal(_req(row, "bmi", ppath, i), "bmi", ppath, i),
-        ))
+        age = int(_number(row, "age", _XSD_INTEGER, ppath, i))
+        height_cm, weight_kg, bmi = (_number(row, field, _XSD_DECIMAL, ppath, i)
+                                     for field in ("height_cm", "weight_kg", "bmi"))
+        if age < 0:
+            raise BundleError("%s row %d: negative age %d" % (ppath, i, age))
+        if float(height_cm) <= 0 or float(weight_kg) <= 0:
+            raise BundleError("%s row %d: non-positive height/weight" % (ppath, i))
+        participants.append(ParticipantRecord(pid, age, _opt(row, "sex"),
+                                              height_cm, weight_kg, bmi))
 
+    pids = [p.participant_id for p in participants]
     ipath, rows = _read_rows(base, "test_items")
     items = []
     datatypes: dict[str, str] = {}  # test item key -> its datatype
+    # "<participant_id>_<key>", the IRI local of a disposition and the stem
+    # of its results' locals -> the (participant, key) pair it names
+    pairs: dict[str, tuple[str, str]] = {}
     for i, row in enumerate(rows, start=2):
         key = _component(row, "key", ipath, i)
         if key in datatypes:
             raise BundleError("%s row %d: duplicate test item key %r" % (ipath, i, key))
-        datatype = _opt(row, "datatype") or iri_value(vocab.XSD_DECIMAL)
+        datatype = _opt(row, "datatype") or _XSD_DECIMAL
         if datatype not in NUMERIC_LEXICAL:  # the datatypes a query reads as numbers
             raise BundleError("%s row %d: datatype %r is not a numeric XSD datatype IRI"
                               % (ipath, i, datatype))
         datatypes[key] = datatype
+        for pid in pids:
+            pair = pairs.setdefault("%s_%s" % (pid, key), (pid, key))
+            if pair[1] != key:
+                raise BundleError("%s row %d: participant %r with key %r mints the IRIs "
+                                  "of participant %r with key %r" % ((ipath, i, pid, key) + pair))
         items.append(TestItemDef(
             key=key,
             label=_req(row, "label", ipath, i),
@@ -179,15 +210,11 @@ def load_bundle(dir_path) -> StudyBundle:
         datatype = datatypes.get(item)
         if datatype is None:
             raise BundleError("%s row %d: unknown test item %r" % (rpath, i, item))
-        value = _req(row, "value", rpath, i)
-        if not NUMERIC_LEXICAL[datatype].fullmatch(value):
-            raise BundleError("%s row %d: non-numeric value %r: not a lexical form of %s"
-                              % (rpath, i, value, datatype))
         record = ResultRecord(
             participant_id=pid,
             item=item,
-            value=value,
-            session_date=_opt(row, "session_date"),
+            value=_number(row, "value", datatype, rpath, i),
+            session_date=_session_date(row, rpath, i),
             trial=_opt(row, "trial"),
         )
         dedup_key = (pid, item, record.session_date, record.trial)
@@ -203,7 +230,8 @@ def load_bundle(dir_path) -> StudyBundle:
 
 
 def validate_bundle(b: StudyBundle) -> ValidationReport:
-    """Report-only consistency checks; never mutates the bundle."""
+    """Report-only consistency checks, each a warning; never mutates the
+    bundle."""
     report = ValidationReport()
     for p in b.participants:
         loc = "participant %s" % p.participant_id
@@ -211,18 +239,11 @@ def validate_bundle(b: StudyBundle) -> ValidationReport:
         if height_m > 0:
             computed = float(p.weight_kg) / (height_m * height_m)
             if abs(computed - float(p.bmi)) > 0.5:
-                report.add("warning", loc,
-                           "BMI %s inconsistent with weight/height (computed %.2f)"
-                           % (p.bmi, computed))
+                report.warnings.append(ValidationIssue(
+                    loc, "BMI %s inconsistent with weight/height (computed %.2f)"
+                    % (p.bmi, computed)))
         if p.age > 120:
-            report.add("warning", loc, "age outlier: %d" % p.age)
-
-    seen_sessions: set[tuple] = set()
-    for idx, r in enumerate(b.results, start=1):
-        key = (r.participant_id, r.item, r.session_date, r.trial)
-        if key in seen_sessions:
-            report.add("warning", "result %d" % idx, "duplicate session %s" % (key,))
-        seen_sessions.add(key)
+            report.warnings.append(ValidationIssue(loc, "age outlier: %d" % p.age))
     return report
 
 

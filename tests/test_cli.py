@@ -45,6 +45,21 @@ class TestGenFixtureAndValidate:
         out = capsys.readouterr().out
         assert "10 participants, 2 items, 20 results" in out
 
+    # warnings go to stdout from validate and to stderr from build, and
+    # neither command fails on them
+    def test_warnings_printed(self, bundle_dir, tmp_path, capsys):
+        path = bundle_dir / "participants.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = "p001,130,f,150.0,45.0,25.0\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        expected = ("warning: participant p001: BMI 25.0 inconsistent with "
+                    "weight/height (computed 20.00)\n"
+                    "warning: participant p001: age outlier: 130\n")
+        assert main(["validate", str(bundle_dir)]) == 0
+        assert capsys.readouterr().out.startswith(expected + "bundle ok: 10 participants")
+        assert main(["build", str(bundle_dir), "-o", str(tmp_path / "kg.nt")]) == 0
+        assert capsys.readouterr().err == expected
+
     def test_validate_missing_dir_is_domain_error(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err

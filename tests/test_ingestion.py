@@ -164,6 +164,51 @@ class TestLoadBundle:
         with pytest.raises(BundleError, match=message):
             load_bundle(tmp_path)
 
+    # every other rule of a bundle is checked at load too, at its file and row
+    _PARTICIPANT = "participant_id,age,sex,height_cm,weight_kg,bmi\n"
+    _RESULT = "participant_id,test_item,value,session_date,trial\n"
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"study.csv": "id,title,year_start,year_end,doi\nST01,Pilot,2018,2019,\n"},
+         r"study\.csv row 2: id 'ST01' is not an IRI path segment: lower-case"),
+        ({"study.csv": "id,title,year_start,year_end,doi\nst01,Pilot,2019,2016,\n"},
+         r"study\.csv row 2: year_start 2019 > year_end 2016"),
+        ({"study.csv": "id,title,year_start,year_end,doi\nst01,Pilot,2_016,2019,\n"},
+         r"study\.csv row 2: non-numeric year_start '2_016': not a lexical form of .*#integer"),
+        ({"participants.csv": _PARTICIPANT + "p001,9,f,135.0,30.1,16.5\n"
+          "p002,-3,f,135.0,30.1,16.5\n"},
+         r"participants\.csv row 3: negative age -3"),
+        ({"participants.csv": _PARTICIPANT + "p001,9,f,0.0,30.1,16.5\n"},
+         r"participants\.csv row 2: non-positive height/weight"),
+        # an Arabic-Indic digit three, which int() reads as 3
+        ({"participants.csv": _PARTICIPANT + "p001,\u0663,f,135.0,30.1,16.5\n"},
+         r"participants\.csv row 2: non-numeric age '\u0663': not a lexical form of .*#integer"),
+        # p1 with grip_x and p1_grip with x would share .../p1_grip_x IRIs
+        ({"participants.csv": _PARTICIPANT + "p1,9,f,135.0,30.1,16.5\n"
+          "p1_grip,9,m,135.0,30.1,16.5\n",
+          "test_items.csv": "key,label,disposition_label,unit,datatype\n"
+          "grip_x,Grip X,grip strength,kg,\nx,X,x power,kg,\n",
+          "results.csv": _RESULT + "p1,grip_x,10.0,2018-06-12,\np1_grip,x,20.0,2018-06-12,\n"},
+         r"test_items\.csv row 3: participant 'p1_grip' with key 'x' mints the IRIs "
+         r"of participant 'p1' with key 'grip_x'"),
+        ({"results.csv": _RESULT + "p001,handgrip,32.5,yesterday,\n"},
+         r"results\.csv row 2: session_date 'yesterday' is not a YYYY-MM-DD calendar date"),
+        ({"results.csv": _RESULT + "p001,handgrip,32.5,2018-06-12,1\n"
+          "p001,handgrip,32.5,2018-02-30,2\n"},
+         r"results\.csv row 3: session_date '2018-02-30' is not a YYYY-MM-DD calendar date"),
+    ], ids=["study-uppercase", "year-order", "year-underscore", "age-negative",
+            "height-zero", "age-non-ascii-digit", "colliding-pair", "date-word",
+            "date-not-a-day"])
+    def test_broken_rule_names_file_and_row(self, tmp_path, overrides, message):
+        write_bundle(tmp_path, overrides)
+        with pytest.raises(BundleError, match=message):
+            load_bundle(tmp_path)
+
+    def test_signed_age_loads(self, tmp_path):
+        b = load_bundle(write_bundle(tmp_path, {"participants.csv": self._PARTICIPANT
+                                                + "p001,+9,f,135.0,30.1,16.5\n"}))
+        assert b.participants[0].age == 9
+
     def test_dotted_ids_that_are_not_dot_segments_load_and_build(self, tmp_path):
         b = load_bundle(write_bundle(tmp_path, {
             "participants.csv": ("participant_id,age,sex,height_cm,weight_kg,bmi\n"
