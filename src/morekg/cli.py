@@ -84,9 +84,10 @@ def cmd_materialize(args) -> int:
         raise RuleError("--no-builtins requires --rules")
     else:
         ruleset = builtin_ruleset()
-    out = materialize(graph, ruleset)
-    serdes.write_file(out, args.output)
-    print("materialized %d -> %d triples" % (len(graph), len(out)))
+    before = len(graph)
+    materialize(graph, ruleset)
+    serdes.write_file(graph, args.output)
+    print("materialized %d -> %d triples" % (before, len(graph)))
     return 0
 
 

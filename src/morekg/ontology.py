@@ -109,10 +109,11 @@ _RDFS_RULES = ("subclass-transitivity", "type-propagation")
 def rdfs_closure(g: Graph, schema: Optional[OntologySchema] = None) -> Graph:
     """Graph plus transitive subclass triples and propagated rdf:type
     triples: the fixpoint of the builtin ``subclass-transitivity`` and
-    ``type-propagation`` rules.  Monotone and idempotent; raises
-    ``SubclassCycleError`` on a subclass cycle."""
+    ``type-propagation`` rules, as a new graph; ``g`` is unchanged.
+    Monotone and idempotent; raises ``SubclassCycleError`` on a subclass
+    cycle."""
+    g = g.copy()
     if schema is not None:
-        g = g.copy()
         g.update(schema.graph)
     _check_subclass_cycles(g)
     rdfs = [r for r in builtin_ruleset() if r.name in _RDFS_RULES]

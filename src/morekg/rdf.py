@@ -284,15 +284,21 @@ class Graph:
     ``_spo[s][p]`` and ``_pos[p][o]`` are leaves: one bare term, or a
     ``set`` of two or more (see the module docstring).
 
+    ``_counts`` memoises ``count`` by pattern, for the graph as it was
+    when its length was ``_counts_len``: with no remove, a graph is
+    unchanged while its length is.
+
     Single-writer, multi-reader: mutate only with exclusive access.
     """
 
-    __slots__ = ("_len", "_spo", "_pos")
+    __slots__ = ("_len", "_spo", "_pos", "_counts", "_counts_len")
 
     def __init__(self, triples=None):
         self._len = 0
         self._spo: dict = {}
         self._pos: dict = {}
+        self._counts: dict = {}
+        self._counts_len = 0
         if triples:
             self.update(triples)
 
@@ -448,7 +454,17 @@ class Graph:
 
     def count(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> int:
-        """Number of triples matching the pattern (cheap for common shapes)."""
+        """Number of triples matching the pattern, counted once per graph
+        state: a repeat on an unchanged graph is one dict lookup."""
+        if self._counts_len != self._len:
+            self._counts = {}
+            self._counts_len = self._len
+        n = self._counts.get((s, p, o))
+        if n is None:
+            n = self._counts[s, p, o] = self._count(s, p, o)
+        return n
+
+    def _count(self, s, p, o) -> int:
         if s is None and p is None and o is None:
             return self._len
         if s is not None and p is not None and o is None:

@@ -1,15 +1,17 @@
 """Forward-chaining materialization of triple-pattern rules.
 
 Rules are Horn-style: a conjunctive body of triple patterns and a head
-of patterns over body variables only.  ``materialize`` computes the
-least fixpoint with semi-naive iteration: round 1 joins each rule once
-over the whole graph; later rounds join once per body atom, that atom
-against the previous round's delta and the others against the whole
-graph.  Heads never invent terms, so the fixpoint always terminates.
+of patterns over body variables only.  ``materialize`` extends its
+input graph in place to the least fixpoint, with semi-naive iteration:
+round 1 joins each rule once over the whole graph; later rounds join
+once per body atom, that atom against the previous round's delta and
+the others against the whole graph.  Heads never invent terms, so the
+fixpoint always terminates.
 
 ``join`` is the one basic-graph-pattern executor, shared with
 ``query.evaluate``.  ``plan`` orders its body greedily by cardinality:
-each atom is counted once on its own graph, and the next atom is the
+each atom is counted on its own graph, through ``Graph.count``, which
+counts a pattern once per graph state, and the next atom is the
 smallest of those connected to the atoms already placed.  ``join`` then
 extends its solutions atom by atom through ``Graph.extend``.  A solution
 is a row, a tuple of terms indexed by slot, and ``materialize``
@@ -205,26 +207,27 @@ def _derive(full: Graph, graphs: list[Graph], rule: Rule, out: set[tuple]) -> No
 
 
 def materialize(g: Graph, rs: RuleSet) -> Graph:
-    """Least fixpoint of ``g`` under ``rs``; returns a new graph.
+    """Least fixpoint of ``g`` under ``rs``: extends ``g`` in place and
+    returns it.  A caller that still needs the input passes a copy.
 
     Round 1 joins each rule once over the whole graph.  Each later round
     joins once per body atom, that atom against the previous round's new
-    triples and every other atom against the whole graph.
+    triples and every other atom against the whole graph.  Neither graph
+    changes within a round, so ``plan`` counts each atom once per round.
     """
-    full = g.copy()
     new: set[tuple] = set()
     for rule in rs:
-        _derive(full, [full] * len(rule.body), rule, new)
+        _derive(g, [g] * len(rule.body), rule, new)
     while new:
-        full.update(new)
+        g.update(new)
         delta = Graph(new)
         new = set()
         for rule in rs:
             for i in range(len(rule.body)):
-                graphs = [full] * len(rule.body)
+                graphs = [g] * len(rule.body)
                 graphs[i] = delta
-                _derive(full, graphs, rule, new)
-    return full
+                _derive(g, graphs, rule, new)
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -32,4 +32,5 @@ def fixture_graph(fixture_bundle, fixture_schema):
 
 @pytest.fixture(scope="session")
 def fixture_materialized(fixture_graph):
-    return materialize(fixture_graph, builtin_ruleset())
+    # materialize extends its input, and fixture_graph stays the emitted KG
+    return materialize(fixture_graph.copy(), builtin_ruleset())

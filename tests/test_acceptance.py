@@ -101,7 +101,7 @@ def test_criterion_4_shortcut_materialization(tmp_path, fixture_graph, capsys):
     sizes = []
     for g in (fixture_graph, big):
         sizes.append(len(g))
-        semi = materialize(g, rs)
+        semi = materialize(g.copy(), rs)
         naive = materialize_naive(g, rs)
         inferred = set(semi.match(None, vocab.MORE_MEASURES_DISPOSITION, None))
         oracle = naive_shortcut_inferences(list(g))

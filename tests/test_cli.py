@@ -144,6 +144,16 @@ class TestMaterializeCommand:
         assert "materialized" in capsys.readouterr().out
         assert len(parse_file(out)) > len(parse_file(kg_path))
 
+    def test_summary_counts_input_and_output_triples(self, kg_path, tmp_path, capsys):
+        # materialize extends the parsed graph, so the input size is read first
+        out = tmp_path / "mat.nt"
+        capsys.readouterr()
+        assert main(["materialize", str(kg_path), "-o", str(out)]) == 0
+        n, m = (len(path.read_text(encoding="utf-8").splitlines())
+                for path in (kg_path, out))
+        assert n < m
+        assert capsys.readouterr().out == "materialized %d -> %d triples\n" % (n, m)
+
     def test_no_builtins_requires_rules(self, kg_path, tmp_path, capsys):
         assert main(["materialize", str(kg_path), "--no-builtins",
                      "-o", str(tmp_path / "x.nt")]) == 1

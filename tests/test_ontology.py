@@ -81,6 +81,13 @@ class TestClosure:
         twice = rdfs_closure(once)
         assert once == twice
 
+    def test_rdfs_closure_leaves_input_unchanged(self, fixture_graph):
+        before = fixture_graph.copy()
+        closed = rdfs_closure(fixture_graph)
+        assert closed is not fixture_graph
+        assert len(closed) > len(before)
+        assert fixture_graph == before
+
     def test_monotone(self, fixture_graph):
         closed = rdfs_closure(fixture_graph)
         assert set(fixture_graph) <= set(closed)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from morekg import vocab
+from morekg.ingestion import emit_kg
 from morekg.rdf import BlankNode, Graph, IRI, Literal, PrefixMap, iri_value
 from morekg.rules import (Rule, RuleError, RuleSet, RuleSyntaxError, Var,
                           builtin_ruleset, export_rules, join, materialize,
@@ -237,13 +238,19 @@ class TestMaterialize:
         out = materialize(g, RuleSet([r]))
         assert len(out) == 1
 
-    def test_input_graph_unchanged(self, fixture_graph):
-        before = len(fixture_graph)
-        materialize(fixture_graph, builtin_ruleset())
-        assert len(fixture_graph) == before
+    def test_extends_its_input(self, fixture_bundle, fixture_schema, fixture_graph,
+                               fixture_materialized):
+        g = fixture_graph.copy()
+        out = materialize(g, builtin_ruleset())
+        assert out is g
+        assert out == fixture_materialized
+        # no test has extended the session's emitted KG either
+        emitted = emit_kg(fixture_bundle, fixture_schema)
+        emitted.update(fixture_schema.graph)
+        assert fixture_graph == emitted
 
     def test_idempotent(self, fixture_materialized):
-        again = materialize(fixture_materialized, builtin_ruleset())
+        again = materialize(fixture_materialized.copy(), builtin_ruleset())
         assert again == fixture_materialized
 
     def test_shortcut_count_matches_nested_loop_oracle(self, fixture_graph,
@@ -266,7 +273,7 @@ class TestMaterialize:
         # graphs()' random predicates match no rule body; rule_graphs()' do
         rs = parse_rules(RECURSIVE_RULE_TEXT)
         for h in (g, rule_g):
-            assert materialize(h, rs) == materialize_naive(h, rs)
+            assert materialize(h.copy(), rs) == materialize_naive(h, rs)
 
     def test_round_joins_two_triples_of_its_own_delta(self):
         # round 1 derives both body atoms of ``joined``; round 2 must join
@@ -279,7 +286,7 @@ class TestMaterialize:
         """, include_builtins=False)
         g = Graph([(iri("a"), vocab.MORE_PART_OF_STUDY, iri("b")),
                    (iri("b"), vocab.MORE_PART_OF_STUDY, iri("c"))])
-        out = materialize(g, rs)
+        out = materialize(g.copy(), rs)
         assert (iri("a"), IRI(vocab.MORE + "joined"), iri("c")) in out
         assert out == materialize_naive(g, rs)
 
@@ -414,6 +421,6 @@ class TestRuleSyntax:
 
     def test_parsed_rules_evaluate(self, fixture_graph):
         rs = parse_rules(RULE_TEXT, include_builtins=False)
-        out = materialize(fixture_graph, rs)
+        out = materialize(fixture_graph.copy(), rs)
         # partOfStudy is flat in the emitted KG, so nothing new derives
         assert out == fixture_graph
