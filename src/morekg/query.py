@@ -405,16 +405,23 @@ def parse_query(text: str) -> QueryAst:
 # ---------------------------------------------------------------------------
 # Evaluation
 
+def _both(a, b):
+    return lambda row: a(row) and b(row)
+
+
+def _either(a, b):
+    return lambda row: a(row) or b(row)
+
+
 def _row_test(expr: FilterExpr, slot: dict, key):
     """``expr`` as a test of one row, each variable read at its slot and
     each term valued by ``key``.  A type error makes a comparison false."""
     if isinstance(expr, BoolOp):
         tests = [_row_test(e, slot, key) for e in expr.operands]
-        if expr.op == "&&":
-            return lambda row: all(test(row) for test in tests)
-        if expr.op == "||":
-            return lambda row: any(test(row) for test in tests)
-        return lambda row: not tests[0](row)
+        if expr.op == "!":
+            return lambda row: not tests[0](row)
+        # one short-circuit closure per operator, left to right
+        return reduce(_both if expr.op == "&&" else _either, tests)
     cmp = _OPERATORS[expr.op]
     ordering = expr.op not in ("=", "!=")
     lhs, rhs = (itemgetter(slot[t.name]) if isinstance(t, Var) else (lambda row, t=t: t)
@@ -563,8 +570,8 @@ def to_csv(table: SolutionTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([render_term(t) for t in row])
+    text = {t: render_term(t) for t in set().union(*table.rows)}  # each term once
+    writer.writerows([text[t] for t in row] for row in table.rows)
     return buf.getvalue()
 
 

@@ -30,16 +30,17 @@ nearly every triple; a dict whose keys and values are all ``str`` is not
 tracked by the collector at all.  ``Graph`` has no remove, so a ``set``
 never shrinks back, and ``Graph.without`` writes each leaf it keeps in
 the form of what it keeps: each leaf has one form for its content, and
-equal graphs have equal indexes.  Only ``Graph`` reads the leaves,
-through ``_leaf_terms`` or a ``type(leaf) is set`` test.
+equal graphs have equal indexes.  ``Graph`` reads the leaves through
+``_leaf_terms`` or a ``type(leaf) is set`` test; the one reader outside
+it is ``Graph.stars``, whose caller gets the SPO leaves in this form.
 
 Three methods walk the indexes.  ``Graph.extend`` extends rows, tuples
 of terms indexed by slot, by the triples that match one pattern;
 ``rules.join`` chains it atom by atom, and ``match`` is one row of it.
 ``Graph.stars`` yields each subject with its predicates and their
-objects, which the writers read.  ``Graph.without`` filters both indexes
-into a subgraph, leaf by leaf; role views are built with it, and
-``copy`` is ``without`` with nothing dropped.
+leaves, which the Turtle writer reads.  ``Graph.without`` filters both
+indexes into a subgraph, leaf by leaf; role views are built with it,
+and ``copy`` is ``without`` with nothing dropped.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import functools
 import re
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterator, Optional
+from typing import ItemsView, Iterator, Optional
 
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 RDF_LANG_STRING = "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
@@ -381,11 +382,14 @@ class Graph:
         g._pos, _ = _filter_index(self._pos, predicates, nodes, nodes)
         return g
 
-    def stars(self) -> Iterator[tuple[Term, list[tuple[Term, set | tuple]]]]:
-        """Each subject with its ``(predicate, objects)`` pairs, read from
-        SPO; the objects are a container of terms not to be mutated."""
+    def stars(self) -> Iterator[tuple[Term, ItemsView[Term, Term | set]]]:
+        """Each subject with the ``(predicate, leaf)`` items of its SPO
+        entry, as they are: a leaf is a bare term, the one object, or a
+        ``set`` of two or more objects, and is not to be mutated.  The one
+        reader of leaves outside ``Graph``; the graph must not change
+        while a caller walks them."""
         for s, po in self._spo.items():
-            yield s, [(p, _leaf_terms(objs)) for p, objs in po.items()]
+            yield s, po.items()
 
     def extend(self, step: tuple, rows: list[tuple]) -> list[tuple]:
         """Each row of ``rows`` extended by every triple of the graph that
@@ -482,6 +486,7 @@ class PrefixMap:
 
     def __init__(self, mapping: Optional[dict[str, str]] = None):
         self._map: dict[str, str] = dict(mapping or {})
+        self._compactor = None  # (pattern, namespace -> label), see compact
 
     @classmethod
     def default(cls) -> "PrefixMap":
@@ -490,6 +495,7 @@ class PrefixMap:
 
     def register(self, prefix: str, namespace: str) -> None:
         self._map[prefix] = namespace
+        self._compactor = None
 
     def items(self):
         return self._map.items()
@@ -504,14 +510,23 @@ class PrefixMap:
         return IRI(ns + local)
 
     def compact(self, iri: Term) -> str:
-        """Longest-namespace-match CURIE, or the IRI term itself."""
-        value = iri_value(iri)
-        best = None
-        best_ns = ""
-        for prefix, ns in self._map.items():
-            if value.startswith(ns) and len(ns) > len(best_ns):
-                best = prefix
-                best_ns = ns
-        if best is None:
+        """Longest-namespace-match CURIE, or the IRI term itself.  When
+        labels share a namespace the first registered wins, and an empty
+        namespace never matches.
+
+        One match of an alternation of the namespaces, longest first, so
+        the first alternative that matches is the longest namespace; it
+        is built on first use and dropped by ``register``."""
+        if self._compactor is None:
+            labels: dict[str, str] = {}
+            for prefix, ns in self._map.items():
+                if ns:
+                    labels.setdefault(ns, prefix)
+            alternation = "|".join(map(re.escape, sorted(labels, key=len, reverse=True)))
+            # an empty map gets a pattern that never matches
+            self._compactor = re.compile(alternation or "(?!)"), labels
+        pattern, labels = self._compactor
+        m = pattern.match(iri, 1, len(iri) - 1)  # within the angle brackets
+        if m is None:
             return iri
-        return "%s:%s" % (best, value[len(best_ns):])
+        return "%s:%s" % (labels[m.group()], iri[m.end():-1])

@@ -28,7 +28,8 @@ the lexer also reads.  From the first statement that will not split, the
 token parser reads on to the end; it alone raises positioned errors.
 
 Canonical output is byte-deterministic: a pure function of the triple
-set, independent of insertion order.
+set, independent of insertion order.  ``write_file`` writes either
+format as its lines, never joined into one text.
 """
 
 from __future__ import annotations
@@ -262,7 +263,9 @@ def _nt_canonical(text: str, seen: dict) -> Optional[Term]:
 
 def _nt_lines(text: str) -> list[str]:
     """The lines of an N-Triples text; a line ends at LF, CR or CRLF."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:  # the writer writes none, so most texts are split as they are
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def parse_ntriples(text: str) -> Graph:
@@ -391,29 +394,37 @@ def term_to_ttl(term: Term, pm: PrefixMap) -> str:
     return term
 
 
+def _turtle_lines(g: Graph, prefixes: Optional[PrefixMap] = None) -> list[str]:
+    """The text of ``write_turtle(g, prefixes)`` as newline-terminated
+    pieces: the ``@prefix`` lines, a blank line, then one statement per
+    subject, sorted."""
+    pm = PrefixMap.default() if prefixes is None else prefixes
+    render = functools.cache(lambda term: term_to_ttl(term, pm))
+    # each term is rendered once per call.  Distinct terms render to
+    # distinct texts, and a subject's text is followed by " ", below any
+    # character a subject holds, so sorting the statements sorts them by
+    # subject; a part sorts by its predicate's text, "a" by "rdf:type".
+    statements = []
+    for s, po in g.stars():
+        parts = []
+        for p, objs in po:
+            ptext = render(p)
+            otext = (", ".join(sorted(map(render, objs))) if type(objs) is set
+                     else render(objs))
+            parts.append((ptext, "%s %s" % ("a" if p == vocab.RDF_TYPE else ptext, otext)))
+        parts.sort()
+        statements.append("%s %s .\n" % (render(s), " ;\n    ".join([part for _, part in parts])))
+    statements.sort()
+    lines = ["@prefix %s: <%s> .\n" % (p, ns) for p, ns in sorted(pm.items())]
+    lines.append("\n")
+    lines += statements
+    return lines
+
+
 def write_turtle(g: Graph, prefixes: Optional[PrefixMap] = None) -> str:
     """``g`` as canonical Turtle: subjects, predicates and objects sorted,
     IRIs written as CURIEs of ``prefixes`` (default: the project's)."""
-    pm = PrefixMap.default() if prefixes is None else prefixes
-    render = functools.cache(lambda term: term_to_ttl(term, pm))
-    lines = ["@prefix %s: <%s> ." % (p, ns) for p, ns in sorted(pm.items())]
-    lines.append("")
-
-    # each term is rendered once per call; distinct terms render to
-    # distinct texts, so sorting (text, part) pairs sorts by text alone
-    statements = []
-    for s, pairs in g.stars():
-        parts = []
-        for p, objs in pairs:
-            ptext = render(p)
-            otexts = sorted(map(render, objs))
-            parts.append((ptext, "%s %s" % ("a" if p == vocab.RDF_TYPE else ptext,
-                                            ", ".join(otexts))))
-        parts.sort()
-        statements.append((render(s), " ;\n    ".join([part for _, part in parts])))
-    statements.sort()
-    lines += ["%s %s ." % st for st in statements]
-    return "".join(line + "\n" for line in lines)
+    return "".join(_turtle_lines(g, prefixes))
 
 
 def parse_file(path) -> Graph:
@@ -427,10 +438,10 @@ def parse_file(path) -> Graph:
 
 def write_file(g: Graph, path) -> None:
     """Write ``.nt`` or ``.ttl`` by extension (Turtle by default).  The
-    N-Triples lines are written one by one, never joined into one text."""
+    lines are written one by one, never joined into one text."""
     if str(path).endswith(".nt"):
         lines = _ntriples_lines(g)
     else:
-        lines = [write_turtle(g)]
+        lines = _turtle_lines(g)
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(lines)

@@ -15,7 +15,7 @@ from morekg.privacy import AuditViolation, _entailed
 from morekg.rdf import (Graph, IRI, Literal, PrefixMap, iri_value, is_iri,
                         is_literal, literal_parts)
 from morekg.rules import Var, join
-from morekg.serdes import term_to_ttl
+from morekg.serdes import _CURIE_RE
 
 
 def naive_rdfs_fixpoint(triples) -> set[tuple]:
@@ -244,13 +244,32 @@ def reference_write_ntriples(g: Graph) -> str:
     return "".join(sorted("%s %s %s .\n" % (s, p, o) for s, p, o in g))
 
 
+def reference_compact(pm: PrefixMap, iri: str) -> str:
+    """``pm.compact`` as a scan of every prefix: the longest namespace
+    that starts the IRI wins, the first label of a namespace wins a tie,
+    and an empty namespace never matches."""
+    value = iri[1:-1]
+    best = None
+    for prefix, ns in pm.items():
+        if ns and value.startswith(ns) and (best is None or len(ns) > len(best[1])):
+            best = prefix, ns
+    if best is None:
+        return iri
+    return "%s:%s" % (best[0], value[len(best[1]):])
+
+
 def reference_write_turtle(g: Graph, prefixes=None) -> str:
     """Triples grouped into a subject -> predicate -> objects copy, each
-    level sorted by the terms' Turtle texts."""
+    level sorted by the terms' Turtle texts, IRIs compacted by
+    ``reference_compact``."""
     pm = PrefixMap.default() if prefixes is None else prefixes
 
     def render(term):
-        return term_to_ttl(term, pm)
+        if is_iri(term):
+            curie = reference_compact(pm, term)
+            if _CURIE_RE.fullmatch(curie):
+                return curie
+        return term
 
     lines = ["@prefix %s: <%s> ." % (p, ns) for p, ns in sorted(pm.items())]
     lines.append("")

@@ -6,13 +6,14 @@ from hypothesis import given, strategies as st
 
 from morekg.rdf import (XSD_STRING, BlankNode, Graph, IRI, Literal,
                         MalformedTripleError, PrefixMap, RdfError,
-                        UnresolvedPrefixError, escape_string, iri_value, is_iri,
-                        is_literal, literal_parts)
+                        UnresolvedPrefixError, _leaf_terms, escape_string, iri_value,
+                        is_iri, is_literal, literal_parts)
 from morekg import vocab
 from morekg.rules import Var, join
 from morekg.serdes import write_ntriples, write_turtle
 
-from graph_oracles import as_dicts, check_against_scan, reference_join, shapes
+from graph_oracles import (as_dicts, check_against_scan, reference_compact, reference_join,
+                           shapes)
 from strategies import graphs, rule_graphs, triples
 
 EX_S = IRI("http://example.org/s")
@@ -362,8 +363,10 @@ class TestLeaves:
     def test_stars_hold_each_subject_once_and_every_triple(self, g):
         subjects = [s for s, _ in g.stars()]
         assert len(subjects) == len(set(subjects))
-        star_triples = [(s, p, o) for s, pairs in g.stars() for p, objs in pairs
-                        for o in objs]
+        leaves = [leaf for _, pairs in g.stars() for _, leaf in pairs]
+        assert all(len(leaf) > 1 for leaf in leaves if isinstance(leaf, set))
+        star_triples = [(s, p, o) for s, pairs in g.stars() for p, leaf in pairs
+                        for o in _leaf_terms(leaf)]
         assert len(star_triples) == len(g) and set(star_triples) == set(g)
 
     def test_distinct_pairs_hold_no_set_leaf(self):
@@ -473,6 +476,29 @@ class TestPrefixMap:
     def test_compact_longest_match(self):
         pm = PrefixMap({"a": "http://x.org/", "b": "http://x.org/deep/"})
         assert pm.compact(IRI("http://x.org/deep/z")) == "b:z"
+
+    # namespaces of few characters, so that they nest and repeat, with the
+    # regex metacharacters among them and the empty namespace in reach;
+    # the IRIs start with a namespace or not
+    _NS = st.text(alphabet="ab/#.+?(|", max_size=4)
+
+    @given(st.lists(st.tuples(st.sampled_from("pqrs"), _NS), max_size=6),
+           st.lists(st.tuples(_NS, st.text(alphabet="ab.|z", max_size=3)), max_size=8),
+           st.tuples(st.sampled_from("pqrst"), _NS))
+    def test_compact_equals_reference_property(self, entries, iris, later):
+        pm = PrefixMap(dict(entries))
+        terms = ["<%s%s>" % pair for pair in iris]
+        for _ in range(2):  # before and after a register
+            assert [pm.compact(t) for t in terms] == \
+                [reference_compact(pm, t) for t in terms]
+            pm.register(*later)
+
+    def test_compact_ties_and_empty_namespace(self):
+        pm = PrefixMap({"e": "", "x": "http://x.org/", "y": "http://x.org/"})
+        assert pm.compact(IRI("http://x.org/a")) == "x:a"
+        assert pm.compact(IRI("http://z.org/a")) == "<http://z.org/a>"
+        pm.register("d", "http://x.org/a")
+        assert pm.compact(IRI("http://x.org/a.b")) == "d:.b"
 
     @pytest.mark.parametrize("curie", [
         "iao:plan_specification", "more:hasAge", "bfo:Process", "pato:executes",
