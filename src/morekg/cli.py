@@ -18,7 +18,7 @@ from . import fixtures, serdes, vocab
 from .bundle import BundleError
 from .cq import run_cases
 from .ingestion import emit_kg, load_bundle, validate_bundle
-from .ontology import SubclassCycleError, apply_aliases, build_schema
+from .ontology import apply_aliases, build_schema
 from .privacy import (PolicyError, apply_policy, audit_view, default_policy,
                       load_policy)
 from .query import QueryError, evaluate, parse_query, to_csv, to_text
@@ -26,7 +26,7 @@ from .rules import RuleError, builtin_ruleset, export_rules, materialize, parse_
 from .rdf import RdfError
 
 DOMAIN_ERRORS = (BundleError, PolicyError, QueryError, RuleError, RdfError,
-                 SubclassCycleError, OSError, ValueError)
+                 OSError, ValueError)
 
 
 def _load_aliases(path) -> dict:

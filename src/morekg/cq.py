@@ -134,19 +134,14 @@ def compare_csv(expected: str, actual: str) -> Optional[str]:
     return None
 
 
-def run_case(graph: Graph, case: CqCase, policy=None) -> CqResult:
+def run_case(graph: Graph, case: CqCase, policy) -> CqResult:
     from .privacy import apply_policy
     if not case.expected_path.exists():
         return CqResult(case.name, False,
                         "missing expected file %s" % case.expected_path.name)
     try:
         ast = parse_query(case.query_path.read_text(encoding="utf-8"))
-        g = graph
-        if case.role:
-            if policy is None:
-                return CqResult(case.name, False,
-                                "case requires role %r but no policy given" % case.role)
-            g = apply_policy(graph, policy, case.role)
+        g = apply_policy(graph, policy, case.role) if case.role else graph
         actual = to_csv(evaluate(g, ast))
     except Exception as e:
         return CqResult(case.name, False, "error: %s" % e)
@@ -157,8 +152,5 @@ def run_case(graph: Graph, case: CqCase, policy=None) -> CqResult:
     return CqResult(case.name, True)
 
 
-def run_cases(graph: Graph, cases_dir, policy=None) -> CqSummary:
-    summary = CqSummary()
-    for case in discover_cases(cases_dir):
-        summary.results.append(run_case(graph, case, policy))
-    return summary
+def run_cases(graph: Graph, cases_dir, policy) -> CqSummary:
+    return CqSummary([run_case(graph, case, policy) for case in discover_cases(cases_dir)])

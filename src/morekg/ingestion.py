@@ -30,7 +30,7 @@ from .bundle import (
     ValidationIssue,
     ValidationReport,
 )
-from .ontology import OntologySchema
+from .ontology import OntologySchema, item_terms
 from .query import NUMERIC_LEXICAL
 from .rdf import Graph, Literal, Term, iri_value
 
@@ -177,6 +177,7 @@ def load_bundle(dir_path) -> StudyBundle:
     # "<participant_id>_<key>", the IRI local of a disposition and the stem
     # of its results' locals -> the (participant, key) pair it names
     pairs: dict[str, tuple[str, str]] = {}
+    names: dict[Term, tuple[str, int]] = {}  # item individual -> its key and row
     for i, row in enumerate(rows, start=2):
         key = _component(row, "key", ipath, i)
         if key in datatypes:
@@ -191,13 +192,22 @@ def load_bundle(dir_path) -> StudyBundle:
             if pair[1] != key:
                 raise BundleError("%s row %d: participant %r with key %r mints the IRIs "
                                   "of participant %r with key %r" % ((ipath, i, pid, key) + pair))
-        items.append(TestItemDef(
+        item = TestItemDef(
             key=key,
             label=_req(row, "label", ipath, i),
             disposition_label=_req(row, "disposition_label", ipath, i),
             unit=_req(row, "unit", ipath, i),
             datatype=datatype,
-        ))
+        )
+        try:
+            item_iri = item_terms(key, item.disposition_label)[0]
+        except BundleError as e:
+            raise BundleError("%s row %d: %s" % (ipath, i, e)) from None
+        if item_iri in names:
+            raise BundleError("%s row %d: key %r names the item %s, as key %r does in row %d"
+                              % ((ipath, i, key, item_iri) + names[item_iri]))
+        names[item_iri] = (key, i)
+        items.append(item)
 
     rpath, rows = _read_rows(base, "results")
     results = []

@@ -1,24 +1,20 @@
-"""Schema axioms for the motor-test knowledge graph and an RDFS-subset
-closure (subclass transitivity plus type propagation, by the builtin
-rules)."""
+"""Schema axioms for the motor-test knowledge graph, the one naming rule
+for a test item's terms, and IRI aliasing.
+
+RDFS entailment is ``rules.materialize`` with the builtin rules.  The
+schema's subclass graph is acyclic: an item adds only ``<Name>TestProcess
+⊑ more:TestProcess`` and ``<Kind>Disposition ⊑ bfo:Disposition``, above
+which no class leads back, and ``item_terms`` rejects the empty name that
+would put ``more:TestProcess`` under itself."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import vocab
 from .bundle import BundleError, TestItemDef
-from .rdf import Graph, IRI, Literal, Term, iri_value, is_iri
-from .rules import RuleSet, builtin_ruleset, materialize
-
-
-class SubclassCycleError(Exception):
-    def __init__(self, cycle: list[Term]):
-        super().__init__(
-            "subclass cycle: " + " -> ".join(map(iri_value, cycle))
-        )
-        self.cycle = cycle
+from .rdf import IRI_EXCLUDED, Graph, IRI, Literal, Term, iri_value, is_iri
 
 
 @dataclass
@@ -44,6 +40,26 @@ _FIXED_SUBCLASS_AXIOMS = (
 )
 
 
+def item_terms(key: str, disposition_label: str) -> tuple[Term, Term, Term]:
+    """An item's individual ``more:<Name>``, process class
+    ``more:<Name>TestProcess`` and disposition kind ``more:<Kind>``: the
+    name is the camel-cased key, and the kind the camel-cased disposition
+    label, suffixed ``Disposition`` unless it already ends so.  Raises
+    ``BundleError`` when the name is empty or the kind is not an IRI."""
+    name = vocab.camel_case(key)
+    if not name:
+        raise BundleError("key %r gives an empty item name" % key)
+    kind = vocab.camel_case(disposition_label)
+    if not kind.endswith("Disposition"):
+        kind += "Disposition"
+    bad = IRI_EXCLUDED.search(kind)
+    if bad:
+        raise BundleError("disposition_label %r gives a class name that is not an "
+                          "IRI: it holds %r" % (disposition_label, bad.group()))
+    return (IRI(vocab.MORE + name), IRI(vocab.MORE + name + "TestProcess"),
+            IRI(vocab.MORE + kind))
+
+
 def build_schema(item_registry: Sequence[TestItemDef]) -> OntologySchema:
     """Fixed axioms plus, per item, a process subclass, a test-item
     individual, and a disposition kind."""
@@ -61,63 +77,15 @@ def build_schema(item_registry: Sequence[TestItemDef]) -> OntologySchema:
 
     schema = OntologySchema(g, items, {}, {}, {})
     for key, item in items.items():
-        name = vocab.camel_case(key)
-        kind = vocab.camel_case(item.disposition_label)
-        if not kind.endswith("Disposition"):
-            kind += "Disposition"
-        item_iri = schema.item_iris[key] = IRI(vocab.MORE + name)
-        proc_cls = schema.process_classes[key] = IRI(vocab.MORE + name + "TestProcess")
-        kind_iri = schema.disposition_kinds[key] = IRI(vocab.MORE + kind)
+        item_iri, proc_cls, kind_iri = item_terms(key, item.disposition_label)
+        schema.item_iris[key] = item_iri
+        schema.process_classes[key] = proc_cls
+        schema.disposition_kinds[key] = kind_iri
         g.add(proc_cls, vocab.RDFS_SUBCLASSOF, vocab.MORE_TEST_PROCESS)
         g.add(item_iri, vocab.RDF_TYPE, vocab.MORE_TEST_ITEM)
         g.add(item_iri, vocab.RDFS_LABEL, Literal(item.label))
         g.add(kind_iri, vocab.RDFS_SUBCLASSOF, vocab.BFO_DISPOSITION)
-
-    _check_subclass_cycles(g)
     return schema
-
-
-def _check_subclass_cycles(g: Graph) -> None:
-    """Raise ``SubclassCycleError`` on a ``rdfs:subClassOf`` cycle through
-    two or more classes, naming it from its first class round to it."""
-    direct: dict = {}
-    for s, _, o in g.match(None, vocab.RDFS_SUBCLASSOF, None):
-        if s != o:
-            direct.setdefault(s, []).append(o)
-
-    done: set = set()
-    path: list = []
-
-    def visit(c):
-        if c in done:
-            return
-        if c in path:
-            raise SubclassCycleError(path[path.index(c):] + [c])
-        path.append(c)
-        for d in direct.get(c, ()):
-            visit(d)
-        path.pop()
-        done.add(c)
-
-    for c in direct:
-        visit(c)
-
-
-_RDFS_RULES = ("subclass-transitivity", "type-propagation")
-
-
-def rdfs_closure(g: Graph, schema: Optional[OntologySchema] = None) -> Graph:
-    """Graph plus transitive subclass triples and propagated rdf:type
-    triples: the fixpoint of the builtin ``subclass-transitivity`` and
-    ``type-propagation`` rules, as a new graph; ``g`` is unchanged.
-    Monotone and idempotent; raises ``SubclassCycleError`` on a subclass
-    cycle."""
-    g = g.copy()
-    if schema is not None:
-        g.update(schema.graph)
-    _check_subclass_cycles(g)
-    rdfs = [r for r in builtin_ruleset() if r.name in _RDFS_RULES]
-    return materialize(g, RuleSet(rdfs))
 
 
 def apply_aliases(g: Graph, aliases: dict[str, str]) -> Graph:

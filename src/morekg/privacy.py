@@ -100,8 +100,8 @@ def _section(value, where: str) -> dict:
     return value
 
 
-def policy_from_dict(data: dict, prefixes: Optional[PrefixMap] = None) -> Policy:
-    pm = prefixes or PrefixMap.default()
+def policy_from_dict(data: dict) -> Policy:
+    pm = PrefixMap.default()
     for prefix, ns in _section(data.get("prefixes"), "prefixes").items():
         if not isinstance(prefix, str) or not isinstance(ns, str):
             raise PolicyError("prefixes: expected a prefix name and a namespace "
@@ -262,7 +262,6 @@ def audit_view(view: Graph, p: Policy, role_name: str) -> AuditReport:
 def default_policy() -> Policy:
     """Shipped policy: age/postal code identifying, BMI health; the
     public role sees only public data with 5-year age bands."""
-    pm = PrefixMap.default()
     return policy_from_dict({
         "annotations": {
             "more:hasAge": "identifying",
@@ -278,4 +277,4 @@ def default_policy() -> Policy:
         },
         "provenance": "role-based permission/prohibition view policy "
                       "(ODRL-style lineage; not ODRL RDF)",
-    }, pm)
+    })

@@ -286,9 +286,9 @@ def parse_rules(text: str, prefixes: Optional[PrefixMap] = None,
         builtin_ruleset().rules if include_builtins else [])
 
 
-def export_rules(rs: RuleSet, prefixes: Optional[PrefixMap] = None) -> str:
+def export_rules(rs: RuleSet) -> str:
     """Serialize a rule set back to the line-oriented syntax."""
-    pm = prefixes or PrefixMap.default()
+    pm = PrefixMap.default()
 
     def patterns(ps):
         return " & ".join(" ".join(

@@ -1,10 +1,14 @@
+import csv
+import io
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from morekg import vocab
-from morekg.bundle import (BundleError, ParticipantRecord, ResultRecord,
+from morekg.bundle import (TABLES, BundleError, ParticipantRecord, ResultRecord,
                            StudyBundle, StudyMetadata)
 from morekg.bundle import TestItemDef as ItemDef
 from morekg.fixtures import generate_fixture
@@ -14,6 +18,7 @@ from morekg.query import evaluate, parse_query, to_csv
 from morekg.rdf import IRI, Literal, iri_value, is_iri, literal_parts
 from morekg.serdes import write_ntriples
 
+from graph_oracles import naive_rdfs_fixpoint
 from oracles import count_expected_emission
 
 MINIMAL = {
@@ -191,18 +196,61 @@ class TestLoadBundle:
           "results.csv": _RESULT + "p1,grip_x,10.0,2018-06-12,\np1_grip,x,20.0,2018-06-12,\n"},
          r"test_items\.csv row 3: participant 'p1_grip' with key 'x' mints the IRIs "
          r"of participant 'p1' with key 'grip_x'"),
+        # an item's name is its camel-cased key: it must not be empty, and no
+        # two keys may give one name; its disposition kind must be an IRI
+        ({"test_items.csv": "key,label,disposition_label,unit,datatype\n"
+          "_,Blank,grip strength,kg,\n"},
+         r"test_items\.csv row 2: key '_' gives an empty item name"),
+        ({"test_items.csv": "key,label,disposition_label,unit,datatype\n"
+          "hand_grip,Hand grip,grip strength,kg,\nhandGrip,Hand grip,grip strength,lb,\n",
+          "results.csv": _RESULT + "p001,hand_grip,32.5,2018-06-12,\n"
+          "p001,handGrip,71.6,2018-06-12,\n"},
+         r"test_items\.csv row 3: key 'handGrip' names the item "
+         r"<https://w3id\.org/more#HandGrip>, as key 'hand_grip' does in row 2"),
+        ({"test_items.csv": "key,label,disposition_label,unit,datatype\n"
+          "handgrip,Handgrip,grip {strength},kg,\n"},
+         r"test_items\.csv row 2: disposition_label 'grip \{strength\}' gives a class "
+         r"name that is not an IRI"),
         ({"results.csv": _RESULT + "p001,handgrip,32.5,yesterday,\n"},
          r"results\.csv row 2: session_date 'yesterday' is not a YYYY-MM-DD calendar date"),
         ({"results.csv": _RESULT + "p001,handgrip,32.5,2018-06-12,1\n"
           "p001,handgrip,32.5,2018-02-30,2\n"},
          r"results\.csv row 3: session_date '2018-02-30' is not a YYYY-MM-DD calendar date"),
     ], ids=["study-uppercase", "year-order", "year-underscore", "age-negative",
-            "height-zero", "age-non-ascii-digit", "colliding-pair", "date-word",
+            "height-zero", "age-non-ascii-digit", "colliding-pair", "item-name-empty",
+            "item-name-twice", "disposition-kind-not-an-iri", "date-word",
             "date-not-a-day"])
     def test_broken_rule_names_file_and_row(self, tmp_path, overrides, message):
         write_bundle(tmp_path, overrides)
         with pytest.raises(BundleError, match=message):
             load_bundle(tmp_path)
+
+    # keys by the component rule's characters, with "_" and "-" so that some
+    # camel-case to an empty name, and labels that do and do not make an IRI
+    _KEYS = st.text(alphabet="abcAB_-.", min_size=1, max_size=6)
+    _LABELS = st.one_of(st.sampled_from(["grip strength", "disposition", "grip Disposition",
+                                         "_", "test process", "x {y}"]),
+                        st.text(alphabet="abc D_-", min_size=1, max_size=6))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_KEYS, _LABELS), min_size=1, max_size=4,
+                    unique_by=lambda item: item[0]))
+    def test_admitted_registry_has_acyclic_subclass_graph(self, registry):
+        """For every item registry that ``load_bundle`` admits, the
+        ``rdfs:subClassOf`` graph of its schema has no cycle and no
+        self-loop: its transitive closure relates no class to itself."""
+        rows = io.StringIO()
+        csv.writer(rows).writerows([TABLES["test_items"]] + [
+            [key, "Item", label, "kg", ""] for key, label in registry])
+        with tempfile.TemporaryDirectory() as d:
+            write_bundle(Path(d), {"test_items.csv": rows.getvalue(),
+                                   "results.csv": self._RESULT})
+            try:
+                items = load_bundle(d).items
+            except BundleError:
+                return
+        subclass = build_schema(items).graph.match(None, vocab.RDFS_SUBCLASSOF, None)
+        assert not [c for c, _, sup in naive_rdfs_fixpoint(subclass) if c == sup]
 
     def test_signed_age_loads(self, tmp_path):
         b = load_bundle(write_bundle(tmp_path, {"participants.csv": self._PARTICIPANT

@@ -3,15 +3,18 @@ import pytest
 from morekg import vocab
 from morekg.bundle import BundleError
 from morekg.bundle import TestItemDef as ItemDef
-from morekg.ontology import (SubclassCycleError, apply_aliases, build_schema,
-                             rdfs_closure)
+from morekg.ontology import apply_aliases, build_schema, item_terms
 from morekg.rdf import Graph, IRI
+from morekg.rules import RuleSet, builtin_ruleset, materialize
 
 from graph_oracles import naive_rdfs_fixpoint
 
 HANDGRIP = ItemDef("handgrip", "Handgrip", "grip strength", "kg")
 SHUTTLE = ItemDef("shuttle_run", "Shuttle Run Test", "aerobic endurance",
                   "ml/kg/min")
+# RDFS entailment: the builtin subclass-transitivity and type-propagation rules
+RDFS_RULES = RuleSet([r for r in builtin_ruleset()
+                      if r.name in ("subclass-transitivity", "type-propagation")])
 
 
 class TestBuildSchema:
@@ -52,71 +55,53 @@ class TestBuildSchema:
         assert (kind, vocab.RDFS_SUBCLASSOF, vocab.BFO_DISPOSITION) in schema.graph
         assert schema.items["handgrip"].unit == "kg"
 
-    def test_subclass_relation_acyclic(self):
-        schema = build_schema([HANDGRIP, SHUTTLE])
-        rdfs_closure(schema.graph)  # would raise on a cycle
+
+class TestItemTerms:
+    def test_disposition_suffix_not_doubled(self):
+        assert item_terms("handgrip", "grip disposition")[2] == \
+            IRI(vocab.MORE + "GripDisposition")
+
+    def test_build_schema_rejects_an_empty_item_name(self):
+        # it would put more:TestProcess under itself
+        with pytest.raises(BundleError, match="key '_' gives an empty item name"):
+            build_schema([ItemDef("_", "Blank", "grip strength", "kg")])
 
 
 class TestClosure:
     def test_study_subsumption_chain(self):
-        schema = build_schema([HANDGRIP])
-        g = Graph()
+        g = build_schema([HANDGRIP]).graph
         s = IRI("http://example.org/study1")
         g.add(s, vocab.RDF_TYPE, vocab.MORE_STUDY)
-        closed = rdfs_closure(g, schema)
+        closed = materialize(g.copy(), RDFS_RULES)
         assert (s, vocab.RDF_TYPE, vocab.IAO_PLAN_SPECIFICATION) in closed
         assert (s, vocab.RDF_TYPE, vocab.IAO_INFORMATION_CONTENT_ENTITY) in closed
 
     def test_handgrip_process_typed_assay_and_process(self):
-        schema = build_schema([HANDGRIP])
-        g = Graph()
+        g = build_schema([HANDGRIP]).graph
         p = IRI("http://example.org/proc1")
         g.add(p, vocab.RDF_TYPE, vocab.MORE_HANDGRIP_TEST_PROCESS)
-        closed = rdfs_closure(g, schema)
+        closed = materialize(g.copy(), RDFS_RULES)
         assert (p, vocab.RDF_TYPE, vocab.OBI_ASSAY) in closed
         assert (p, vocab.RDF_TYPE, vocab.BFO_PROCESS) in closed
 
     def test_idempotent(self, fixture_graph):
-        once = rdfs_closure(fixture_graph)
-        twice = rdfs_closure(once)
+        once = materialize(fixture_graph.copy(), RDFS_RULES)
+        twice = materialize(once.copy(), RDFS_RULES)
         assert once == twice
 
-    def test_rdfs_closure_leaves_input_unchanged(self, fixture_graph):
-        before = fixture_graph.copy()
-        closed = rdfs_closure(fixture_graph)
-        assert closed is not fixture_graph
-        assert len(closed) > len(before)
-        assert fixture_graph == before
-
     def test_monotone(self, fixture_graph):
-        closed = rdfs_closure(fixture_graph)
+        closed = materialize(fixture_graph.copy(), RDFS_RULES)
         assert set(fixture_graph) <= set(closed)
 
     def test_matches_naive_fixpoint_oracle(self, fixture_graph):
-        closed = rdfs_closure(fixture_graph)
+        closed = materialize(fixture_graph.copy(), RDFS_RULES)
         oracle = naive_rdfs_fixpoint(set(fixture_graph))
         assert set(closed) == oracle
 
     def test_order_independent(self, fixture_graph):
         ts = sorted(set(fixture_graph), key=repr)
-        assert rdfs_closure(Graph(ts)) == rdfs_closure(Graph(reversed(ts)))
-
-    def test_cycle_detected_and_named(self):
-        g = Graph()
-        a, b = IRI("http://example.org/A"), IRI("http://example.org/B")
-        g.add(a, vocab.RDFS_SUBCLASSOF, b)
-        g.add(b, vocab.RDFS_SUBCLASSOF, a)
-        with pytest.raises(SubclassCycleError) as e:
-            rdfs_closure(g)
-        assert "example.org/A" in str(e.value) and "example.org/B" in str(e.value)
-
-    def test_cycle_path_ignores_a_self_loop(self):
-        a, b, c = (IRI("http://example.org/" + n) for n in "ABC")
-        g = Graph([(a, vocab.RDFS_SUBCLASSOF, b), (b, vocab.RDFS_SUBCLASSOF, c),
-                   (c, vocab.RDFS_SUBCLASSOF, c), (c, vocab.RDFS_SUBCLASSOF, a)])
-        with pytest.raises(SubclassCycleError) as e:
-            rdfs_closure(g)
-        assert e.value.cycle == [a, b, c, a]
+        assert materialize(Graph(ts), RDFS_RULES) == \
+            materialize(Graph(reversed(ts)), RDFS_RULES)
 
 
 def test_apply_aliases_rewrites_iris():
