@@ -30,7 +30,7 @@ from .bundle import (
     ValidationIssue,
     ValidationReport,
 )
-from .ontology import OntologySchema, item_terms
+from .ontology import FIXED_CLASSES, OntologySchema, item_terms
 from .query import NUMERIC_LEXICAL
 from .rdf import Graph, Literal, Term, iri_value
 
@@ -178,6 +178,7 @@ def load_bundle(dir_path) -> StudyBundle:
     # of its results' locals -> the (participant, key) pair it names
     pairs: dict[str, tuple[str, str]] = {}
     names: dict[Term, tuple[str, int]] = {}  # item individual -> its key and row
+    classes: dict[Term, str] = {}  # item class -> the key and row that give it
     for i, row in enumerate(rows, start=2):
         key = _component(row, "key", ipath, i)
         if key in datatypes:
@@ -200,14 +201,23 @@ def load_bundle(dir_path) -> StudyBundle:
             datatype=datatype,
         )
         try:
-            item_iri = item_terms(key, item.disposition_label)[0]
+            item_iri, proc_cls, kind_iri = item_terms(key, item.disposition_label)
         except BundleError as e:
             raise BundleError("%s row %d: %s" % (ipath, i, e)) from None
         if item_iri in names:
             raise BundleError("%s row %d: key %r names the item %s, as key %r does in row %d"
                               % ((ipath, i, key, item_iri) + names[item_iri]))
         names[item_iri] = (key, i)
+        classes.setdefault(proc_cls, "the process class of key %r in row %d" % (key, i))
+        classes.setdefault(kind_iri, "the disposition kind of key %r in row %d" % (key, i))
         items.append(item)
+    # an item's individual is no schema class, whichever row comes first;
+    # handgrip's process class is a fixed class, and that is no pun
+    for item_iri, (key, i) in names.items():
+        pun = classes.get(item_iri) or (item_iri in FIXED_CLASSES and "a fixed schema class")
+        if pun:
+            raise BundleError("%s row %d: key %r names the item %s, %s"
+                              % (ipath, i, key, item_iri, pun))
 
     rpath, rows = _read_rows(base, "results")
     results = []

@@ -38,6 +38,8 @@ _FIXED_SUBCLASS_AXIOMS = (
     (vocab.MORE_PERSON, vocab.BFO_MATERIAL_ENTITY),
     (vocab.MORE_HANDGRIP_TEST_PROCESS, vocab.MORE_TEST_PROCESS),
 )
+# The classes of the fixed axioms, which no item's individual may name.
+FIXED_CLASSES = frozenset(c for axiom in _FIXED_SUBCLASS_AXIOMS for c in axiom)
 
 
 def item_terms(key: str, disposition_label: str) -> tuple[Term, Term, Term]:

@@ -19,7 +19,9 @@ too, and ``explain`` prints ``rules.plan``'s order and estimates.  Its
 solutions are slot rows: each variable is resolved to its slot once per
 query, and projections, GROUP BY keys, aggregates and FILTERs read the
 row by index.  When no ORDER BY is given, result rows are sorted
-canonically so output is deterministic.
+canonically so output is deterministic: by value, and rows whose values
+tie (``"1"^^xsd:integer`` and ``"1.0"^^xsd:decimal``) by their terms'
+texts, so the order does not depend on how the graph was built.
 
 One value order, ``_value_key``, serves FILTER, ORDER BY, the canonical
 sort and aggregates, after SPARQL 1.1's ORDER BY and operator mapping
@@ -29,8 +31,9 @@ IRIs, blank nodes.  ``=`` and ``!=`` compare two numbers by value and
 other terms as RDF terms (SPARQL's sameTerm: equal texts).  ``<``,
 ``<=``, ``>`` and ``>=`` compare two numbers, two dates, or two
 string-typed literals by lexical form; any other pair is a type error,
-and the comparison is false.  Each term is valued once per ``evaluate``
-call.
+and the comparison is false.  Each term is valued once per graph: the
+memo is kept in the graph's ``value_memo`` slot, so it dies with the
+graph, and a graph queried many times values each term once.
 """
 
 from __future__ import annotations
@@ -108,9 +111,8 @@ def _number(lexical: str, datatype: str) -> Optional[Decimal]:
 
 def numeric_value(term) -> Optional[Fraction]:
     """``term``'s number as an exact ``Fraction``, or None if it has none."""
-    parts = literal_parts(term)
-    num = None if parts is None else _number(parts[0], parts[1])
-    return None if num is None else Fraction(num)
+    rank, value = _value_key(term)
+    return Fraction(value) if rank == 1 else None
 
 
 def _value_key(term) -> tuple:
@@ -458,76 +460,74 @@ def _aggregate(func: str, k: Optional[int], rows: list[tuple], avg_places: int,
     ``key``; COUNT counts rows."""
     if func == "COUNT":
         return Literal(str(len(rows)), _XSD_INTEGER)
-
-    values: list[tuple[Decimal, Term]] = []
-    for r in rows:
-        term = r[k]
-        rank, num = key(term)
-        if rank != 1:
-            warnings.warn("non-numeric value %r in %s; group yields unbound"
-                          % (render_term(term), func))
-            return None
-        values.append((num, term))
-    if not values:
+    if not rows:
         return None
+    terms = list(map(itemgetter(k), rows))
+    keys = list(map(key, terms))
+    if set(map(itemgetter(0), keys)) != {1}:
+        term = next(t for t, (rank, _) in zip(terms, keys) if rank != 1)
+        warnings.warn("non-numeric value %r in %s; group yields unbound"
+                      % (render_term(term), func))
+        return None
+    nums = list(map(itemgetter(1), keys))
     if func == "MIN":
-        return min(values, key=lambda v: v[0])[1]
+        return terms[nums.index(min(nums))]  # the first term of least value
     if func == "MAX":
-        return max(values, key=lambda v: v[0])[1]
-    total = Fraction(reduce(_EXACT_SUM.add, [v[0] for v in values]))
+        return terms[nums.index(max(nums))]
+    total = Fraction(reduce(_EXACT_SUM.add, nums))
     if func == "SUM":
         if total.denominator == 1:
             return Literal(str(total.numerator), _XSD_INTEGER)
         return Literal(format_decimal(total, avg_places), _XSD_DECIMAL)
     # AVG
-    return Literal(format_decimal(total / len(values), avg_places), _XSD_DECIMAL)
+    return Literal(format_decimal(total / len(nums), avg_places), _XSD_DECIMAL)
 
 
 def evaluate(g: Graph, q: QueryAst, avg_places: int = 6) -> SolutionTable:
     if avg_places < 0:
         raise QueryError("decimal places must be 0 or more, got %d" % avg_places)
-    key = cache(_value_key)  # each term is valued once per call
+    key = g.value_memo
+    if key is None:  # each term is valued once per graph
+        key = g.value_memo = cache(_value_key)
     slots, solutions = join([g] * len(q.where), q.where)
     # a basic graph pattern binds every WHERE variable in every row
     slot = {t.name: k for t, k in slots.items() if isinstance(t, Var)}
     for f in q.filters:
-        test = _row_test(f, slot, key)
-        solutions = [row for row in solutions if test(row)]
+        solutions = list(filter(_row_test(f, slot, key), solutions))
 
-    has_agg = any(isinstance(p, AggProjection) for p in q.projections)
-    rows: list[tuple] = []
-    if has_agg or q.group_by:
-        key_slots = [slot[v] for v in q.group_by]
-        groups: dict[tuple, list[tuple]] = {}
-        for row in solutions:
-            groups.setdefault(tuple([row[k] for k in key_slots]), []).append(row)
-        if not q.group_by and not groups:
-            groups[()] = []  # aggregates over the empty solution sequence
-        for group, members in groups.items():
-            row = []
-            for p in q.projections:
-                if isinstance(p, VarProjection):
-                    row.append(group[q.group_by.index(p.name)])
-                else:
-                    row.append(_aggregate(p.func, slot.get(p.arg), members,
-                                          avg_places, key))
-            rows.append(tuple(row))
-    else:
-        ks = [slot[p.name] for p in q.projections]
-        rows = [tuple([row[k] for k in ks]) for row in solutions]
+    if q.group_by or any(isinstance(p, AggProjection) for p in q.projections):
+        if q.group_by:
+            group_key = itemgetter(*[slot[v] for v in q.group_by])
+            by_key: dict = {}
+            for row in solutions:
+                by_key.setdefault(group_key(row), []).append(row)
+            groups = list(by_key.values())
+        else:
+            groups = [solutions]  # one group, empty or not
+        # a projected variable is grouped on, so each member holds its term
+        rows = [tuple([members[0][slot[p.name]] if isinstance(p, VarProjection)
+                       else _aggregate(p.func, slot.get(p.arg), members, avg_places, key)
+                       for p in q.projections])
+                for members in groups]
+    elif len(q.projections) > 1:
+        rows = list(map(itemgetter(*[slot[p.name] for p in q.projections]), solutions))
+    else:  # one column: itemgetter of one slot gives the term, zip the 1-tuple
+        rows = list(zip(map(itemgetter(slot[q.projections[0].name]), solutions)))
 
     if q.distinct:
         rows = list(dict.fromkeys(rows))
 
     # each row is decorated with its keys once; the canonical sort keeps
-    # output deterministic, and ORDER BY keys are stable sorts on top
+    # output deterministic, and ORDER BY keys are stable sorts on top.  Rows
+    # whose keys tie compare by their terms, which differ only where both
+    # are terms: an unbound slot's key ties only with another unbound one
     decorated = [(tuple(map(key, row)), row) for row in rows]
-    decorated.sort(key=itemgetter(0))
+    decorated.sort()
     cols = q.columns
     for var, direction in reversed(q.order_by):
         idx = cols.index(var)
         decorated.sort(key=lambda d: d[0][idx], reverse=(direction == "desc"))
-    rows = [row for _, row in decorated]
+    rows = list(map(itemgetter(1), decorated))
 
     if q.offset:
         rows = rows[q.offset:]

@@ -289,10 +289,16 @@ class Graph:
     when its length was ``_counts_len``: with no remove, a graph is
     unchanged while its length is.
 
+    ``value_memo`` is None, or a one-term function that a reader caches
+    for this graph; ``query.evaluate`` keeps its term values there, so a
+    graph queried many times values each term once.  A value depends on
+    the term's text alone, so the memo stays valid as the graph grows.
+    It dies with the graph, and ``copy`` and ``without`` start without one.
+
     Single-writer, multi-reader: mutate only with exclusive access.
     """
 
-    __slots__ = ("_len", "_spo", "_pos", "_counts", "_counts_len")
+    __slots__ = ("_len", "_spo", "_pos", "_counts", "_counts_len", "value_memo")
 
     def __init__(self, triples=None):
         self._len = 0
@@ -300,6 +306,7 @@ class Graph:
         self._pos: dict = {}
         self._counts: dict = {}
         self._counts_len = 0
+        self.value_memo = None
         if triples:
             self.update(triples)
 
@@ -412,8 +419,12 @@ class Graph:
                     add(b)
         elif si is not None and pi is not None:  # (s, p, ?)
             for b in rows:
-                for o in _leaf_terms(spo.get(b[si], _NO_ENTRIES).get(b[pi])):
-                    add(b + (o,))
+                objs = spo.get(b[si], _NO_ENTRIES).get(b[pi])
+                if type(objs) is set:
+                    for o in objs:
+                        add(b + (o,))
+                elif objs is not None:
+                    add(b + (objs,))
         elif si is not None and oi is not None:  # (s, ?, o)
             for b in rows:
                 o = b[oi]
@@ -422,8 +433,12 @@ class Graph:
                         add(b + (p,))
         elif pi is not None and oi is not None:  # (?, p, o)
             for b in rows:
-                for s in _leaf_terms(pos.get(b[pi], _NO_ENTRIES).get(b[oi])):
-                    add(b + (s,))
+                subjs = pos.get(b[pi], _NO_ENTRIES).get(b[oi])
+                if type(subjs) is set:
+                    for s in subjs:
+                        add(b + (s,))
+                elif subjs is not None:
+                    add(b + (subjs,))
         elif si is not None:  # (s, ?, ?)
             for b in rows:
                 for p, objs in spo.get(b[si], _NO_ENTRIES).items():
@@ -432,8 +447,11 @@ class Graph:
         elif pi is not None:  # (?, p, ?)
             for b in rows:
                 for o, subjs in pos.get(b[pi], _NO_ENTRIES).items():
-                    for s in _leaf_terms(subjs):
-                        add(b + (s, o))
+                    if type(subjs) is set:
+                        for s in subjs:
+                            add(b + (s, o))
+                    else:
+                        add(b + (subjs, o))
         elif oi is not None:  # (?, ?, o)
             for b in rows:
                 o = b[oi]

@@ -66,6 +66,8 @@ class ParseError(PositionedError, RdfError):
 PN_PREFIX = r"[A-Za-z][A-Za-z0-9_-]*"
 PN_LOCAL = r"[A-Za-z0-9_][A-Za-z0-9_-]*"
 _CURIE_RE = re.compile(r"%s:(?:%s)?" % (PN_PREFIX, PN_LOCAL))
+_PN_PREFIX_RE = re.compile(PN_PREFIX)
+_PN_LOCAL_RE = re.compile("(?:%s)?" % PN_LOCAL)  # or none, as in "ex:"
 
 # One lexer for all four: the IRIREF, PNAME, blank-node and literal
 # productions that Turtle and SPARQL share, plus the variables, words and
@@ -384,13 +386,24 @@ def parse_turtle(text: str) -> Graph:
     return _TurtleParser(text, prefixes, start).parse(graph)
 
 
+# A map has few labels, so each is checked once; the bound keeps maps of
+# many labels from growing it.
+@functools.lru_cache(maxsize=64)
+def _is_label(label: str) -> bool:
+    return _PN_PREFIX_RE.fullmatch(label) is not None
+
+
 def term_to_ttl(term: Term, pm: PrefixMap) -> str:
     """A term as Turtle, query and rule text spell it: an IRI as a CURIE
-    where that lexes back to the same IRI, anything else as N-Triples."""
+    where that lexes back to the same IRI, anything else as N-Triples.
+    The local part is checked per IRI and the prefix label once."""
     if is_iri(term):
         curie = pm.compact(term)
-        if _CURIE_RE.fullmatch(curie):
-            return curie
+        if curie != term:
+            # a valid label holds no ":", so the first one ends it
+            label, _, local = curie.partition(":")
+            if _PN_LOCAL_RE.fullmatch(local) and _is_label(label):
+                return curie
     return term
 
 

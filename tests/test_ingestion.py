@@ -211,6 +211,27 @@ class TestLoadBundle:
           "handgrip,Handgrip,grip {strength},kg,\n"},
          r"test_items\.csv row 2: disposition_label 'grip \{strength\}' gives a class "
          r"name that is not an IRI"),
+        # no item's individual is a schema class, whichever row comes first;
+        # handgrip's process class is the fixed more:HandgripTestProcess
+        ({"test_items.csv": "key,label,disposition_label,unit,datatype\n"
+          "handgrip,Handgrip,grip strength,kg,\nhandgrip_test_process,Grip TP,grip tp,kg,\n"},
+         r"test_items\.csv row 3: key 'handgrip_test_process' names the item "
+         r"<https://w3id\.org/more#HandgripTestProcess>, the process class of key "
+         r"'handgrip' in row 2"),
+        ({"test_items.csv": "key,label,disposition_label,unit,datatype\n"
+          "handgrip_test_process,Grip TP,grip tp,kg,\nhandgrip,Handgrip,grip strength,kg,\n"},
+         r"test_items\.csv row 2: key 'handgrip_test_process' names the item "
+         r"<https://w3id\.org/more#HandgripTestProcess>, the process class of key "
+         r"'handgrip' in row 3"),
+        ({"test_items.csv": "key,label,disposition_label,unit,datatype\n"
+          "handgrip,Handgrip,grip strength,kg,\ntest_item,TI,ti,kg,\n"},
+         r"test_items\.csv row 3: key 'test_item' names the item "
+         r"<https://w3id\.org/more#TestItem>, a fixed schema class"),
+        ({"test_items.csv": "key,label,disposition_label,unit,datatype\n"
+          "grip_strength_disposition,G,g,kg,\nhandgrip,Handgrip,grip strength,kg,\n"},
+         r"test_items\.csv row 2: key 'grip_strength_disposition' names the item "
+         r"<https://w3id\.org/more#GripStrengthDisposition>, the disposition kind of key "
+         r"'handgrip' in row 3"),
         ({"results.csv": _RESULT + "p001,handgrip,32.5,yesterday,\n"},
          r"results\.csv row 2: session_date 'yesterday' is not a YYYY-MM-DD calendar date"),
         ({"results.csv": _RESULT + "p001,handgrip,32.5,2018-06-12,1\n"
@@ -218,7 +239,9 @@ class TestLoadBundle:
          r"results\.csv row 3: session_date '2018-02-30' is not a YYYY-MM-DD calendar date"),
     ], ids=["study-uppercase", "year-order", "year-underscore", "age-negative",
             "height-zero", "age-non-ascii-digit", "colliding-pair", "item-name-empty",
-            "item-name-twice", "disposition-kind-not-an-iri", "date-word",
+            "item-name-twice", "disposition-kind-not-an-iri", "item-names-process-class",
+            "item-names-later-process-class", "item-names-fixed-class",
+            "item-names-disposition-kind", "date-word",
             "date-not-a-day"])
     def test_broken_rule_names_file_and_row(self, tmp_path, overrides, message):
         write_bundle(tmp_path, overrides)

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from morekg.rdf import Graph, IRI, Literal, iri_value, literal_parts
 from morekg.rules import Var, plan
 from morekg.serdes import term_to_ttl
 
-from graph_oracles import reference_bgp_eval, reference_compare, reference_sort_key
+from graph_oracles import (reference_bgp_eval, reference_compare, reference_number,
+                           reference_sort_key)
 from oracles import cq1_average_by_age, cq2_items_in_range
 from strategies import graphs, value_terms
 
@@ -285,6 +287,14 @@ class TestEvaluate:
         q = parse_query(PEOPLE)
         assert evaluate(g1, q).rows == evaluate(g2, q).rows
 
+    def test_value_ties_order_by_text(self):
+        # "1" and "1.0" tie by value; the rows must not follow insertion order
+        ts = [(IRI(EX + "s0"), IRI(EX + "v"), Literal("1.0", iri_value(vocab.XSD_DECIMAL))),
+              (IRI(EX + "s1"), IRI(EX + "v"), Literal("1", iri_value(vocab.XSD_INTEGER)))]
+        q = parse_query("SELECT ?v WHERE { ?s <http://example.org/v> ?v . }")
+        assert evaluate(Graph(ts), q).rows == evaluate(Graph(ts[::-1]), q).rows == \
+            [(ts[1][2],), (ts[0][2],)]  # '"1"^^' sorts before '"1.0"^^'
+
     def test_aggregates(self):
         q = ("PREFIX more: <https://w3id.org/more#> "
              "SELECT (COUNT(*) AS ?n) (SUM(?age) AS ?s) (MIN(?age) AS ?lo) "
@@ -336,6 +346,22 @@ class TestEvaluate:
         assert [(literal_parts(r[0])[0], literal_parts(r[1])[0]) for r in t.rows] == \
             [("9", "2"), ("11", "1")]
 
+    def test_min_max_ties_keep_the_first_term(self):
+        # "1" and "1.0" are one value: MIN and MAX give the term met first
+        g = Graph()
+        for n, term in [("a", Literal("1", iri_value(vocab.XSD_INTEGER))),
+                        ("b", Literal("1.0", iri_value(vocab.XSD_DECIMAL))),
+                        ("c", Literal("2", iri_value(vocab.XSD_INTEGER)))]:
+            g.add(IRI(EX + n), IRI(EX + "v"), term)
+        q = ("SELECT (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) "
+             "WHERE { ?s <http://example.org/v> ?v . }")
+        (lo, hi), = evaluate(g, parse_query(q)).rows
+        assert (lo, hi) == (Literal("1", iri_value(vocab.XSD_INTEGER)),
+                            Literal("2", iri_value(vocab.XSD_INTEGER)))
+        g.add(IRI(EX + "d"), IRI(EX + "v"), Literal("2.0", iri_value(vocab.XSD_DECIMAL)))
+        (_, hi), = evaluate(g, parse_query(q)).rows
+        assert hi == Literal("2", iri_value(vocab.XSD_INTEGER))
+
     def test_avg_iri_binding_unbound_with_warning(self):
         # an IRI is not a number: the group's AVG is unbound, not skipped
         g = Graph()
@@ -377,6 +403,106 @@ class TestEvaluate:
                if 2015 <= int(literal_parts(b["y"])[0]) <= 2020}
         got = evaluate(fixture_graph, q)
         assert {r[0] for r in got.rows} == ref
+
+
+# Graphs over four subjects and three predicates whose objects are value
+# terms, which repeat often, and one query per shape of evaluate's work
+# after the join: a FILTER, an ORDER BY of one column, GROUP BY on two
+# variables with AVG and COUNT, and aggregates with no GROUP BY.
+_memo_triples = st.tuples(st.sampled_from([IRI(EX + "s%d" % i) for i in range(4)]),
+                          st.sampled_from([IRI(EX + p) for p in "vgh"]), value_terms)
+_MEMO_PREFIX = "PREFIX ex: <http://example.org/> "
+_ZERO = Literal("0", iri_value(vocab.XSD_INTEGER))
+
+
+def _memo_filter(g, q, rows):
+    expected = Counter((b["s"], b["v"]) for b in reference_bgp_eval(g, q.where)
+                       if reference_compare(">", b["v"], _ZERO)
+                       or reference_compare("=", b["v"], Literal("a")))
+    assert Counter(rows) == expected
+
+
+def _memo_order(g, q, rows):
+    values = [b["v"] for b in reference_bgp_eval(g, q.where)]
+    assert Counter(rows) == Counter((v,) for v in values)
+    keys = [reference_sort_key(r[0]) for r in rows]
+    assert keys == sorted(keys, reverse=True)
+
+
+def _avg(values):
+    nums = [reference_number(v) for v in values]
+    if None in nums:
+        return None
+    return Literal(format_decimal(sum(nums) / len(nums)), iri_value(vocab.XSD_DECIMAL))
+
+
+def _memo_group(g, q, rows):
+    groups: dict = {}
+    for b in reference_bgp_eval(g, q.where):
+        groups.setdefault((b["g"], b["h"]), []).append(b["v"])
+    assert Counter(rows) == Counter(
+        key + (_avg(vs), Literal(str(len(vs)), iri_value(vocab.XSD_INTEGER)))
+        for key, vs in groups.items())
+
+
+def _memo_count(g, q, rows):
+    nums = [reference_number(b["v"]) for b in reference_bgp_eval(g, q.where)]
+    (n, low), = rows
+    assert n == Literal(str(len(nums)), iri_value(vocab.XSD_INTEGER))
+    if not nums or None in nums:
+        assert low is None
+    else:
+        assert reference_number(low) == min(nums)
+
+
+_MEMO_QUERIES = [
+    ('SELECT ?s ?v WHERE { ?s ex:v ?v FILTER(?v > 0 || ?v = "a") }', _memo_filter),
+    ("SELECT ?v WHERE { ?s ex:v ?v } ORDER BY DESC(?v)", _memo_order),
+    ("SELECT ?g ?h (AVG(?v) AS ?avg) (COUNT(*) AS ?n) "
+     "WHERE { ?s ex:v ?v ; ex:g ?g ; ex:h ?h } GROUP BY ?g ?h", _memo_group),
+    ("SELECT (COUNT(?v) AS ?n) (MIN(?v) AS ?min) WHERE { ?s ex:v ?v }", _memo_count),
+]
+
+
+def _rows(g, q):
+    with warnings.catch_warnings():  # non-numeric AVG and MIN values warn
+        warnings.simplefilter("ignore")
+        return evaluate(g, q).rows
+
+
+class TestValueMemo:
+    """``evaluate`` values each term once per graph: the memo must give
+    the rows a fresh one gives, in the same order, on the same graph
+    again, on its copy, and after triples that reuse its terms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_memo_triples, max_size=14), st.lists(_memo_triples, min_size=1, max_size=6))
+    def test_rows_do_not_depend_on_the_memo(self, first, more):
+        g = Graph(first)
+        for _ in range(2):
+            for text, check in _MEMO_QUERIES:
+                q = parse_query(_MEMO_PREFIX + text)
+                rows = _rows(g, q)
+                assert _rows(g, q) == rows
+                assert _rows(g.copy(), q) == rows
+                check(g, q, rows)
+            g.update(more)
+
+    def test_memo_lives_with_its_graph(self):
+        g = people_graph()
+        q = parse_query(PEOPLE + " ORDER BY ?age")
+        assert g.value_memo is None
+        evaluate(g, q)
+        memo = g.value_memo
+        before = memo.cache_info()
+        evaluate(g, q)
+        after = memo.cache_info()
+        assert g.value_memo is memo and after.misses == before.misses
+        assert after.hits > before.hits
+        for other in (g.copy(), g.without()):
+            assert other.value_memo is None
+            evaluate(other, q)
+            assert other.value_memo is not memo
 
 
 class TestCompetencyQueries:

@@ -10,7 +10,8 @@ from morekg.rdf import (CANONICAL_TERM, BlankNode, Graph, IRI, Literal, PrefixMa
 from morekg.rules import RuleSyntaxError, parse_rules
 from morekg.serdes import (ParseError, _nt_lines, _nt_parse_line,
                            _ttl_read_canonical, _TurtleParser, parse_ntriples,
-                           parse_turtle, write_file, write_ntriples, write_turtle)
+                           parse_turtle, term_to_ttl, write_file, write_ntriples,
+                           write_turtle)
 
 from graph_oracles import reference_write_ntriples, reference_write_turtle
 from strategies import graphs, rule_triples, triples
@@ -119,6 +120,16 @@ class TestWritersEqualReferences:
         assert write_turtle(g) == reference_write_turtle(g)
         pm = PrefixMap({"ex": EX, "more": vocab.MORE})
         assert write_turtle(g, pm) == reference_write_turtle(g, pm)
+
+    # a CURIE is written only where its label and its local part both lex;
+    # any other label gives the full IRI, as a bad local part does
+    @pytest.mark.parametrize("label, local, curie", [
+        ("ex", "a", "ex:a"), ("ex", "", "ex:"), ("e-x_1", "a-b", "e-x_1:a-b"),
+        ("ex", "a/b", None), ("ex", "-a", None), ("", "a", None), ("1x", "a", None),
+        ("e:x", "a", None), ("e x", "a", None)])
+    def test_term_to_ttl_checks_label_and_local(self, label, local, curie):
+        term = IRI(EX + local)
+        assert term_to_ttl(term, PrefixMap({label: EX})) == (curie or term)
 
     @pytest.mark.parametrize("name", ["fixture_graph", "fixture_materialized"])
     def test_fixture(self, request, name):
